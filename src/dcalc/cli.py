@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: check (proof files), type, nf, trace, sem, norm (expressions).
-Axiom schemes are disabled unless --axioms lists them; --fuel bounds every
-reduction (DCALC_FUEL serves as the environment fallback); --json switches
-diagnostics to JSON lines.
+Axiom schemes are disabled unless --axioms lists them; --fuel bounds the
+steps of each reduction call (DCALC_FUEL serves as the environment
+fallback); --json switches diagnostics to JSON lines. Every failure reaches
+the user through one mapping from exception to diagnostic (_diagnostic).
 """
 
 from __future__ import annotations
@@ -19,14 +20,9 @@ from .axioms import resolve_axiom_gate
 from .corpus import check_document
 from .norms import norm, norm_to_text
 from .parser import ParseError, parse_document, parse_term
-from .reduction import (
-    DEFAULT_FUEL,
-    FuelExhausted,
-    reduce_nf,
-    reduce_trace,
-)
+from .reduction import DEFAULT_FUEL, FuelExhausted, reduce_nf, reduce_trace, render_trace
 from .semantics import encode, lam_to_text, strip
-from .syntax import Context, to_text
+from .syntax import Context, path_text, to_text
 from .typecheck import TypingError, synth
 
 
@@ -39,14 +35,25 @@ class CheckReport:
     elapsed: float = 0.0
 
 
-def _diag(err: TypingError) -> dict:
-    at = ".".join(str(i) for i in err.path) if err.path else "root"
-    out = {"kind": err.kind, "path": at, "message": err.message}
-    if err.expected is not None:
-        out["expected"] = to_text(err.expected)
-    if err.found is not None:
-        out["found"] = to_text(err.found)
-    return out
+# The failures a command reports as a diagnostic; anything else is a bug.
+FAILURES = (ParseError, TypingError, FuelExhausted, OSError)
+
+
+def _diagnostic(err: Exception) -> dict:
+    """The diagnostic that reports one of FAILURES."""
+    match err:
+        case TypingError():
+            out = {"kind": err.kind, "path": path_text(err.path), "message": err.message}
+            if err.expected is not None:
+                out["expected"] = to_text(err.expected)
+            if err.found is not None:
+                out["found"] = to_text(err.found)
+            return out
+        case ParseError():
+            return {"kind": "ParseError", "path": f"{err.line}:{err.col}", "message": str(err)}
+        case FuelExhausted():
+            return {"kind": "FuelExhausted", "path": "root", "message": str(err)}
+    return {"kind": "IOError", "path": "root", "message": str(err)}
 
 
 def _emit_diag(diag: dict, as_json: bool) -> None:
@@ -61,60 +68,31 @@ def _emit_diag(diag: dict, as_json: bool) -> None:
         print(f"  found:    {diag['found']}", file=sys.stderr)
 
 
-def _parse_failure(err: ParseError, as_json: bool) -> int:
-    diag = {"kind": "ParseError", "path": f"{err.line}:{err.col}", "message": str(err)}
-    _emit_diag(diag, as_json)
-    return 1
-
-
-def _fuel_failure(err: FuelExhausted, as_json: bool) -> int:
-    diag = {"kind": "FuelExhausted", "path": "root", "message": str(err)}
-    _emit_diag(diag, as_json)
-    return 1
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    gate = args.gate
     failed = False
     for path in args.paths:
         started = time.monotonic()
         report = CheckReport(file=path)
         try:
-            text = open(path).read()
-        except OSError as err:
-            report.errors.append(
-                {"kind": "IOError", "path": "root", "message": str(err)}
-            )
-            failed = True
-            _finish_report(report, started, args.json)
-            continue
-        try:
-            doc = parse_document(text, gate)
-        except ParseError as err:
-            report.errors.append(
-                {
-                    "kind": "ParseError",
-                    "path": f"{err.line}:{err.col}",
-                    "message": str(err),
-                }
-            )
-            failed = True
-            _finish_report(report, started, args.json)
-            continue
-        report.declarations_checked = len(doc.context.entries)
-        report.deductions_checked = len(doc.checks)
-        report.errors = [_diag(e) for e in check_document(doc, args.fuel)]
-        if report.errors:
-            failed = True
+            with open(path) as f:
+                text = f.read()
+            doc = parse_document(text, args.gate)
+        except (OSError, ParseError) as err:
+            report.errors.append(_diagnostic(err))
+        else:
+            report.declarations_checked = len(doc.context.entries)
+            report.deductions_checked = len(doc.checks)
+            report.errors = [_diagnostic(e) for e in check_document(doc, args.fuel)]
+        failed = failed or bool(report.errors)
         _finish_report(report, started, args.json)
         if args.trace and not report.errors:
             for item in doc.checks:
                 try:
-                    for at, name, term in reduce_trace(item.term, args.fuel):
-                        at_text = ".".join(str(i) for i in at) if at else "root"
-                        print(f"{name} @ {at_text} : {to_text(term)}")
+                    steps = reduce_trace(item.term, args.fuel)
                 except FuelExhausted:
-                    pass
+                    continue
+                if steps:
+                    print(render_trace(steps))
     return 1 if failed else 0
 
 
@@ -144,20 +122,15 @@ def _finish_report(report: CheckReport, started: float, as_json: bool) -> None:
 
 
 def _load_context(args: argparse.Namespace) -> Context | None:
-    """Parse and check the optional --context file; None on failure."""
+    """Parse and check the optional --context file; None if it does not check."""
     if not args.context:
         return Context()
-    try:
-        doc = parse_document(open(args.context).read(), args.gate)
-    except OSError as err:
-        _emit_diag({"kind": "IOError", "path": "root", "message": str(err)}, args.json)
-        return None
-    except ParseError as err:
-        _parse_failure(err, args.json)
-        return None
+    with open(args.context) as f:
+        text = f.read()
+    doc = parse_document(text, args.gate)
     errors = check_document(doc, args.fuel)
     for e in errors:
-        _emit_diag(_diag(e), args.json)
+        _emit_diag(_diagnostic(e), args.json)
     return None if errors else doc.context
 
 
@@ -165,57 +138,38 @@ def cmd_type(args: argparse.Namespace) -> int:
     ctx = _load_context(args)
     if ctx is None:
         return 1
-    try:
-        e = parse_term(args.expr, args.gate)
-        print(to_text(synth(ctx, e, args.fuel)))
-        return 0
-    except ParseError as err:
-        return _parse_failure(err, args.json)
-    except TypingError as err:
-        _emit_diag(_diag(err), args.json)
-        return 1
-    except FuelExhausted as err:
-        return _fuel_failure(err, args.json)
+    e = parse_term(args.expr, args.gate)
+    print(to_text(synth(ctx, e, args.fuel)))
+    return 0
 
 
 def cmd_nf(args: argparse.Namespace) -> int:
-    try:
-        e = parse_term(args.expr, args.gate)
-        print(to_text(reduce_nf(e, args.fuel)))
-        return 0
-    except ParseError as err:
-        return _parse_failure(err, args.json)
-    except FuelExhausted as err:
-        return _fuel_failure(err, args.json)
+    e = parse_term(args.expr, args.gate)
+    print(to_text(reduce_nf(e, args.fuel)))
+    return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    try:
-        e = parse_term(args.expr, args.gate)
-        steps = reduce_trace(e, args.fuel)
-    except ParseError as err:
-        return _parse_failure(err, args.json)
-    except FuelExhausted as err:
-        return _fuel_failure(err, args.json)
+    e = parse_term(args.expr, args.gate)
+    steps = reduce_trace(e, args.fuel)
     final = e if not steps else steps[-1][2]
     if args.json:
         for at, name, term in steps:
-            at_text = ".".join(str(i) for i in at) if at else "root"
-            print(json.dumps({"axiom": name, "path": at_text, "term": to_text(term)}))
+            print(json.dumps({"axiom": name, "path": path_text(at), "term": to_text(term)}))
+        print(json.dumps({"nf": to_text(final)}))
     else:
-        for at, name, term in steps:
-            at_text = ".".join(str(i) for i in at) if at else "root"
-            print(f"{name} @ {at_text} : {to_text(term)}")
-    print(to_text(final) if not args.json else json.dumps({"nf": to_text(final)}))
+        if steps:
+            print(render_trace(steps))
+        print(to_text(final))
     return 0
 
 
 def cmd_sem(args: argparse.Namespace) -> int:
+    e = parse_term(args.expr, args.gate)
     try:
-        e = parse_term(args.expr, args.gate)
-    except ParseError as err:
-        return _parse_failure(err, args.json)
-    mapped = encode(e) if args.encode else strip(e)
+        mapped = encode(e) if args.encode else strip(e)
+    except ValueError as err:
+        raise TypingError("Untranslatable", str(err)) from err
     print(lam_to_text(mapped))
     return 0
 
@@ -224,10 +178,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
     ctx = _load_context(args)
     if ctx is None:
         return 1
-    try:
-        e = parse_term(args.expr, args.gate)
-    except ParseError as err:
-        return _parse_failure(err, args.json)
+    e = parse_term(args.expr, args.gate)
     n = norm(ctx, e)
     print("undefined" if n is None else norm_to_text(n))
     return 0
@@ -292,15 +243,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.fuel is None:
-        args.fuel = int(os.environ.get("DCALC_FUEL", DEFAULT_FUEL))
     try:
+        if args.fuel is None:
+            args.fuel = _env_fuel()
         tokens = [t for t in args.axioms.split(",") if t.strip()]
         args.gate = resolve_axiom_gate(tokens)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except FAILURES as err:
+        _emit_diag(_diagnostic(err), args.json)
+        return 1
+
+
+def _env_fuel() -> int:
+    raw = os.environ.get("DCALC_FUEL", str(DEFAULT_FUEL))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"DCALC_FUEL must be an integer, not {raw!r}") from None
 
 
 if __name__ == "__main__":

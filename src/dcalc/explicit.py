@@ -1,39 +1,42 @@
 """Reduction with internalized substitutions and environments.
 
-This engine mirrors the plain reducer but makes beta steps produce a pending
-substitution node ``[x:=a]b`` instead of substituting eagerly; environments
-hold named definitions that variables unfold against (``use``), and spent
-binders are dropped (``rem``). Negation steps are aggregated: a nonempty
-sequence of negation-reduction steps counts as one step here.
+This engine shares the plain reducer's rule table (``reduction.RULES``) but
+makes beta steps produce a pending substitution node ``[x:=a]b`` instead of
+substituting eagerly (``beta1_mu``/``beta2_mu``); environments hold named
+definitions that variables unfold against (``use``), and spent binders are
+dropped (``rem``). Negation steps are aggregated: a nonempty sequence of
+negation-reduction steps counts as one step here, so nu1..nu5 are left out
+of the table. Multi-step runs go through the plain reducer's fuel driver.
 
 Definition evaluation is the sub-relation with only use/rem as axioms (all
 structural rules retained); it terminates with a strictly decreasing weight
-and eliminates every pending substitution.
+and eliminates every pending substitution, so it runs without fuel.
 
-Traversal opens every binder with a fresh name on the way down and closes it
-again on the way up, so every term handled by a rule is locally closed and
-environment definitions can be spliced in without index adjustments.
+Traversal (``_components``) opens every binder with a fresh name on the way
+down and closes it again on the way up, so every term handled by a rule is
+locally closed and environment definitions can be spliced in without index
+adjustments.
 """
 
 from __future__ import annotations
 
-from .reduction import DEFAULT_FUEL, FuelExhausted, neg_redexes, neg_step, neg_nf
+from .reduction import (
+    DEFAULT_FUEL,
+    NEG_RULES,
+    RULES,
+    _drive,
+    _fire,
+    neg_nf,
+    neg_redexes,
+    neg_step,
+)
 from .syntax import (
     Appl,
     Bound,
-    Case,
     ExistAbs,
     ExprS,
-    InjL,
-    InjR,
     InternalSubst,
-    Neg,
     Prim,
-    ProjL,
-    ProjR,
-    ProtDef,
-    Product,
-    Sum,
     UnivAbs,
     Var,
     binder_used,
@@ -47,6 +50,13 @@ from .syntax import (
 )
 
 Path = tuple[int, ...]
+
+# The plain reducer's rules without nu1..nu5, with beta delayed.
+MU_RULES = {
+    **{key: rule for key, rule in RULES.items() if key not in NEG_RULES},
+    (Appl, UnivAbs): lambda e, f: ("beta1_mu", InternalSubst(e.arg, f.body, f.hint)),
+    (Appl, ExistAbs): lambda e, f: ("beta2_mu", InternalSubst(e.arg, f.body, f.hint)),
+}
 
 
 class Env:
@@ -88,45 +98,20 @@ class Env:
         return self._pool
 
 
-def mu_axiom_steps(env: Env, e: ExprS) -> list[tuple[str, ExprS]]:
-    """All non-structural rules applicable at the root, in table order."""
-    out: list[tuple[str, ExprS]] = []
+def _def_rule(env: Env, e: ExprS) -> tuple[str, ExprS] | None:
+    """use or rem at the root of e: the rules of definition evaluation."""
     match e:
-        case Appl(UnivAbs(_, body, hint), arg):
-            out.append(("beta1_mu", InternalSubst(arg, body, hint)))
-        case Appl(ExistAbs(_, body, hint), arg):
-            out.append(("beta2_mu", InternalSubst(arg, body, hint)))
-        case Appl(Case(left, _), InjL(val, _)):
-            out.append(("beta3", Appl(left, val)))
-        case Appl(Case(_, right), InjR(_, val)):
-            out.append(("beta4", Appl(right, val)))
         case Var(x) if x in env:
-            out.append(("use", env.lookup(x)))
+            return "use", env.lookup(x)
         case InternalSubst(_, body) if not binder_used(body):
-            out.append(("rem", body))
-        case ProjL(ProtDef(witness, _, _)):
-            out.append(("pi1", witness))
-        case ProjR(ProtDef(_, proof, _)):
-            out.append(("pi2", proof))
-        case ProjL(Product(l, _)):
-            out.append(("pi3", l))
-        case ProjR(Product(_, r)):
-            out.append(("pi4", r))
-        case ProjL(Sum(l, _)):
-            out.append(("pi5", l))
-        case ProjR(Sum(_, r)):
-            out.append(("pi6", r))
-        case Neg(Prim()):
-            out.append(("nu6", Prim()))
-        case Neg(ProtDef() as inner):
-            out.append(("nu7", inner))
-        case Neg(InjL() as inner):
-            out.append(("nu8", inner))
-        case Neg(InjR() as inner):
-            out.append(("nu9", inner))
-        case Neg(Case() as inner):
-            out.append(("nu10", inner))
-    return out
+            return "rem", body
+    return None
+
+
+def mu_axiom_steps(env: Env, e: ExprS) -> list[tuple[str, ExprS]]:
+    """The non-structural rules applicable at the root: at most one (rule, result)."""
+    found = _def_rule(env, e) or _fire(MU_RULES, e)
+    return [] if found is None else [found]
 
 
 def _neg_reachable_plus(e: ExprS) -> list[ExprS]:
@@ -144,11 +129,24 @@ def _neg_reachable_plus(e: ExprS) -> list[ExprS]:
     return out
 
 
-def _open_fresh(env: Env, e: ExprS, i: int, avoid: set[str]) -> tuple[str, ExprS]:
-    comp = children(e)[i]
-    hint = getattr(e, "hint", "x")
-    x = fresh_name(hint, avoid | env.pool() | free_vars(comp) | free_vars(e))
-    return x, open_binder(comp, Var(x))
+def _components(env: Env, e: ExprS, avoid: set[str]):
+    """Each component of e as (index, env, term, avoid, rebuild), in order.
+
+    A scoped component comes opened with a fresh name, which the body of a
+    pending substitution also gets as a definition. rebuild(c) closes that
+    name in c again and puts c in place of the component.
+    """
+    scoped = scoped_index(e)
+    for i, c in enumerate(children(e)):
+        if i != scoped:
+            yield i, env, c, avoid, lambda r, i=i: replace_child(e, i, r)
+            continue
+        hint = getattr(e, "hint", "x")
+        x = fresh_name(hint, avoid | env.pool() | free_vars(c) | free_vars(e))
+        inner = env.extend(x, e.defn) if isinstance(e, InternalSubst) else env
+        yield i, inner, open_binder(c, Var(x)), avoid | {x}, (
+            lambda r, i=i, x=x: replace_child(e, i, close_binder(r, x))
+        )
 
 
 def mu_redexes(env: Env, e: ExprS, _avoid: set[str] | None = None) -> list[tuple[Path, str, ExprS]]:
@@ -161,18 +159,9 @@ def mu_redexes(env: Env, e: ExprS, _avoid: set[str] | None = None) -> list[tuple
     out: list[tuple[Path, str, ExprS]] = [((), name, res) for name, res in mu_axiom_steps(env, e)]
     for t in _neg_reachable_plus(e):
         out.append(((), "nu", t))
-    scoped = scoped_index(e)
-    for i, c in enumerate(children(e)):
-        if i == scoped:
-            x, opened = _open_fresh(env, e, i, avoid)
-            inner_env = env.extend(x, e.defn) if isinstance(e, InternalSubst) else env
-            sub = mu_redexes(inner_env, opened, avoid | {x})
-            out.extend(
-                ((i, *p), name, replace_child(e, i, close_binder(res, x))) for p, name, res in sub
-            )
-        else:
-            sub = mu_redexes(env, c, avoid)
-            out.extend(((i, *p), name, replace_child(e, i, res)) for p, name, res in sub)
+    for i, inner, c, inner_avoid, rebuild in _components(env, e, avoid):
+        for p, name, res in mu_redexes(inner, c, inner_avoid):
+            out.append(((i, *p), name, rebuild(res)))
     return out
 
 
@@ -184,89 +173,41 @@ def mu_step(env: Env, e: ExprS, _avoid: set[str] | None = None) -> tuple[str, Ex
         return steps[0]
     if neg_step(e) is not None:
         return "nu", neg_nf(e)
-    scoped = scoped_index(e)
-    for i, c in enumerate(children(e)):
-        if i == scoped:
-            x, opened = _open_fresh(env, e, i, avoid)
-            inner_env = env.extend(x, e.defn) if isinstance(e, InternalSubst) else env
-            found = mu_step(inner_env, opened, avoid | {x})
-            if found is not None:
-                name, res = found
-                return name, replace_child(e, i, close_binder(res, x))
-        else:
-            found = mu_step(env, c, avoid)
-            if found is not None:
-                name, res = found
-                return name, replace_child(e, i, res)
+    for _, inner, c, inner_avoid, rebuild in _components(env, e, avoid):
+        found = mu_step(inner, c, inner_avoid)
+        if found is not None:
+            name, res = found
+            return name, rebuild(res)
     return None
 
 
 def mu_trace(env: Env, e: ExprS, fuel: int = DEFAULT_FUEL) -> list[tuple[str, ExprS]]:
     trace: list[tuple[str, ExprS]] = []
-    cur = e
-    for _ in range(fuel):
-        found = mu_step(env, cur)
-        if found is None:
-            return trace
-        name, cur = found
-        trace.append((name, cur))
-    if mu_step(env, cur) is None:
-        return trace
-    raise FuelExhausted(e, fuel)
+    _drive(lambda cur: mu_step(env, cur), e, fuel, trace)
+    return trace
 
 
 def mu_nf(env: Env, e: ExprS, fuel: int = DEFAULT_FUEL) -> ExprS:
-    cur = e
-    for _ in range(fuel):
-        found = mu_step(env, cur)
-        if found is None:
-            return cur
-        _, cur = found
-    if mu_step(env, cur) is None:
-        return cur
-    raise FuelExhausted(e, fuel)
+    return _drive(lambda cur: mu_step(env, cur), e, fuel)
 
 
 def def_eval_step(env: Env, e: ExprS, _avoid: set[str] | None = None) -> ExprS | None:
     """One use/rem step under full structural congruence, or None."""
     avoid = _avoid if _avoid is not None else free_vars(e)
-    match e:
-        case Var(x) if x in env:
-            return env.lookup(x)
-        case InternalSubst(defn, body, hint):
-            if not binder_used(body):
-                return body
-            d = def_eval_step(env, defn, avoid)
-            if d is not None:
-                return InternalSubst(d, body, hint)
-            x, opened = _open_fresh(env, e, 1, avoid)
-            r = def_eval_step(env.extend(x, defn), opened, avoid | {x})
-            if r is not None:
-                return InternalSubst(defn, close_binder(r, x), hint)
-            return None
-    scoped = scoped_index(e)
-    for i, c in enumerate(children(e)):
-        if i == scoped:
-            x, opened = _open_fresh(env, e, i, avoid)
-            r = def_eval_step(env, opened, avoid | {x})
-            if r is not None:
-                return replace_child(e, i, close_binder(r, x))
-        else:
-            r = def_eval_step(env, c, avoid)
-            if r is not None:
-                return replace_child(e, i, r)
+    found = _def_rule(env, e)
+    if found is not None:
+        return found[1]
+    for _, inner, c, inner_avoid, rebuild in _components(env, e, avoid):
+        r = def_eval_step(inner, c, inner_avoid)
+        if r is not None:
+            return rebuild(r)
     return None
 
 
 def def_eval_trace(env: Env, e: ExprS) -> list[ExprS]:
-    out: list[ExprS] = []
-    cur = e
-    while True:
-        nxt = def_eval_step(env, cur)
-        if nxt is None:
-            return out
-        cur = nxt
-        out.append(cur)
+    trace: list[ExprS] = []
+    _drive(lambda cur: def_eval_step(env, cur), e, trace=trace)
+    return trace
 
 
 def contains_subst(e: ExprS) -> bool:
@@ -276,13 +217,9 @@ def contains_subst(e: ExprS) -> bool:
 
 
 def def_eval_nf(env: Env, e: ExprS) -> ExprS:
-    cur = e
-    while True:
-        nxt = def_eval_step(env, cur)
-        if nxt is None:
-            assert not contains_subst(cur)
-            return cur
-        cur = nxt
+    nf = _drive(lambda cur: def_eval_step(env, cur), e)
+    assert not contains_subst(nf)
+    return nf
 
 
 def def_weight(env: Env, e: ExprS) -> int:

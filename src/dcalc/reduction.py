@@ -1,27 +1,32 @@
-"""Single-step and multi-step reduction, normal forms, and the negation engine.
+"""The rewrite rules, the fuel-bounded driver, normal forms and negation.
 
 The rewrite axioms come in three groups: beta (application meets abstraction
 or case meets injection), pi (projections meet introduction forms), and nu
-(negation pushed through or absorbed by every constructor). Structural
-congruence applies in every component of every operator. The deterministic
-strategy is leftmost-outermost with axioms tried in the fixed table order at
-each node.
+(negation pushed through or absorbed by every constructor). ``RULES`` states
+each of them once, keyed by the type of the redex and of its head component;
+the negation engine here and the explicit-substitution engine select their
+subsets from it. Structural congruence applies in every component of every
+operator. The deterministic strategy is leftmost-outermost.
+
+Every engine runs its single steps through one driver, ``_drive``, which
+counts them against an optional fuel budget: ``fuel=N`` allows exactly N
+steps and raises FuelExhausted when a further one is available.
 
 Negation reduction is the sub-relation with axioms nu1..nu5 only and
 congruence restricted to negations, both components of products and sums, and
 the scoped component of binders; it terminates unconditionally with a
-strictly decreasing weight and is confluent.
+strictly decreasing weight and is confluent, so it runs without fuel.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable, Iterable
 
 from .syntax import (
     Appl,
     Bound,
     Case,
-    Expr,
     ExprS,
     InjL,
     InjR,
@@ -38,8 +43,8 @@ from .syntax import (
     Var,
     children,
     open_binder,
+    path_text,
     plug,
-    replace_child,
     scoped_index,
     to_text,
 )
@@ -48,6 +53,7 @@ DEFAULT_FUEL = 100_000
 
 Path = tuple[int, ...]
 Step = tuple[Path, str, ExprS]
+Rule = Callable[[ExprS, ExprS], "tuple[str, ExprS] | None"]
 
 
 class FuelExhausted(Exception):
@@ -58,65 +64,120 @@ class FuelExhausted(Exception):
         self.fuel = fuel
 
 
+def _beta_case(e: Appl, case: Case) -> tuple[str, ExprS] | None:
+    match e.arg:
+        case InjL(val, _):
+            return "beta3", Appl(case.left, val)
+        case InjR(_, val):
+            return "beta4", Appl(case.right, val)
+    return None
+
+
+# (redex type, head type) -> rule(redex, head), giving (axiom, contractum).
+# The head is the operator of an application and the operand of a
+# projection or negation. Keys are disjoint, so at most one axiom fires.
+RULES: dict[tuple[type, type], Rule] = {
+    (Appl, UnivAbs): lambda e, f: ("beta1", open_binder(f.body, e.arg)),
+    (Appl, ExistAbs): lambda e, f: ("beta2", open_binder(f.body, e.arg)),
+    (Appl, Case): _beta_case,
+    (ProjL, ProtDef): lambda _, p: ("pi1", p.witness),
+    (ProjR, ProtDef): lambda _, p: ("pi2", p.proof),
+    (ProjL, Product): lambda _, p: ("pi3", p.l),
+    (ProjR, Product): lambda _, p: ("pi4", p.r),
+    (ProjL, Sum): lambda _, s: ("pi5", s.l),
+    (ProjR, Sum): lambda _, s: ("pi6", s.r),
+    (Neg, Neg): lambda _, n: ("nu1", n.e),
+    (Neg, Product): lambda _, p: ("nu2", Sum(Neg(p.l), Neg(p.r))),
+    (Neg, Sum): lambda _, s: ("nu3", Product(Neg(s.l), Neg(s.r))),
+    (Neg, UnivAbs): lambda _, a: ("nu4", ExistAbs(a.dom, Neg(a.body), a.hint)),
+    (Neg, ExistAbs): lambda _, a: ("nu5", UnivAbs(a.dom, Neg(a.body), a.hint)),
+    (Neg, Prim): lambda _, inner: ("nu6", inner),
+    (Neg, ProtDef): lambda _, inner: ("nu7", inner),
+    (Neg, InjL): lambda _, inner: ("nu8", inner),
+    (Neg, InjR): lambda _, inner: ("nu9", inner),
+    (Neg, Case): lambda _, inner: ("nu10", inner),
+}
+
+# nu1..nu5: the axioms of negation reduction.
+NEG_RULES = {k: RULES[k] for k in [(Neg, t) for t in (Neg, Product, Sum, UnivAbs, ExistAbs)]}
+
+
+def _fire(rules: dict[tuple[type, type], Rule], e: ExprS) -> tuple[str, ExprS] | None:
+    """The axiom of rules that applies at the root of e, with its contractum."""
+    t = type(e)
+    if t is Appl:
+        head = e.fun
+    elif t is ProjL or t is ProjR or t is Neg:
+        head = e.e
+    else:
+        return None
+    rule = rules.get((t, type(head)))
+    return None if rule is None else rule(e, head)
+
+
+def _drive(step, e, fuel: int | None = None, trace: list | None = None, show=to_text):
+    """Apply step from e until it returns None, and return the last term.
+
+    step(cur) gives None at a normal form, else the next term or a tuple
+    ending with it; trace, when given, collects what step gave. With fuel,
+    at most fuel steps are taken, and FuelExhausted (naming e, printed by
+    show) is raised when a further step is available. Without fuel the
+    caller guarantees termination.
+    """
+    cur, taken = e, 0
+    while (found := step(cur)) is not None:
+        if fuel is not None and taken >= fuel:
+            raise FuelExhausted(e, fuel, show(e))
+        taken += 1
+        cur = found[-1] if type(found) is tuple else found
+        if trace is not None:
+            trace.append(found)
+    return cur
+
+
+def _plugged(find: Callable[[ExprS], Step | None]) -> Callable[[ExprS], Step | None]:
+    """A driver step from a search for (path, axiom, contractum at path)."""
+
+    def step(cur: ExprS) -> Step | None:
+        found = find(cur)
+        if found is None:
+            return None
+        path, name, result = found
+        return path, name, plug(cur, path, result)
+
+    return step
+
+
 def axiom_steps(e: ExprS) -> list[tuple[str, ExprS]]:
-    """All axioms applicable at the root of e, in table order."""
-    out: list[tuple[str, ExprS]] = []
-    match e:
-        case Appl(UnivAbs(_, body), arg):
-            out.append(("beta1", open_binder(body, arg)))
-        case Appl(ExistAbs(_, body), arg):
-            out.append(("beta2", open_binder(body, arg)))
-        case Appl(Case(left, _), InjL(val, _)):
-            out.append(("beta3", Appl(left, val)))
-        case Appl(Case(_, right), InjR(_, val)):
-            out.append(("beta4", Appl(right, val)))
-        case ProjL(ProtDef(witness, _, _)):
-            out.append(("pi1", witness))
-        case ProjR(ProtDef(_, proof, _)):
-            out.append(("pi2", proof))
-        case ProjL(Product(l, _)):
-            out.append(("pi3", l))
-        case ProjR(Product(_, r)):
-            out.append(("pi4", r))
-        case ProjL(Sum(l, _)):
-            out.append(("pi5", l))
-        case ProjR(Sum(_, r)):
-            out.append(("pi6", r))
-        case Neg(Neg(a)):
-            out.append(("nu1", a))
-        case Neg(Product(l, r)):
-            out.append(("nu2", Sum(Neg(l), Neg(r))))
-        case Neg(Sum(l, r)):
-            out.append(("nu3", Product(Neg(l), Neg(r))))
-        case Neg(UnivAbs(dom, body, hint)):
-            out.append(("nu4", ExistAbs(dom, Neg(body), hint)))
-        case Neg(ExistAbs(dom, body, hint)):
-            out.append(("nu5", UnivAbs(dom, Neg(body), hint)))
-        case Neg(Prim()):
-            out.append(("nu6", Prim()))
-        case Neg(ProtDef() as inner):
-            out.append(("nu7", inner))
-        case Neg(InjL() as inner):
-            out.append(("nu8", inner))
-        case Neg(InjR() as inner):
-            out.append(("nu9", inner))
-        case Neg(Case() as inner):
-            out.append(("nu10", inner))
+    """The axioms applicable at the root of e: at most one (axiom, contractum)."""
+    found = _fire(RULES, e)
+    return [] if found is None else [found]
+
+
+def _every_redex(e: ExprS, rules, positions: Callable[[ExprS], Iterable[int]]) -> list[Step]:
+    """Every (position, axiom, whole-term-after) triple, in strategy order.
+
+    Axioms come from rules; congruence descends into the components that
+    positions(subterm) lists.
+    """
+    out: list[Step] = []
+
+    def walk(sub: ExprS, path: Path) -> None:
+        found = _fire(rules, sub)
+        if found is not None:
+            name, result = found
+            out.append((path, name, plug(e, path, result)))
+        kids = children(sub)
+        for i in positions(sub):
+            walk(kids[i], path + (i,))
+
+    walk(e, ())
     return out
 
 
 def redexes(e: ExprS) -> list[Step]:
     """Every (position, axiom, whole-term-after) triple, in strategy order."""
-    out: list[Step] = []
-
-    def walk(sub: ExprS, path: Path) -> None:
-        for name, result in axiom_steps(sub):
-            out.append((path, name, plug(e, path, result)))
-        for i, c in enumerate(children(sub)):
-            walk(c, path + (i,))
-
-    walk(e, ())
-    return out
+    return _every_redex(e, RULES, lambda sub: range(len(children(sub))))
 
 
 def first_redex(e: ExprS) -> tuple[Path, str, ExprS] | None:
@@ -135,30 +196,12 @@ def first_redex(e: ExprS) -> tuple[Path, str, ExprS] | None:
 
 def reduce_trace(e: ExprS, fuel: int = DEFAULT_FUEL) -> list[Step]:
     trace: list[Step] = []
-    cur = e
-    for _ in range(fuel):
-        found = first_redex(cur)
-        if found is None:
-            return trace
-        path, name, result = found
-        cur = plug(cur, path, result)
-        trace.append((path, name, cur))
-    if first_redex(cur) is None:
-        return trace
-    raise FuelExhausted(e, fuel)
+    _drive(_plugged(first_redex), e, fuel, trace)
+    return trace
 
 
 def reduce_nf(e: ExprS, fuel: int = DEFAULT_FUEL) -> ExprS:
-    cur = e
-    for _ in range(fuel):
-        found = first_redex(cur)
-        if found is None:
-            return cur
-        path, name, result = found
-        cur = plug(cur, path, result)
-    if first_redex(cur) is None:
-        return cur
-    raise FuelExhausted(e, fuel)
+    return _drive(_plugged(first_redex), e, fuel)
 
 
 def conv(a: ExprS, b: ExprS, fuel: int = DEFAULT_FUEL) -> bool:
@@ -167,11 +210,7 @@ def conv(a: ExprS, b: ExprS, fuel: int = DEFAULT_FUEL) -> bool:
 
 
 def render_trace(steps: list[Step]) -> str:
-    lines = []
-    for path, name, term in steps:
-        at = ".".join(map(str, path)) if path else "root"
-        lines.append(f"{name} @ {at} : {to_text(term)}")
-    return "\n".join(lines)
+    return "\n".join(f"{name} @ {path_text(path)} : {to_text(term)}" for path, name, term in steps)
 
 
 class NormalClass(enum.Enum):
@@ -223,18 +262,7 @@ def classify_nf(e: ExprS) -> NormalClass:
 
 def neg_axiom(e: ExprS) -> tuple[str, ExprS] | None:
     """The negation-only axioms nu1..nu5 at the root."""
-    match e:
-        case Neg(Neg(a)):
-            return "nu1", a
-        case Neg(Product(l, r)):
-            return "nu2", Sum(Neg(l), Neg(r))
-        case Neg(Sum(l, r)):
-            return "nu3", Product(Neg(l), Neg(r))
-        case Neg(UnivAbs(dom, body, hint)):
-            return "nu4", ExistAbs(dom, Neg(body), hint)
-        case Neg(ExistAbs(dom, body, hint)):
-            return "nu5", UnivAbs(dom, Neg(body), hint)
-    return None
+    return _fire(NEG_RULES, e)
 
 
 def _neg_positions(e: ExprS) -> tuple[int, ...]:
@@ -250,19 +278,7 @@ def _neg_positions(e: ExprS) -> tuple[int, ...]:
 
 
 def neg_redexes(e: ExprS) -> list[Step]:
-    out: list[Step] = []
-
-    def walk(sub: ExprS, path: Path) -> None:
-        found = neg_axiom(sub)
-        if found is not None:
-            name, result = found
-            out.append((path, name, plug(e, path, result)))
-        kids = children(sub)
-        for i in _neg_positions(sub):
-            walk(kids[i], path + (i,))
-
-    walk(e, ())
-    return out
+    return _every_redex(e, NEG_RULES, _neg_positions)
 
 
 def neg_step(e: ExprS) -> tuple[Path, str, ExprS] | None:
@@ -281,24 +297,12 @@ def neg_step(e: ExprS) -> tuple[Path, str, ExprS] | None:
 
 def neg_trace(e: ExprS) -> list[Step]:
     trace: list[Step] = []
-    cur = e
-    while True:
-        found = neg_step(cur)
-        if found is None:
-            return trace
-        path, name, result = found
-        cur = plug(cur, path, result)
-        trace.append((path, name, cur))
+    _drive(_plugged(neg_step), e, trace=trace)
+    return trace
 
 
 def neg_nf(e: ExprS) -> ExprS:
-    cur = e
-    while True:
-        found = neg_step(cur)
-        if found is None:
-            return cur
-        path, name, result = found
-        cur = plug(cur, path, result)
+    return _drive(_plugged(neg_step), e)
 
 
 def neg_weight(e: ExprS) -> int:

@@ -9,9 +9,10 @@ function component. Both leave the inert constant pi^ for tau.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .reduction import DEFAULT_FUEL, FuelExhausted
+from .reduction import DEFAULT_FUEL, _drive
 from .syntax import (
     Appl,
     Bound,
@@ -68,15 +69,28 @@ LambdaTerm = PrimConst | LVar | LBound | Lam | LApp
 PI = PrimConst()
 
 
-def lclose(e: LambdaTerm, x: str, depth: int = 0) -> LambdaTerm:
+def _lmap(
+    e: LambdaTerm, leaf: Callable[[LVar | LBound, int], LambdaTerm], depth: int
+) -> LambdaTerm:
+    """Rebuild e with every LVar and LBound replaced by ``leaf(node, d)``.
+
+    ``d`` is ``depth`` plus the number of lambdas between e and the node.
+    """
     match e:
-        case LVar(name) if name == x:
-            return LBound(depth)
+        case LVar() | LBound():
+            return leaf(e, depth)
         case Lam(body, hint):
-            return Lam(lclose(body, x, depth + 1), hint)
+            return Lam(_lmap(body, leaf, depth + 1), hint)
         case LApp(fun, arg):
-            return LApp(lclose(fun, x, depth), lclose(arg, x, depth))
+            return LApp(_lmap(fun, leaf, depth), _lmap(arg, leaf, depth))
     return e
+
+
+def lclose(e: LambdaTerm, x: str, depth: int = 0) -> LambdaTerm:
+    def leaf(v: LVar | LBound, d: int) -> LambdaTerm:
+        return LBound(d) if type(v) is LVar and v.name == x else v
+
+    return _lmap(e, leaf, depth)
 
 
 def llam(x: str, body: LambdaTerm) -> Lam:
@@ -84,29 +98,19 @@ def llam(x: str, body: LambdaTerm) -> Lam:
 
 
 def lshift(e: LambdaTerm, by: int, depth: int = 0) -> LambdaTerm:
-    match e:
-        case LBound(i) if i >= depth:
-            return LBound(i + by)
-        case Lam(body, hint):
-            return Lam(lshift(body, by, depth + 1), hint)
-        case LApp(fun, arg):
-            return LApp(lshift(fun, by, depth), lshift(arg, by, depth))
-    return e
+    def leaf(v: LVar | LBound, d: int) -> LambdaTerm:
+        return LBound(v.index + by) if type(v) is LBound and v.index >= d else v
+
+    return _lmap(e, leaf, depth)
 
 
 def lopen(scoped: LambdaTerm, repl: LambdaTerm, depth: int = 0) -> LambdaTerm:
-    match scoped:
-        case LBound(i):
-            if i == depth:
-                return lshift(repl, depth)
-            if i > depth:
-                return LBound(i - 1)
-            return scoped
-        case Lam(body, hint):
-            return Lam(lopen(body, repl, depth + 1), hint)
-        case LApp(fun, arg):
-            return LApp(lopen(fun, repl, depth), lopen(arg, repl, depth))
-    return scoped
+    def leaf(v: LVar | LBound, d: int) -> LambdaTerm:
+        if type(v) is LVar or v.index < d:
+            return v
+        return lshift(repl, d) if v.index == d else LBound(v.index - 1)
+
+    return _lmap(scoped, leaf, depth)
 
 
 def beta_step(e: LambdaTerm) -> LambdaTerm | None:
@@ -127,15 +131,7 @@ def beta_step(e: LambdaTerm) -> LambdaTerm | None:
 
 
 def beta_nf(e: LambdaTerm, fuel: int = DEFAULT_FUEL) -> LambdaTerm:
-    cur = e
-    for _ in range(fuel):
-        nxt = beta_step(cur)
-        if nxt is None:
-            return cur
-        cur = nxt
-    if beta_step(cur) is None:
-        return cur
-    raise FuelExhausted(e, fuel, lam_to_text(e))
+    return _drive(beta_step, e, fuel, show=lam_to_text)
 
 
 def is_beta_normal(e: LambdaTerm) -> bool:
@@ -154,84 +150,71 @@ def _pair(a: LambdaTerm, b: LambdaTerm, avoid: set[str]) -> LambdaTerm:
     return llam(z, LApp(LApp(LVar(z), a), b))
 
 
+def _lam2(body: LambdaTerm, x: str = "x", y: str = "y") -> Lam:
+    """\\x.\\y.body for a body already in index form: x is LBound(1), y LBound(0)."""
+    return Lam(Lam(body, y), x)
+
+
 def _selector(which: int) -> LambdaTerm:
-    x = LVar("x") if which == 0 else LVar("y")
-    return llam("x", llam("y", x))
+    return _lam2(LBound(1 - which))
+
+
+def _translate(e: Expr, avoid: set[str], go: Callable[[Expr, set[str]], LambdaTerm]) -> LambdaTerm:
+    """The cases strip and encode share; go is the translation for components."""
+    match e:
+        case Prim():
+            return PI
+        case Var(name):
+            return LVar(name)
+        case ProtDef(witness, proof, _):
+            return _pair(go(witness, avoid), go(proof, avoid), avoid)
+        case Product(l, r) | Sum(l, r) | Case(l, r):
+            return _pair(go(l, avoid), go(r, avoid), avoid)
+        case ProjL(operand):
+            return LApp(go(operand, avoid), _selector(0))
+        case ProjR(operand):
+            return LApp(go(operand, avoid), _selector(1))
+        case Neg(operand):
+            return go(operand, avoid)
+        case Bound(index):
+            raise ValueError(f"dangling binder reference ?b{index}")
+        case InternalSubst():
+            raise ValueError("pending substitutions have no translation")
+    raise ValueError(f"unrecognized term: {e!r}")
 
 
 def strip(e: Expr, _avoid: set[str] | None = None) -> LambdaTerm:
     """Type-stripping translation."""
     avoid = _avoid if _avoid is not None else free_vars(e)
     match e:
-        case Prim():
-            return PI
-        case Var(name):
-            return LVar(name)
         case UnivAbs(dom, body, hint) | ExistAbs(dom, body, hint):
             x = fresh_name(hint, avoid)
             return llam(x, strip(open_binder(body, Var(x)), avoid | {x}))
         case Appl(fun, arg):
             return LApp(strip(fun, avoid), strip(arg, avoid))
-        case ProtDef(witness, proof, _):
-            return _pair(strip(witness, avoid), strip(proof, avoid), avoid)
-        case Product(l, r) | Sum(l, r) | Case(l, r):
-            return _pair(strip(l, avoid), strip(r, avoid), avoid)
-        case ProjL(operand):
-            return LApp(strip(operand, avoid), _selector(0))
-        case ProjR(operand):
-            return LApp(strip(operand, avoid), _selector(1))
-        case InjL(val, _):
-            inner = LApp(LVar("x"), strip(val, avoid | {"x", "y"}))
-            return llam("x", llam("y", inner))
-        case InjR(_, val):
-            inner = LApp(LVar("y"), strip(val, avoid | {"x", "y"}))
-            return llam("x", llam("y", inner))
-        case Neg(operand):
-            return strip(operand, avoid)
-        case Bound(index):
-            raise ValueError(f"dangling binder reference ?b{index}")
-        case InternalSubst():
-            raise ValueError("pending substitutions have no translation")
-    raise ValueError(f"unrecognized term: {e!r}")
+        case InjL(val, _) | InjR(_, val):
+            # \x.\y.(x val) or \x.\y.(y val), built on indices: the image
+            # of val is locally closed, so its free x or y is not captured.
+            k = LBound(1 if isinstance(e, InjL) else 0)
+            return _lam2(LApp(k, strip(val, avoid | {"x", "y"})))
+    return _translate(e, avoid, strip)
 
 
 def encode(e: Expr, _avoid: set[str] | None = None) -> LambdaTerm:
     """Type-encoding translation: abstractions carry their domains."""
     avoid = _avoid if _avoid is not None else free_vars(e)
     match e:
-        case Prim():
-            return PI
-        case Var(name):
-            return LVar(name)
         case UnivAbs(dom, body, hint) | ExistAbs(dom, body, hint):
             x = fresh_name(hint, avoid)
             inner = llam(x, encode(open_binder(body, Var(x)), avoid | {x}))
             z = fresh_name("z", avoid)
             return llam(z, LApp(LApp(LVar(z), encode(dom, avoid)), inner))
         case Appl(fun, arg):
-            second = llam("x", llam("y", LVar("y")))
-            return LApp(LApp(encode(fun, avoid), second), encode(arg, avoid))
-        case ProtDef(witness, proof, _):
-            return _pair(encode(witness, avoid), encode(proof, avoid), avoid)
-        case Product(l, r) | Sum(l, r) | Case(l, r):
-            return _pair(encode(l, avoid), encode(r, avoid), avoid)
-        case ProjL(operand):
-            return LApp(encode(operand, avoid), _selector(0))
-        case ProjR(operand):
-            return LApp(encode(operand, avoid), _selector(1))
-        case InjL(val, _):
-            tagged = LApp(LVar("x"), llam("u", llam("v", LVar("v"))))
-            return llam("x", llam("y", LApp(tagged, encode(val, avoid | {"x", "y"}))))
-        case InjR(_, val):
-            tagged = LApp(LVar("y"), llam("u", llam("v", LVar("v"))))
-            return llam("x", llam("y", LApp(tagged, encode(val, avoid | {"x", "y"}))))
-        case Neg(operand):
-            return encode(operand, avoid)
-        case Bound(index):
-            raise ValueError(f"dangling binder reference ?b{index}")
-        case InternalSubst():
-            raise ValueError("pending substitutions have no translation")
-    raise ValueError(f"unrecognized term: {e!r}")
+            return LApp(LApp(encode(fun, avoid), _selector(1)), encode(arg, avoid))
+        case InjL(val, _) | InjR(_, val):
+            k = LApp(LBound(1 if isinstance(e, InjL) else 0), _lam2(LBound(0), "u", "v"))
+            return _lam2(LApp(k, encode(val, avoid | {"x", "y"})))
+    return _translate(e, avoid, encode)
 
 
 def lam_to_text(e: LambdaTerm, _env: tuple[str, ...] = ()) -> str:

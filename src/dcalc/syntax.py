@@ -14,6 +14,7 @@ so that terms plugged in under further binders stay well-formed.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 
@@ -159,53 +160,30 @@ def children(e: ExprS) -> tuple[ExprS, ...]:
     match e:
         case Prim() | Var() | Bound():
             return ()
-        case UnivAbs(dom, body) | ExistAbs(dom, body):
-            return (dom, body)
-        case Appl(fun, arg):
-            return (fun, arg)
+        case (
+            UnivAbs(a, b) | ExistAbs(a, b) | Appl(a, b) | Product(a, b) | Sum(a, b)
+            | Case(a, b) | InjL(a, b) | InjR(a, b) | InternalSubst(a, b)
+        ):
+            return (a, b)
         case ProtDef(witness, proof, tag):
             return (witness, proof, tag)
         case ProjL(inner) | ProjR(inner) | Neg(inner):
             return (inner,)
-        case Product(l, r) | Sum(l, r) | Case(l, r):
-            return (l, r)
-        case InjL(a, b) | InjR(a, b):
-            return (a, b)
-        case InternalSubst(defn, body):
-            return (defn, body)
     raise AssertionError(f"unreachable: {e!r}")
 
 
 def replace_child(e: ExprS, i: int, new: ExprS) -> ExprS:
     match e:
-        case UnivAbs(dom, body, hint):
-            return UnivAbs(new if i == 0 else dom, new if i == 1 else body, hint)
-        case ExistAbs(dom, body, hint):
-            return ExistAbs(new if i == 0 else dom, new if i == 1 else body, hint)
-        case Appl(fun, arg):
-            return Appl(new if i == 0 else fun, new if i == 1 else arg)
+        case Appl(a, b) | Product(a, b) | Sum(a, b) | InjL(a, b) | InjR(a, b) | Case(a, b):
+            return type(e)(new if i == 0 else a, new if i == 1 else b)
+        case UnivAbs(a, b, hint) | ExistAbs(a, b, hint) | InternalSubst(a, b, hint):
+            return type(e)(new if i == 0 else a, new if i == 1 else b, hint)
+        case ProjL(_) | ProjR(_) | Neg(_):
+            return type(e)(new)
         case ProtDef(witness, proof, tag, hint):
             parts = [witness, proof, tag]
             parts[i] = new
             return ProtDef(parts[0], parts[1], parts[2], hint)
-        case ProjL(_):
-            return ProjL(new)
-        case ProjR(_):
-            return ProjR(new)
-        case Product(l, r):
-            return Product(new if i == 0 else l, new if i == 1 else r)
-        case Sum(l, r):
-            return Sum(new if i == 0 else l, new if i == 1 else r)
-        case InjL(a, b):
-            return InjL(new if i == 0 else a, new if i == 1 else b)
-        case InjR(a, b):
-            return InjR(new if i == 0 else a, new if i == 1 else b)
-        case Case(l, r):
-            return Case(new if i == 0 else l, new if i == 1 else r)
-        case Neg(_):
-            return Neg(new)
-        case InternalSubst(defn, body, hint):
-            return InternalSubst(new if i == 0 else defn, new if i == 1 else body, hint)
     raise AssertionError(f"no child {i} in {e!r}")
 
 
@@ -227,9 +205,9 @@ def plug(e: ExprS, path: tuple[int, ...], new: ExprS) -> ExprS:
     return replace_child(e, i, plug(children(e)[i], path[1:], new))
 
 
-def alpha_eq(a: ExprS, b: ExprS) -> bool:
-    """Equality up to bound-variable names; structural on this representation."""
-    return a == b
+def path_text(path: tuple[int, ...]) -> str:
+    """A position as traces and diagnostics print it: ``0.1.2``, or ``root``."""
+    return ".".join(map(str, path)) or "root"
 
 
 def free_vars(e: ExprS) -> set[str]:
@@ -244,48 +222,45 @@ def free_vars(e: ExprS) -> set[str]:
     return out
 
 
+def _map_leaves(e: ExprS, leaf: Callable[[Var | Bound, int], ExprS], depth: int) -> ExprS:
+    """Rebuild e with every Var and Bound replaced by ``leaf(node, d)``.
+
+    ``d`` is ``depth`` plus the number of binders between e and the node.
+    Unchanged subterms are shared, not copied.
+    """
+    t = type(e)
+    if t is Var or t is Bound:
+        return leaf(e, depth)
+    if t is Prim:
+        return e
+    scoped = _SCOPED_INDEX.get(t)
+    out = e
+    for i, c in enumerate(children(e)):
+        nc = _map_leaves(c, leaf, depth + 1 if i == scoped else depth)
+        if nc is not c:
+            out = replace_child(out, i, nc)
+    return out
+
+
 def shift(e: ExprS, by: int, depth: int = 0) -> ExprS:
     """Add ``by`` to every index that points past ``depth`` enclosing binders."""
     if by == 0:
         return e
-    match e:
-        case Prim() | Var():
-            return e
-        case Bound(index):
-            return Bound(index + by) if index >= depth else e
-    scoped = scoped_index(e)
-    out = e
-    for i, c in enumerate(children(e)):
-        d = depth + 1 if i == scoped else depth
-        nc = shift(c, by, d)
-        if nc is not c:
-            out = replace_child(out, i, nc)
-    return out
+
+    def leaf(v: Var | Bound, d: int) -> ExprS:
+        return Bound(v.index + by) if type(v) is Bound and v.index >= d else v
+
+    return _map_leaves(e, leaf, depth)
 
 
 def subst(a: ExprS, x: str, b: ExprS) -> ExprS:
     """Replace every free occurrence of variable x in a by b.
 
     Occurrences of binders are indices, never names, so no renaming is needed;
-    b's own dangling indices are shifted when it lands under binders.
+    b's own dangling indices are shifted when it lands under binders. a is
+    locally closed, as every term outside a binder is.
     """
-
-    def go(e: ExprS, depth: int) -> ExprS:
-        match e:
-            case Prim() | Bound():
-                return e
-            case Var(name):
-                return shift(b, depth) if name == x else e
-        scoped = scoped_index(e)
-        out = e
-        for i, c in enumerate(children(e)):
-            d = depth + 1 if i == scoped else depth
-            nc = go(c, d)
-            if nc is not c:
-                out = replace_child(out, i, nc)
-        return out
-
-    return go(a, 0)
+    return open_binder(close_binder(a, x), b)
 
 
 def open_binder(scoped: ExprS, repl: ExprS) -> ExprS:
@@ -296,47 +271,21 @@ def open_binder(scoped: ExprS, repl: ExprS) -> ExprS:
     any inner binders) and indices pointing past it step down one level.
     """
 
-    def go(e: ExprS, depth: int) -> ExprS:
-        match e:
-            case Prim() | Var():
-                return e
-            case Bound(index):
-                if index == depth:
-                    return shift(repl, depth)
-                if index > depth:
-                    return Bound(index - 1)
-                return e
-        scoped_i = scoped_index(e)
-        out = e
-        for i, c in enumerate(children(e)):
-            d = depth + 1 if i == scoped_i else depth
-            nc = go(c, d)
-            if nc is not c:
-                out = replace_child(out, i, nc)
-        return out
+    def leaf(v: Var | Bound, d: int) -> ExprS:
+        if type(v) is Var or v.index < d:
+            return v
+        return shift(repl, d) if v.index == d else Bound(v.index - 1)
 
-    return go(scoped, 0)
+    return _map_leaves(scoped, leaf, 0)
 
 
 def close_binder(scoped: ExprS, x: str) -> ExprS:
     """Abstract the free variable x out of a component going under a binder."""
 
-    def go(e: ExprS, depth: int) -> ExprS:
-        match e:
-            case Var(name):
-                return Bound(depth) if name == x else e
-            case Prim() | Bound():
-                return e
-        scoped_i = scoped_index(e)
-        out = e
-        for i, c in enumerate(children(e)):
-            d = depth + 1 if i == scoped_i else depth
-            nc = go(c, d)
-            if nc is not c:
-                out = replace_child(out, i, nc)
-        return out
+    def leaf(v: Var | Bound, d: int) -> ExprS:
+        return Bound(d) if type(v) is Var and v.name == x else v
 
-    return go(scoped, 0)
+    return _map_leaves(scoped, leaf, 0)
 
 
 def binder_used(scoped: ExprS) -> bool:
@@ -424,6 +373,10 @@ class Context:
         return fresh_name(hint, taken)
 
 
+# What separates the bound name from the first component in a bracket binder.
+_BINDS = {UnivAbs: ":", ExistAbs: "!", InternalSubst: ":="}
+
+
 def _postfix_safe(e: ExprS) -> bool:
     """Can e take a .1/.2 postfix when printed, without parentheses?"""
     return not isinstance(e, (UnivAbs, ExistAbs, Neg, InternalSubst))
@@ -442,12 +395,9 @@ def to_text(e: ExprS) -> str:
                 if index < len(env):
                     return env[index]
                 return f"?b{index - len(env)}"
-            case UnivAbs(dom, body, hint):
+            case UnivAbs(a, body, hint) | ExistAbs(a, body, hint) | InternalSubst(a, body, hint):
                 x = fresh_name(hint, set(env) | free_vars(body))
-                return f"[{x}:{go(dom, env)}]{go(body, [x] + env)}"
-            case ExistAbs(dom, body, hint):
-                x = fresh_name(hint, set(env) | free_vars(body))
-                return f"[{x}!{go(dom, env)}]{go(body, [x] + env)}"
+                return f"[{x}{_BINDS[type(e)]}{go(a, env)}]{go(body, [x] + env)}"
             case Appl(fun, arg):
                 return f"({go(fun, env)} {go(arg, env)})"
             case ProtDef(witness, proof, tag, hint):
@@ -473,9 +423,6 @@ def to_text(e: ExprS) -> str:
                 return f"case({go(l, env)},{go(r, env)})"
             case Neg(inner):
                 return f"~{go(inner, env)}"
-            case InternalSubst(defn, body, hint):
-                x = fresh_name(hint, set(env) | free_vars(body))
-                return f"[{x}:={go(defn, env)}]{go(body, [x] + env)}"
         raise AssertionError(f"unreachable: {e!r}")
 
     return go(e, [])

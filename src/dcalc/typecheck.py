@@ -33,6 +33,7 @@ from .syntax import (
     close_binder,
     free_vars,
     open_binder,
+    path_text,
     shift,
     to_text,
 )
@@ -59,8 +60,7 @@ class TypingError(Exception):
         super().__init__(message)
 
     def __str__(self) -> str:
-        at = ".".join(str(i) for i in self.path) if self.path else "root"
-        parts = [f"{self.kind} @ {at}: {self.message}"]
+        parts = [f"{self.kind} @ {path_text(self.path)}: {self.message}"]
         if self.expected is not None:
             parts.append(f"expected {to_text(self.expected)}")
         if self.found is not None:
@@ -199,7 +199,9 @@ def _synth(ctx: Context, e: Expr, path: Path, fuel: int) -> Expr:
         case Neg(operand):
             return _synth(ctx, operand, path + (0,), fuel)
         case InternalSubst():
-            raise ValueError("pending substitutions are not typeable terms")
+            raise TypingError(
+                "PendingSubstitution", "pending substitutions are not typeable terms", path
+            )
     raise ValueError(f"unrecognized term: {e!r}")
 
 

@@ -1,6 +1,8 @@
 """The dcalc command-line front end, driven through main()."""
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -172,3 +174,38 @@ def test_axiom_gating(capsys):
 def test_unknown_axiom_token(capsys):
     assert main(["nf", "--axioms", "bogus", "tau"]) == 2
     assert capsys.readouterr().err.startswith("error: unknown axiom scheme: bogus")
+
+
+def test_bad_fuel_environment_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("DCALC_FUEL", "abc")
+    assert main(["nf", "tau"]) == 2
+    assert capsys.readouterr().err.startswith("error: DCALC_FUEL must be an integer")
+
+
+def test_pending_substitution_is_a_typing_diagnostic(tmp_path, capsys):
+    assert main(["type", "[x:=tau]x"]) == 1
+    assert capsys.readouterr().err.startswith("PendingSubstitution @ root: ")
+    p = tmp_path / "pending.dc"
+    p.write_text("context C { a : tau }\ncheck [x:=a]x : tau\n")
+    assert main(["check", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert "1 error(s)" in captured.out
+    assert "PendingSubstitution @ root: line 2: " in captured.err
+
+
+def test_pending_substitution_has_no_translation(capsys):
+    for mode in ("--strip", "--encode"):
+        assert main(["sem", mode, "[x:=tau]x"]) == 1
+        err = capsys.readouterr().err
+        assert err == "Untranslatable @ root: pending substitutions have no translation\n"
+
+
+def test_input_files_are_closed(tmp_path, capsys):
+    p = tmp_path / "ctx.dc"
+    p.write_text("context C { a : tau; x : a }\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["check", str(p)]) == 0
+        assert main(["type", "x", "--context", str(p)]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

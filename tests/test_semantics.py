@@ -84,6 +84,15 @@ def test_injection_images():
     assert beta_nf(img) == LApp(LVar("f"), la)
 
 
+def test_injections_do_not_capture_free_x_or_y():
+    lx, ly = LVar("x"), LVar("y")
+    assert strip(parse_term("inl(x,tau)")) == Lam(Lam(LApp(LBound(1), lx)))
+    assert strip(parse_term("inr(tau,y)")) == Lam(Lam(LApp(LBound(0), ly)))
+    assert encode(parse_term("inl(x,tau)")) == Lam(Lam(LApp(LApp(LBound(1), SND), lx)))
+    assert encode(parse_term("inr(tau,y)")) == Lam(Lam(LApp(LApp(LBound(0), SND), ly)))
+    assert lam_to_text(strip(parse_term("inl(x,tau)"))) == "\\x1.\\y.(x1 x)"
+
+
 def test_negation_vanishes():
     assert strip(parse_term("~~a")) == la
     assert encode(parse_term("~[x:tau]x")) == encode(parse_term("[x:tau]x"))
