@@ -22,7 +22,7 @@ from .norms import norm, norm_to_text
 from .parser import ParseError, parse_document, parse_term
 from .reduction import DEFAULT_FUEL, FuelExhausted, reduce_nf, reduce_trace, render_trace
 from .semantics import encode, lam_to_text, strip
-from .syntax import Context, path_text, to_text
+from .syntax import Context, ExprS, path_text, pending_path, to_text
 from .typecheck import TypingError, synth
 
 
@@ -143,14 +143,23 @@ def cmd_type(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_nf(args: argparse.Namespace) -> int:
+def _expr_arg(args: argparse.Namespace, kind: str, message: str) -> ExprS:
+    """The expression argument; a diagnostic at its first pending substitution."""
     e = parse_term(args.expr, args.gate)
+    at = pending_path(e)
+    if at is not None:
+        raise TypingError(kind, message, at)
+    return e
+
+
+def cmd_nf(args: argparse.Namespace) -> int:
+    e = _expr_arg(args, "PendingSubstitution", "pending substitutions are not reduced")
     print(to_text(reduce_nf(e, args.fuel)))
     return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    e = parse_term(args.expr, args.gate)
+    e = _expr_arg(args, "PendingSubstitution", "pending substitutions are not reduced")
     steps = reduce_trace(e, args.fuel)
     final = e if not steps else steps[-1][2]
     if args.json:
@@ -165,12 +174,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_sem(args: argparse.Namespace) -> int:
-    e = parse_term(args.expr, args.gate)
-    try:
-        mapped = encode(e) if args.encode else strip(e)
-    except ValueError as err:
-        raise TypingError("Untranslatable", str(err)) from err
-    print(lam_to_text(mapped))
+    e = _expr_arg(args, "Untranslatable", "pending substitutions have no translation")
+    print(lam_to_text(encode(e) if args.encode else strip(e)))
     return 0
 
 
@@ -244,8 +249,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        source = "--fuel" if args.fuel is not None else "DCALC_FUEL"
         if args.fuel is None:
             args.fuel = _env_fuel()
+        if args.fuel < 0:
+            raise ValueError(f"{source} must be a non-negative integer, not {args.fuel}")
         tokens = [t for t in args.axioms.split(",") if t.strip()]
         args.gate = resolve_axiom_gate(tokens)
     except ValueError as err:

@@ -29,8 +29,6 @@ from .syntax import (
     Sum,
     UnivAbs,
     Var,
-    free_vars,
-    open_binder,
 )
 
 
@@ -50,75 +48,76 @@ Norm = Leaf | Pair
 LEAF = Leaf()
 
 
-def norm(ctx: Context, e: ExprS) -> Norm | None:
+def norm(
+    ctx: Context,
+    e: ExprS,
+    *,
+    env: tuple[Norm, ...] = (),
+    memo: dict[str, Norm | None] | None = None,
+) -> Norm | None:
+    """The norm of e under ctx, or None where it has none.
+
+    env and memo belong to the recursion, and callers leave them out. env
+    holds the norms of the binders e sits under, innermost first. memo keeps
+    the norm of each declaration of the top-level ctx once evaluated, so one
+    call evaluates every declaration at most once; a declaration's norm is
+    taken under the declarations before it, where later names are unknown.
+    A memo is only valid for the ctx it was filled under.
+    """
+    if memo is None:
+        memo = {}
     match e:
         case Prim():
             return LEAF
         case Var(name):
             if name not in ctx:
                 return None
-            return norm(ctx.prefix(name), ctx.lookup(name))
-        case Bound():
-            return None
-        case UnivAbs(dom, body, hint) | ExistAbs(dom, body, hint):
-            nd = norm(ctx, dom)
+            if name not in memo:
+                memo[name] = norm(ctx.prefix(name), ctx.lookup(name), memo=memo)
+            return memo[name]
+        case Bound(index):
+            return env[index] if index < len(env) else None
+        case UnivAbs(dom, body) | ExistAbs(dom, body):
+            nd = norm(ctx, dom, env=env, memo=memo)
             if nd is None:
                 return None
-            x = ctx.fresh(hint, free_vars(body) | free_vars(dom))
-            nb = norm(ctx.extend(x, dom), open_binder(body, Var(x)))
-            if nb is None:
-                return None
-            return Pair(nd, nb)
+            nb = norm(ctx, body, env=(nd,) + env, memo=memo)
+            return None if nb is None else Pair(nd, nb)
         case Appl(fun, arg):
-            nf = norm(ctx, fun)
+            nf = norm(ctx, fun, env=env, memo=memo)
             if not isinstance(nf, Pair):
                 return None
-            if norm(ctx, arg) != nf.left:
+            if norm(ctx, arg, env=env, memo=memo) != nf.left:
                 return None
             return nf.right
-        case ProtDef(witness, proof, tag, hint):
-            nw = norm(ctx, witness)
-            np = norm(ctx, proof)
+        case ProtDef(witness, proof, tag):
+            nw = norm(ctx, witness, env=env, memo=memo)
+            np = norm(ctx, proof, env=env, memo=memo)
             if nw is None or np is None:
                 return None
-            x = ctx.fresh(hint, free_vars(tag) | free_vars(witness))
-            nt = norm(ctx.extend(x, witness), open_binder(tag, Var(x)))
-            if nt is None or nt != np:
+            if norm(ctx, tag, env=(nw,) + env, memo=memo) != np:
                 return None
             return Pair(nw, np)
         case ProjL(operand):
-            n = norm(ctx, operand)
+            n = norm(ctx, operand, env=env, memo=memo)
             return n.left if isinstance(n, Pair) else None
         case ProjR(operand):
-            n = norm(ctx, operand)
+            n = norm(ctx, operand, env=env, memo=memo)
             return n.right if isinstance(n, Pair) else None
-        case Product(l, r) | Sum(l, r):
-            nl = norm(ctx, l)
-            nr = norm(ctx, r)
-            if nl is None or nr is None:
+        case Product(a, b) | Sum(a, b) | InjL(a, b) | InjR(a, b):
+            na = norm(ctx, a, env=env, memo=memo)
+            nb = norm(ctx, b, env=env, memo=memo)
+            if na is None or nb is None:
                 return None
-            return Pair(nl, nr)
-        case InjL(val, rtag):
-            nv = norm(ctx, val)
-            nt = norm(ctx, rtag)
-            if nv is None or nt is None:
-                return None
-            return Pair(nv, nt)
-        case InjR(ltag, val):
-            nt = norm(ctx, ltag)
-            nv = norm(ctx, val)
-            if nt is None or nv is None:
-                return None
-            return Pair(nt, nv)
+            return Pair(na, nb)
         case Case(left, right):
-            nl = norm(ctx, left)
-            nr = norm(ctx, right)
-            match nl, nr:
+            nl = norm(ctx, left, env=env, memo=memo)
+            match nl, norm(ctx, right, env=env, memo=memo):
                 case Pair(a, c1), Pair(b, c2) if c1 == c2:
                     return Pair(Pair(a, b), c1)
             return None
         case Neg(operand):
-            return norm(ctx, operand)
+            return norm(ctx, operand, env=env, memo=memo)
         case InternalSubst():
             return None
     return None

@@ -1,32 +1,44 @@
 """Concrete syntax for terms and proof files.
 
-Grammar sketch (backtracking recursive descent):
+Grammar sketch (predictive recursive descent: every choice is made from the
+next tokens, and no token is read twice):
 
     expr     := '~' expr | postfix
     postfix  := atom ('.' ('1'|'2') | '(' expr (',' expr)* ')')*
-    atom     := 'tau' | name | bracket | '(' expr expr? ')' | protdef
-              | ('inl'|'inr'|'case') '(' expr ',' expr ')'
+    atom     := 'tau' | name | scheme '{' expr (',' expr)* '}' | bracket
+              | '(' expr expr? ')' | ('inl'|'inr'|'case') '(' expr ',' expr ')'
+              | '<' name ':=' expr ',' expr ':' expr '>'
     bracket  := '[' name ':=' expr ']' expr                 pending substitution
               | '[' group (';' group)* ']' expr             abstractions
               | '[' expr ((';'|'=>') expr)+ ']'             implication chain
               | '[' expr (',' expr)+ ']'                    product
               | '[' expr ('+' expr)+ ']'                    sum
     group    := name (',' name)* (':'|'!') expr
-    protdef  := '<' name ':=' expr ',' expr ':' expr '>'
 
-The call form f(a,b) is sugar for ((f a) b). Implications [a;b=>c] nest to
-the right, as do products and sums. '--' starts a line comment.
+A bracket that opens with `name :=` or `name (',' name)* (':'|'!')` binds;
+otherwise its first expression is parsed once and the separator after it
+picks the form. Connectives nest to the right: [a;b=>c] is [a=>[b=>c]]. The
+call form f(a,b) is sugar for ((f a) b). A '(' group after an operand is
+parsed once: '(e)' and '(e, ...)' are calls, but '(e1 e2)' starts the next
+operand, which only an enclosing '(e1 e2)' accepts. It waits in a one-slot
+pushback where its '(' was, so (f (a b).1) is f applied to (a b).1, and
+f (a b) alone is an error at '('. Names are resolved where each part lands:
+a binder's name scopes over its body only, a def's name stands for its
+expansion, and a scheme reference such as negax-{a,~a} for an axiom instance,
+whose declarations (dependencies first) a document splices into the context
+right before the enclosing item. '--' starts a line comment.
 
 Files hold directives: `context NAME { decls }`, `def NAME := expr`,
-`check expr : expr`, and `axiom scheme{indices}`. Referencing an axiom
-scheme such as negax-{a,~a} inside an expression resolves to the generated
-instance name and splices the instance declarations (dependencies first)
-into the context right before the enclosing item.
+`check expr : expr`, and `axiom scheme{indices}`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from itertools import repeat
+from operator import call
+from typing import Callable
 
 from .axioms import (
     SCHEME_ARITY,
@@ -142,19 +154,62 @@ def _is_scheme(name: str) -> bool:
         return False
 
 
+# Parsing yields builders: functions from the names bound where a term lands
+# to the term. What a name means (a binder, a def or an axiom instance)
+# depends on that scope, and a '(e1 e2)' group learns it only after it is read.
+_Build = Callable[[frozenset[str]], ExprS]
+
+_INJECTIONS = {"inl": InjL, "inr": InjR, "case": Case}
+
+
+def _node(make: Callable[..., ExprS], *parts: _Build) -> _Build:
+    """make over the parts, built in the order written; it binds nothing."""
+    return lambda bound: make(*map(call, parts, repeat(bound)))
+
+
+def _binder(make: Callable[..., ExprS], names: list[str], *parts: _Build) -> _Build:
+    """make(*heads, body, name) per name, the first outermost; names scope over body only."""
+    *heads, body = parts
+
+    def build(bound: frozenset[str]) -> ExprS:
+        outs = list(map(call, heads, repeat(bound)))
+        e = body(bound | set(names))
+        for name in reversed(names):
+            e = make(*outs, close_binder(e, name), name)
+        return e
+
+    return build
+
+
+def _suffixed(steps: tuple[Callable[..., ExprS], ...], head: ExprS, *args: ExprS) -> ExprS:
+    """head with the '.1', '.2' and call steps applied in order; calls take the args."""
+    rest = iter(args)
+    for step in steps:
+        head = step(head, next(rest)) if step is Appl else step(head)
+    return head
+
+
+def _fold_right(make: Callable[[ExprS, ExprS], ExprS], *items: ExprS) -> ExprS:
+    return reduce(lambda out, item: make(item, out), reversed(items))
+
+
 class _Parser:
     def __init__(self, toks: list[Token], allowed: frozenset[str], document: bool):
         self.toks = toks
         self.pos = 0
         self.allowed = allowed
         self.document = document
-        self.binders: frozenset[str] = frozenset()
         self.entries: list[tuple[str, Expr]] = []
         self.entry_names: set[str] = set()
         self.defs: dict[str, Expr] = {}
         self.checks: list[CheckItem] = []
+        # A '(e1 e2)' group read after an operand, with its '(' token; until
+        # an atom takes it, the parser sees that '(' as the next token.
+        self.pushed: tuple[Token, _Build] | None = None
 
     def peek(self, ahead: int = 0) -> Token:
+        if self.pushed is not None:
+            return self.pushed[0]
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
 
     def at(self, text: str) -> bool:
@@ -184,96 +239,160 @@ class _Parser:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
 
+    def term(self) -> ExprS:
+        """An expression, built where no binder is in scope."""
+        return self.expr()(frozenset())
+
     # expressions
 
-    def expr(self) -> ExprS:
+    def expr(self) -> _Build:
         if self.at("~"):
             self.take()
-            return Neg(self.expr())
+            inner = self.expr()  # called directly: one frame for each '~'
+            return lambda bound: Neg(inner(bound))
         return self.postfix()
 
-    def postfix(self) -> ExprS:
-        e = self.atom()
-        while True:
+    def postfix(self) -> _Build:
+        head = self.atom()
+        steps: list[Callable[..., ExprS]] = []
+        args: list[_Build] = []
+        while self.pushed is None:
             if self.at("."):
                 self.take()
                 tok = self.expect_name()
-                if tok.text == "1":
-                    e = ProjL(e)
-                elif tok.text == "2":
-                    e = ProjR(e)
-                else:
+                if tok.text not in ("1", "2"):
                     raise ParseError("expected 1 or 2 after '.'", tok.line, tok.col)
+                steps.append(ProjL if tok.text == "1" else ProjR)
             elif self.at("("):
-                snap = self._save()
-                try:
-                    args = self._call_args()
-                except ParseError:
-                    self._restore(snap)
+                # '(e)' and '(e, ...)' are calls; '(e1 e2)' starts the next operand
+                paren = self.take()
+                call_args = [self.expr()]
+                if not (self.at(")") or self.at(",")):
+                    second = self.expr()
+                    self.expect(")")
+                    self.pushed = (paren, _node(Appl, call_args[0], second))
                     break
-                for a in args:
-                    e = Appl(e, a)
+                while self.at(","):
+                    self.take()
+                    call_args.append(self.expr())
+                self.expect(")")
+                steps += [Appl] * len(call_args)
+                args += call_args
             else:
                 break
-        return e
+        return _node(partial(_suffixed, tuple(steps)), head, *args) if steps else head
 
-    def _call_args(self) -> list[ExprS]:
-        self.expect("(")
-        args = [self.expr()]
-        while self.at(","):
-            self.take()
-            args.append(self.expr())
-        self.expect(")")
-        return args
-
-    def atom(self) -> ExprS:
+    def atom(self) -> _Build:
+        if self.pushed is not None:
+            e, self.pushed = self.pushed[1], None
+            return e
         tok = self.peek()
         if tok.kind == "NAME":
+            self.take()
             if tok.text == "tau":
+                return lambda bound: TAU
+            if tok.text in _INJECTIONS and self.at("("):
                 self.take()
-                return TAU
-            if tok.text in ("inl", "inr", "case") and self.peek(1).text == "(":
-                self.take()
-                self.expect("(")
                 first = self.expr()
                 self.expect(",")
                 second = self.expr()
                 self.expect(")")
-                match tok.text:
-                    case "inl":
-                        return InjL(first, second)
-                    case "inr":
-                        return InjR(first, second)
-                    case _:
-                        return Case(first, second)
-            self.take()
-            return self._resolve(tok)
+                return _node(_INJECTIONS[tok.text], first, second)
+            indices = self._indices(tok) if _is_scheme(tok.text) and self.at("{") else None
+            return partial(self._ref, tok, indices)
         if tok.text == "[":
             return self._bracket()
         if tok.text == "(":
             self.take()
             e1 = self.expr()
-            if self.at(")"):
-                self.take()
-                return e1
-            e2 = self.expr()
+            e = e1 if self.at(")") else _node(Appl, e1, self.expr())
             self.expect(")")
-            return Appl(e1, e2)
+            return e
         if tok.text == "<":
-            return self._protdef()
+            self.take()
+            name = self.expect_name().text
+            self.expect(":=")
+            witness = self.expr()
+            self.expect(",")
+            proof = self.expr()
+            self.expect(":")
+            tag = self.expr()
+            self.expect(">")
+            return _binder(ProtDef, [name], witness, proof, tag)
         raise self.error("expected an expression")
 
-    def _resolve(self, tok: Token) -> ExprS:
-        name = tok.text
-        if name in self.binders:
-            return Var(name)
-        if name in self.defs:
-            return self.defs[name]
-        if _is_scheme(name) and self.at("{"):
-            return self._scheme_ref(tok)
-        return Var(name)
+    def _bracket(self) -> _Build:
+        self.expect("[")
+        if self.peek().kind == "NAME" and self.peek(1).text == ":=":
+            name = self.take().text
+            self.take()
+            defn = self.expr()
+            self.expect("]")
+            return _binder(InternalSubst, [name], defn, self.expr())
+        i = 0
+        while self.peek(i).kind == "NAME" and self.peek(i + 1).text == ",":
+            i += 2
+        if not (self.peek(i).kind == "NAME" and self.peek(i + 1).text in (":", "!")):
+            return self._connective()
+        groups: list[tuple[list[str], type, _Build]] = []
+        while True:
+            names = [self.expect_name().text]
+            while self.at(","):
+                self.take()
+                names.append(self.expect_name().text)
+            if not (self.at(":") or self.at("!")):
+                raise self.error("expected ':' or '!' in binder group")
+            cls = ExistAbs if self.take().text == "!" else UnivAbs
+            groups.append((names, cls, self.expr()))
+            if not self.at(";"):
+                break
+            self.take()
+        self.expect("]")
+        body = self.expr()
+        for names, cls, dom in reversed(groups):
+            body = _binder(cls, names, dom, body)
+        return body
 
-    def _scheme_ref(self, tok: Token) -> Expr:
+    def _connective(self) -> _Build:
+        """An implication, product or sum: the separator after the first item decides."""
+        items = [self.expr()]
+        kind = self.peek().text
+        if kind not in (";", "=>", ",", "+", "]"):
+            raise self.error("expected ',' or '+' in bracket")
+        seps = (kind,) if kind in (",", "+") else (";", "=>")
+        used: list[str] = []
+        while self.peek().text in seps:
+            used.append(self.take().text)
+            items.append(self.expr())
+        self.expect("]")
+        if kind in (",", "+"):
+            make = Product if kind == "," else Sum
+        else:
+            if "=>" not in used:
+                raise self.error("expected '=>' in implication")
+            if ";" in used[used.index("=>") :]:
+                raise self.error("';' may not follow '=>' in an implication")
+            make = imp
+        return _node(partial(_fold_right, make), *items)
+
+    # names, resolved where their term lands
+
+    def _ref(self, tok: Token, indices: list[_Build] | None, bound: frozenset[str]) -> ExprS:
+        """A binder, a def's expansion, or with indices an axiom instance.
+
+        A def expands before the binders around it close, so they capture its
+        free names.
+        """
+        if tok.text in bound or tok.text in self.defs:
+            if indices is not None:
+                raise ParseError(
+                    f"{tok.text} is not an axiom scheme here", tok.line, tok.col
+                )
+            return Var(tok.text) if tok.text in bound else self.defs[tok.text]
+        return Var(tok.text) if indices is None else self._instance(tok, indices, bound)
+
+    def _indices(self, tok: Token) -> list[_Build]:
+        """The indices of the axiom scheme reference that tok starts."""
         scheme = normalize_scheme(tok.text)
         if scheme not in self.allowed:
             raise ParseError(
@@ -291,8 +410,14 @@ class _Parser:
                 tok.line,
                 tok.col,
             )
+        return indices
+
+    def _instance(self, tok: Token, indices: list[_Build], bound: frozenset[str]) -> Var:
+        """The axiom instance tok names; in a document, it joins the context."""
+        scheme = normalize_scheme(tok.text)
+        made = tuple(map(call, indices, repeat(bound)))
         if self.document:
-            for idx in indices:
+            for idx in made:
                 loose = free_vars(idx) - self.entry_names
                 if loose:
                     raise ParseError(
@@ -301,132 +426,11 @@ class _Parser:
                         tok.line,
                         tok.col,
                     )
-            for inst in closure_requests(scheme, tuple(indices)):
+            for inst in closure_requests(scheme, made):
                 if inst.name not in self.entry_names:
                     self.entries.append((inst.name, inst.ty))
                     self.entry_names.add(inst.name)
-        return Var(instance_name(scheme, tuple(indices)))
-
-    def _protdef(self) -> ExprS:
-        self.expect("<")
-        name = self.expect_name().text
-        self.expect(":=")
-        witness = self.expr()
-        self.expect(",")
-        proof = self.expr()
-        self.expect(":")
-        outer = self.binders
-        self.binders = outer | {name}
-        try:
-            tag = self.expr()
-        finally:
-            self.binders = outer
-        self.expect(">")
-        return ProtDef(witness, proof, close_binder(tag, name), name)
-
-    def _save(self) -> tuple[int, frozenset[str], int]:
-        return self.pos, self.binders, len(self.entries)
-
-    def _restore(self, snap: tuple[int, frozenset[str], int]) -> None:
-        self.pos, self.binders, keep = snap
-        del self.entries[keep:]
-        self.entry_names = {n for n, _ in self.entries}
-
-    def _bracket(self) -> ExprS:
-        self.expect("[")
-        snap = self._save()
-        best: ParseError | None = None
-        for attempt in (self._subst, self._binders, self._implication, self._tuple):
-            try:
-                return attempt()
-            except ParseError as err:
-                if best is None or (err.line, err.col) >= (best.line, best.col):
-                    best = err
-                self._restore(snap)
-        raise best if best is not None else self.error("expected a bracket form")
-
-    def _subst(self) -> ExprS:
-        name = self.expect_name().text
-        self.expect(":=")
-        defn = self.expr()
-        self.expect("]")
-        outer = self.binders
-        self.binders = outer | {name}
-        try:
-            body = self.expr()
-        finally:
-            self.binders = outer
-        return InternalSubst(defn, close_binder(body, name), name)
-
-    def _binders(self) -> ExprS:
-        groups: list[tuple[list[str], str, ExprS]] = [self._group()]
-        while self.at(";"):
-            self.take()
-            groups.append(self._group())
-        self.expect("]")
-        body = self.expr()
-        for names, flag, dom in reversed(groups):
-            cls = ExistAbs if flag == "!" else UnivAbs
-            for name in reversed(names):
-                body = cls(dom, close_binder(body, name), name)
-        return body
-
-    def _group(self) -> tuple[list[str], str, ExprS]:
-        names = [self.expect_name().text]
-        while self.at(","):
-            self.take()
-            names.append(self.expect_name().text)
-        if self.at(":"):
-            flag = ":"
-        elif self.at("!"):
-            flag = "!"
-        else:
-            raise self.error("expected ':' or '!' in binder group")
-        self.take()
-        dom = self.expr()
-        self.binders = self.binders | set(names)
-        return names, flag, dom
-
-    def _implication(self) -> ExprS:
-        items = [self.expr()]
-        seps: list[str] = []
-        while self.at(";") or self.at("=>"):
-            seps.append(self.take().text)
-            items.append(self.expr())
-        self.expect("]")
-        if "=>" not in seps:
-            raise self.error("expected '=>' in implication")
-        first_arrow = seps.index("=>")
-        if ";" in seps[first_arrow:]:
-            raise self.error("';' may not follow '=>' in an implication")
-        out = items[-1]
-        for item in reversed(items[:-1]):
-            out = imp(item, out)
-        return out
-
-    def _tuple(self) -> ExprS:
-        first = self.expr()
-        if self.at(","):
-            items = [first]
-            while self.at(","):
-                self.take()
-                items.append(self.expr())
-            self.expect("]")
-            out = items[-1]
-            for item in reversed(items[:-1]):
-                out = Product(item, out)
-            return out
-        if self.at("+"):
-            items = [first]
-            while self.at("+"):
-                self.take()
-                items.append(self.expr())
-            self.expect("]")
-            out = items[-1]
-            for item in reversed(items[:-1]):
-                out = Sum(item, out)
-            return out
-        raise self.error("expected ',' or '+' in bracket")
+        return Var(instance_name(scheme, made))
 
     # directives
 
@@ -437,11 +441,15 @@ class _Parser:
                 case "context":
                     self._context_block()
                 case "def":
-                    self._def_directive()
+                    name = self.expect_name()
+                    self.expect(":=")
+                    body = self.term()
+                    self._fresh(name)
+                    self.defs[name.text] = body
                 case "check":
-                    term = self.expr()
+                    term = self.term()
                     self.expect(":")
-                    ty = self.expr()
+                    ty = self.term()
                     self.checks.append(CheckItem(term, ty, tok.line))
                 case "axiom":
                     ref = self.expect_name()
@@ -449,7 +457,7 @@ class _Parser:
                         raise ParseError(
                             f"unknown axiom scheme: {ref.text}", ref.line, ref.col
                         )
-                    self._scheme_ref(ref)
+                    self._instance(ref, self._indices(ref), frozenset())
                 case _:
                     raise ParseError(
                         "expected a directive (context, def, check, axiom), got "
@@ -468,38 +476,29 @@ class _Parser:
                 self.take()
                 names.append(self.expect_name())
             self.expect(":")
-            ty = self.expr()
+            ty = self.term()
             for tok in names:
-                self._declare(tok, ty)
-            if self.at(";"):
-                self.take()
-            else:
+                self._fresh(tok)
+                self.entries.append((tok.text, ty))
+                self.entry_names.add(tok.text)
+            if not self.at(";"):
                 break
+            self.take()
         self.expect("}")
 
-    def _declare(self, tok: Token, ty: Expr) -> None:
+    def _fresh(self, tok: Token) -> None:
         if tok.text in self.entry_names or tok.text in self.defs:
             raise ParseError(f"duplicate name: {tok.text}", tok.line, tok.col)
-        self.entries.append((tok.text, ty))
-        self.entry_names.add(tok.text)
-
-    def _def_directive(self) -> None:
-        tok = self.expect_name()
-        self.expect(":=")
-        body = self.expr()
-        if tok.text in self.entry_names or tok.text in self.defs:
-            raise ParseError(f"duplicate name: {tok.text}", tok.line, tok.col)
-        self.defs[tok.text] = body
 
 
 def parse_term(text: str, allowed_schemes: frozenset[str] = frozenset()) -> ExprS:
     """Parse one standalone expression."""
     parser = _Parser(tokenize(text), allowed_schemes, document=False)
-    e = parser.expr()
+    build = parser.expr()
     tok = parser.peek()
     if tok.kind != "EOF":
         raise ParseError(f"unexpected trailing input: {tok.text!r}", tok.line, tok.col)
-    return e
+    return build(frozenset())
 
 
 def parse_document(text: str, allowed_schemes: frozenset[str] = frozenset()) -> Document:

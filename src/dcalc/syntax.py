@@ -210,6 +210,17 @@ def path_text(path: tuple[int, ...]) -> str:
     return ".".join(map(str, path)) or "root"
 
 
+def pending_path(e: ExprS) -> tuple[int, ...] | None:
+    """The path of the leftmost-outermost pending substitution in e, or None."""
+    if isinstance(e, InternalSubst):
+        return ()
+    for i, c in enumerate(children(e)):
+        at = pending_path(c)
+        if at is not None:
+            return (i,) + at
+    return None
+
+
 def free_vars(e: ExprS) -> set[str]:
     match e:
         case Prim() | Bound():

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
+from dcalc.axioms import resolve_axiom_gate
+from dcalc.parser import parse_document, parse_term
 from dcalc.reduction import NormalClass, classify_nf
 from dcalc.syntax import (
     TAU,
@@ -35,6 +37,7 @@ from dcalc.syntax import (
     close_binder,
     free_vars,
     shift,
+    to_text,
 )
 from dcalc.typecheck import synth
 
@@ -321,3 +324,29 @@ def enumerate_normal_closed(max_size: int) -> Iterator[Expr]:
         for t in _normal_pool(n, 0, memo):
             if classify_nf(t) is NormalClass.NORMAL_FORM:
                 yield t
+
+
+# The axiom gates a golden parse record names.
+GATES = {"": frozenset(), "all": resolve_axiom_gate(["all"])}
+
+
+def parse_record(mode: str, gate: str, text: str) -> dict:
+    """One line of tests/data/parse_golden.jsonl: the input and what parsing gives.
+
+    mode is "term" or "document". The record holds "ok" with the printed
+    result, or "error" with the class name of the exception raised.
+    """
+    out: dict = {"mode": mode, "gate": gate, "input": text}
+    try:
+        if mode == "term":
+            out["ok"] = to_text(parse_term(text, GATES[gate]))
+        else:
+            doc = parse_document(text, GATES[gate])
+            out["ok"] = {
+                "context": [[n, to_text(ty)] for n, ty in doc.context.entries],
+                "defs": [[n, to_text(d)] for n, d in doc.defs.items()],
+                "checks": [[to_text(c.term), to_text(c.ty), c.line] for c in doc.checks],
+            }
+    except Exception as err:  # noqa: BLE001 - the class name is the record
+        out["error"] = type(err).__name__
+    return out

@@ -209,3 +209,31 @@ def test_input_files_are_closed(tmp_path, capsys):
         assert main(["type", "x", "--context", str(p)]) == 0
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_nf_and_trace_report_a_pending_substitution(capsys):
+    for command in ("nf", "trace"):
+        assert main([command, "[x:=tau]x"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("PendingSubstitution @ root: ")
+        assert main([command, "[y:tau][x:=tau]x"]) == 1
+        assert capsys.readouterr().err.startswith("PendingSubstitution @ 1: ")
+
+
+def test_untranslatable_reports_the_pending_substitution_path(capsys):
+    for mode in ("--strip", "--encode"):
+        assert main(["sem", mode, "[y:tau][x:=tau]x"]) == 1
+        err = capsys.readouterr().err
+        assert err == "Untranslatable @ 1: pending substitutions have no translation\n"
+
+
+def test_negative_fuel_is_a_usage_error(monkeypatch, capsys):
+    assert main(["nf", "--fuel", "-1", "~~tau"]) == 2
+    assert capsys.readouterr().err == "error: --fuel must be a non-negative integer, not -1\n"
+    monkeypatch.setenv("DCALC_FUEL", "-3")
+    assert main(["nf", "~~tau"]) == 2
+    assert capsys.readouterr().err == "error: DCALC_FUEL must be a non-negative integer, not -3\n"
+    # zero is a budget, not an error
+    assert main(["nf", "--fuel", "0", "~~tau"]) == 1
+    assert "FuelExhausted" in capsys.readouterr().err

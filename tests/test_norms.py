@@ -3,10 +3,11 @@
 import random
 
 from helpers import gen_typed_term, sample_contexts
+from dcalc import norms
 from dcalc.norms import LEAF, Leaf, Pair, norm, norm_to_text, normable
 from dcalc.parser import parse_term
 from dcalc.reduction import reduce_nf
-from dcalc.syntax import TAU, Appl, Bound, Context, InternalSubst, Var
+from dcalc.syntax import TAU, Appl, Bound, Context, InternalSubst, Product, Var
 from dcalc.typecheck import synth
 
 a = Var("a")
@@ -106,3 +107,46 @@ def test_norm_to_text_rejects_non_norms():
         assert "not a norm" in str(err)
     else:
         raise AssertionError("expected ValueError")
+
+
+def _chain(depth: int) -> Context:
+    """a0 : tau and a_i : [a_(i-1), a_(i-1)]: each type uses the name before twice."""
+    entries = [("a0", TAU)]
+    for i in range(1, depth + 1):
+        prev = Var(f"a{i - 1}")
+        entries.append((f"a{i}", Product(prev, prev)))
+    return Context(tuple(entries))
+
+
+def _complete_depth(n, known: dict[int, int | None]) -> int | None:
+    """The depth of n if it is a complete binary tree, else None.
+
+    A norm shares equal subtrees, so each distinct node is checked once.
+    """
+    if isinstance(n, Leaf):
+        return 0
+    if id(n) not in known:
+        left = _complete_depth(n.left, known)
+        right = _complete_depth(n.right, known)
+        known[id(n)] = left + 1 if left is not None and left == right else None
+    return known[id(n)]
+
+
+def test_norm_evaluates_each_declaration_once(monkeypatch):
+    # three norm calls per link: the name, its product, and the second use of
+    # the name before, which the memo answers; re-evaluating declarations
+    # would double the work per link
+    bound = 3 * 30 + 2
+    calls = 0
+    counted = norms.norm
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        assert calls <= bound, "norm re-evaluates declarations"
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "norm", counting)
+    assert _complete_depth(norms.norm(_chain(30), Var("a30")), {}) == 30
+    monkeypatch.undo()
+    assert _complete_depth(norm(_chain(60), Var("a60")), {}) == 60

@@ -1,9 +1,14 @@
 """Concrete syntax: expression grammar, directives, and failure modes."""
 
+import json
+from pathlib import Path
+
 import pytest
+from helpers import parse_record
 
 from dcalc.axioms import instance_name, resolve_axiom_gate
-from dcalc.parser import ParseError, parse_document, parse_term, tokenize
+from dcalc.corpus import check_document
+from dcalc.parser import ParseError, _Parser, parse_document, parse_term, tokenize
 from dcalc.syntax import (
     TAU,
     Appl,
@@ -273,3 +278,93 @@ def test_multiline_directives_and_comments():
         """
     )
     assert doc.checks[0].term == UnivAbs(Var("a"), Bound(0))
+
+
+def test_binder_scope_ends_with_its_bracket():
+    doc = parse_document(
+        """
+        def f := tau
+        check [f:tau]f : [tau => tau]
+        check f : tau
+        """
+    )
+    assert doc.checks[1].term == TAU
+    assert check_document(doc) == []
+    # a '(e1 e2)' group after the body stands outside the bracket too
+    doc = parse_document("def f := tau\ncheck ([f:tau]g (f b)) : tau")
+    assert doc.checks[0].term == Appl(UnivAbs(TAU, Var("g")), Appl(TAU, Var("b")))
+    cast_a = Var(instance_name("cast", (Var("a"),)))
+    assert parse_term("([cast:tau]g cast{a})", ALL) == Appl(UnivAbs(TAU, Var("g")), cast_a)
+
+
+def test_a_group_after_an_operand_is_a_call_or_the_next_operand():
+    f, a, b, c = Var("f"), Var("a"), Var("b"), Var("c")
+    assert parse_term("(f (a b).1)") == Appl(f, ProjL(Appl(a, b)))
+    assert parse_term("(f (a b)(c))") == Appl(f, Appl(Appl(a, b), c))
+    assert parse_term("(~f (a b))") == Appl(Neg(f), Appl(a, b))
+    # the pushed-back group is read where it lands, outside the binder body
+    doc = parse_document("def x := tau\ncheck ([x:=a]f (x b)) : tau")
+    assert doc.checks[0].term == Appl(InternalSubst(a, f), Appl(TAU, b))
+    cast_a = Var(instance_name("cast", (a,)))
+    term = parse_term("([cast:=a]f (cast{a} b))", ALL)
+    assert term == Appl(InternalSubst(a, f), Appl(cast_a, b))
+    # an application no enclosing '(e1 e2)' takes is an error at its '('
+    for text, col in [
+        ("f (a b)", 3),
+        ("[f (a b), c]", 4),
+        ("(f (a b)(c d))", 9),
+        ("<x:=a, b : P (x y)>", 14),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_term(text)
+        assert (err.value.line, err.value.col) == (1, col)
+
+
+def test_a_call_group_is_read_in_the_scope_of_its_operand():
+    # a call after a binder body applies the body's last operand, so a scheme
+    # name that the binder shadows names the bound variable there
+    a, f = Var("a"), Var("f")
+    assert parse_term("[cast:=a]f (cast)", ALL) == InternalSubst(a, Appl(f, Bound(0)))
+    with pytest.raises(ParseError, match="1:13: cast is not an axiom scheme here"):
+        parse_term("[cast:=a]f (cast{a})", ALL)
+
+
+def _expr_calls(monkeypatch, text: str) -> int:
+    calls = 0
+    expr = _Parser.expr
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return expr(self)
+
+    monkeypatch.setattr(_Parser, "expr", counted)
+    parse_term(text)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("depth", [11, 16])
+def test_nested_brackets_parse_in_linear_work(monkeypatch, depth):
+    text = "tau"
+    for i in range(depth):
+        text = f"[{text}{'+,'[i % 2]}tau]"
+    assert _expr_calls(monkeypatch, text) <= 2 * depth + 3
+
+
+@pytest.mark.parametrize("depth", [100, 200])
+def test_nested_applications_parse_in_linear_work(monkeypatch, depth):
+    text = "(s " * depth + "z" + ")" * depth
+    assert _expr_calls(monkeypatch, text) <= 2 * depth + 3
+
+
+GOLDEN = Path(__file__).parent / "data" / "parse_golden.jsonl"
+
+
+def test_parses_match_the_golden_file():
+    records = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    assert len(records) > 2000
+    changed = [
+        r["input"] for r in records if parse_record(r["mode"], r["gate"], r["input"]) != r
+    ]
+    assert changed == []
