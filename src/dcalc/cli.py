@@ -36,7 +36,8 @@ class CheckReport:
 
 
 # The failures a command reports as a diagnostic; anything else is a bug.
-FAILURES = (ParseError, TypingError, FuelExhausted, OSError)
+# RecursionError is input nested deeper than the recursive kernel can follow.
+FAILURES = (ParseError, TypingError, FuelExhausted, RecursionError, OSError)
 
 
 def _diagnostic(err: Exception) -> dict:
@@ -53,6 +54,11 @@ def _diagnostic(err: Exception) -> dict:
             return {"kind": "ParseError", "path": f"{err.line}:{err.col}", "message": str(err)}
         case FuelExhausted():
             return {"kind": "FuelExhausted", "path": "root", "message": str(err)}
+        case RecursionError():
+            # printing the term would recurse as deep again
+            limit = sys.getrecursionlimit()
+            message = f"input nested too deeply for the recursion limit ({limit})"
+            return {"kind": "DepthExceeded", "path": "root", "message": message}
     return {"kind": "IOError", "path": "root", "message": str(err)}
 
 

@@ -10,7 +10,10 @@ operator. The deterministic strategy is leftmost-outermost.
 
 Every engine runs its single steps through one driver, ``_drive``, which
 counts them against an optional fuel budget: ``fuel=N`` allows exactly N
-steps and raises FuelExhausted when a further one is available.
+steps and raises FuelExhausted when a further one is available. The traces
+(``reduce_trace``, ``neg_trace``) search each step from the root and are the
+executable specification; ``reduce_nf`` and ``neg_nf`` take the same steps
+in one resuming walk (``_normalize``) that continues where it contracted.
 
 Negation reduction is the sub-relation with axioms nu1..nu5 only and
 congruence restricted to negations, both components of products and sums, and
@@ -45,6 +48,7 @@ from .syntax import (
     open_binder,
     path_text,
     plug,
+    replace_child,
     scoped_index,
     to_text,
 )
@@ -148,6 +152,51 @@ def _plugged(find: Callable[[ExprS], Step | None]) -> Callable[[ExprS], Step | N
     return step
 
 
+def _normalize(e: ExprS, rules, positions, fuel: int | None) -> ExprS:
+    """The normal form of e, reached by the steps the trace of rules takes.
+
+    rules and positions are as for _every_redex; positions None means every
+    component. A node fires its rule, or else normalizes its components left
+    to right. A component hands its root back to the node after each root
+    contraction, and the node contracts if it now fires: a rule looks only at
+    the root types of its node's components, so a contraction can only make
+    a redex of its parent. Every other node before it in leftmost-outermost
+    order is already normal, so the steps are exactly the trace's. Fuel
+    counts steps as _drive does.
+    """
+    taken = 0
+
+    def contract(found: tuple[str, ExprS]) -> ExprS:
+        nonlocal taken
+        if fuel is not None and taken >= fuel:
+            raise FuelExhausted(e, fuel)
+        taken += 1
+        return found[1]
+
+    def walk(sub: ExprS) -> tuple[ExprS, bool]:
+        """(normal form of sub, True), or (contractum, False) after a root step."""
+        found = _fire(rules, sub)
+        if found is not None:
+            return contract(found), False
+        kids = children(sub)
+        for i in range(len(kids)) if positions is None else positions(sub):
+            kid, done = walk(kids[i])
+            while not done:
+                sub = replace_child(sub, i, kid)
+                found = _fire(rules, sub)
+                if found is not None:
+                    return contract(found), False
+                kid, done = walk(kid)
+            if kid is not kids[i]:
+                sub = replace_child(sub, i, kid)
+        return sub, True
+
+    cur, done = walk(e)
+    while not done:
+        cur, done = walk(cur)
+    return cur
+
+
 def axiom_steps(e: ExprS) -> list[tuple[str, ExprS]]:
     """The axioms applicable at the root of e: at most one (axiom, contractum)."""
     found = _fire(RULES, e)
@@ -201,7 +250,7 @@ def reduce_trace(e: ExprS, fuel: int = DEFAULT_FUEL) -> list[Step]:
 
 
 def reduce_nf(e: ExprS, fuel: int = DEFAULT_FUEL) -> ExprS:
-    return _drive(_plugged(first_redex), e, fuel)
+    return _normalize(e, RULES, None, fuel)
 
 
 def conv(a: ExprS, b: ExprS, fuel: int = DEFAULT_FUEL) -> bool:
@@ -302,7 +351,7 @@ def neg_trace(e: ExprS) -> list[Step]:
 
 
 def neg_nf(e: ExprS) -> ExprS:
-    return _drive(_plugged(neg_step), e)
+    return _normalize(e, NEG_RULES, _neg_positions, None)
 
 
 def neg_weight(e: ExprS) -> int:

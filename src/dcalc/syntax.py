@@ -280,12 +280,18 @@ def open_binder(scoped: ExprS, repl: ExprS) -> ExprS:
     ``scoped`` is the one component a binder scopes over, taken out of its
     binder; indices pointing at the removed binder become repl (shifted under
     any inner binders) and indices pointing past it step down one level.
+    repl is shifted once per binder depth, and the copies are shared.
     """
+    shifted: dict[int, ExprS] = {}
 
     def leaf(v: Var | Bound, d: int) -> ExprS:
         if type(v) is Var or v.index < d:
             return v
-        return shift(repl, d) if v.index == d else Bound(v.index - 1)
+        if v.index > d:
+            return Bound(v.index - 1)
+        if d not in shifted:
+            shifted[d] = shift(repl, d)
+        return shifted[d]
 
     return _map_leaves(scoped, leaf, 0)
 

@@ -237,3 +237,22 @@ def test_negative_fuel_is_a_usage_error(monkeypatch, capsys):
     # zero is a budget, not an error
     assert main(["nf", "--fuel", "0", "~~tau"]) == 1
     assert "FuelExhausted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nf", "(s " * 500 + "z" + ")" * 500],
+        ["type", "".join(f"[x{i}:tau]" for i in range(300)) + "x0"],
+    ],
+    ids=["nf-500-deep-numeral", "type-300-nested-binders"],
+)
+def test_deep_input_is_a_depth_diagnostic(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # one line, without the term: printing it would recurse as deep again
+    assert captured.err.startswith("DepthExceeded @ root: input nested too deeply")
+    assert captured.err.count("\n") == 1
+    assert main([*argv, "--json"]) == 1
+    assert json.loads(capsys.readouterr().err)["kind"] == "DepthExceeded"
