@@ -83,12 +83,12 @@ def cmd_check(args: argparse.Namespace) -> int:
             with open(path) as f:
                 text = f.read()
             doc = parse_document(text, args.gate)
-        except (OSError, ParseError) as err:
-            report.errors.append(_diagnostic(err))
-        else:
             report.declarations_checked = len(doc.context.entries)
             report.deductions_checked = len(doc.checks)
             report.errors = [_diagnostic(e) for e in check_document(doc, args.fuel)]
+        except (OSError, ParseError, RecursionError) as err:
+            # the file's own failure; the next file is still checked
+            report.errors.append(_diagnostic(err))
         failed = failed or bool(report.errors)
         _finish_report(report, started, args.json)
         if args.trace and not report.errors:

@@ -15,7 +15,12 @@ and eliminates every pending substitution, so it runs without fuel.
 Traversal (``_components``) opens every binder with a fresh name on the way
 down and closes it again on the way up, so every term handled by a rule is
 locally closed and environment definitions can be spliced in without index
-adjustments.
+adjustments. Fresh names avoid one set, the free names of the term and the
+starting environment's pool, grown by each name opened on the way down;
+``mu_nf`` computes it once for the whole run. A step probes a component for
+a negation step only where its parent's probe did not already cover it.
+Each step still searches from the root, so ``mu_trace`` is the step
+sequence of ``mu_nf``.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .reduction import (
     RULES,
     _drive,
     _fire,
+    _neg_positions,
     neg_nf,
     neg_redexes,
     neg_step,
@@ -69,10 +75,7 @@ class Env:
         self._index = {name: i for i, (name, _) in enumerate(defs)}
         if len(self._index) != len(defs):
             raise ValueError("duplicate definition name in environment")
-        pool: set[str] = set(self._index)
-        for _, d in defs:
-            pool |= free_vars(d)
-        self._pool = pool
+        self._pool: set[str] | None = None
 
     def __repr__(self) -> str:
         return f"Env({self.defs!r})"
@@ -91,10 +94,23 @@ class Env:
         return None if i is None else self.defs[i][1]
 
     def extend(self, name: str, defn: ExprS) -> "Env":
-        return Env(self.defs + ((name, defn),))
+        """This environment with one more definition, its index grown from this one's."""
+        if name in self._index:
+            raise ValueError("duplicate definition name in environment")
+        env = Env()
+        env.defs = self.defs + ((name, defn),)
+        env._index = {**self._index, name: len(self.defs)}
+        return env
 
     def pool(self) -> set[str]:
-        """Names that fresh binders must avoid: defined names and their free vars."""
+        """Names that fresh binders must avoid: defined names and their free vars.
+
+        Computed on first use. A step asks only the environment it starts
+        from: the definitions it adds on the way down bring in no name that
+        its avoid set lacks.
+        """
+        if self._pool is None:
+            self._pool = set(self._index).union(*(free_vars(d) for _, d in self.defs))
         return self._pool
 
 
@@ -132,17 +148,19 @@ def _neg_reachable_plus(e: ExprS) -> list[ExprS]:
 def _components(env: Env, e: ExprS, avoid: set[str]):
     """Each component of e as (index, env, term, avoid, rebuild), in order.
 
-    A scoped component comes opened with a fresh name, which the body of a
-    pending substitution also gets as a definition. rebuild(c) closes that
-    name in c again and puts c in place of the component.
+    avoid holds at least the free names of e and env.pool(), and so does the
+    avoid set handed to each component. A scoped component comes opened with
+    a name fresh for avoid, which the body of a pending substitution also
+    gets as a definition; the definition's free names are already in avoid.
+    rebuild(c) closes that name in c again and puts c in place of the
+    component.
     """
     scoped = scoped_index(e)
     for i, c in enumerate(children(e)):
         if i != scoped:
             yield i, env, c, avoid, lambda r, i=i: replace_child(e, i, r)
             continue
-        hint = getattr(e, "hint", "x")
-        x = fresh_name(hint, avoid | env.pool() | free_vars(c) | free_vars(e))
+        x = fresh_name(getattr(e, "hint", "x"), avoid)
         inner = env.extend(x, e.defn) if isinstance(e, InternalSubst) else env
         yield i, inner, open_binder(c, Var(x)), avoid | {x}, (
             lambda r, i=i, x=x: replace_child(e, i, close_binder(r, x))
@@ -155,7 +173,7 @@ def mu_redexes(env: Env, e: ExprS, _avoid: set[str] | None = None) -> list[tuple
     The negation rule contributes one entry per term reachable by a nonempty
     sequence of negation steps from the subterm at the position.
     """
-    avoid = _avoid if _avoid is not None else free_vars(e)
+    avoid = _avoid if _avoid is not None else free_vars(e) | env.pool()
     out: list[tuple[Path, str, ExprS]] = [((), name, res) for name, res in mu_axiom_steps(env, e)]
     for t in _neg_reachable_plus(e):
         out.append(((), "nu", t))
@@ -165,16 +183,25 @@ def mu_redexes(env: Env, e: ExprS, _avoid: set[str] | None = None) -> list[tuple
     return out
 
 
-def mu_step(env: Env, e: ExprS, _avoid: set[str] | None = None) -> tuple[str, ExprS] | None:
-    """Deterministic single step: root rules, aggregated negation, then children."""
-    avoid = _avoid if _avoid is not None else free_vars(e)
+def mu_step(
+    env: Env, e: ExprS, _avoid: set[str] | None = None, _neg_normal: bool = False
+) -> tuple[str, ExprS] | None:
+    """Deterministic single step: root rules, aggregated negation, then children.
+
+    _avoid is the avoid set of _components, by default the free names of e
+    and env.pool(). _neg_normal says e is known to have no negation step:
+    the components at the negation positions of a node without one have none
+    either, so their probe is skipped.
+    """
+    avoid = _avoid if _avoid is not None else free_vars(e) | env.pool()
     steps = mu_axiom_steps(env, e)
     if steps:
         return steps[0]
-    if neg_step(e) is not None:
+    if not _neg_normal and neg_step(e) is not None:
         return "nu", neg_nf(e)
-    for _, inner, c, inner_avoid, rebuild in _components(env, e, avoid):
-        found = mu_step(inner, c, inner_avoid)
+    neg_at = _neg_positions(e)
+    for i, inner, c, inner_avoid, rebuild in _components(env, e, avoid):
+        found = mu_step(inner, c, inner_avoid, i in neg_at)
         if found is not None:
             name, res = found
             return name, rebuild(res)
@@ -188,12 +215,19 @@ def mu_trace(env: Env, e: ExprS, fuel: int = DEFAULT_FUEL) -> list[tuple[str, Ex
 
 
 def mu_nf(env: Env, e: ExprS, fuel: int = DEFAULT_FUEL) -> ExprS:
-    return _drive(lambda cur: mu_step(env, cur), e, fuel)
+    """The last term of mu_trace, with the avoid set computed once.
+
+    Every later term's free names stay among those of e and env.pool(): no
+    rule brings in a name but use, which brings in a definition's, and a
+    name opened on the way down is closed again on the way up.
+    """
+    avoid = free_vars(e) | env.pool()
+    return _drive(lambda cur: mu_step(env, cur, avoid), e, fuel)
 
 
 def def_eval_step(env: Env, e: ExprS, _avoid: set[str] | None = None) -> ExprS | None:
     """One use/rem step under full structural congruence, or None."""
-    avoid = _avoid if _avoid is not None else free_vars(e)
+    avoid = _avoid if _avoid is not None else free_vars(e) | env.pool()
     found = _def_rule(env, e)
     if found is not None:
         return found[1]

@@ -399,6 +399,15 @@ def _postfix_safe(e: ExprS) -> bool:
     return not isinstance(e, (UnivAbs, ExistAbs, Neg, InternalSubst))
 
 
+def _reads_as_call(e: ExprS) -> bool:
+    """Does e print as '(s)' plus postfixes? After an operand that is a call of it."""
+    while isinstance(e, (ProjL, ProjR)):
+        if not _postfix_safe(e.e):
+            return True
+        e = e.e
+    return False
+
+
 def to_text(e: ExprS) -> str:
     """Print a term; binder hints are freshened so reparsing gives the same term."""
 
@@ -416,7 +425,11 @@ def to_text(e: ExprS) -> str:
                 x = fresh_name(hint, set(env) | free_vars(body))
                 return f"[{x}{_BINDS[type(e)]}{go(a, env)}]{go(body, [x] + env)}"
             case Appl(fun, arg):
-                return f"({go(fun, env)} {go(arg, env)})"
+                f, a = go(fun, env), go(arg, env)
+                if not _reads_as_call(arg):
+                    return f"({f} {a})"
+                # print the call f(a), with f closed so the call takes all of it
+                return f"({f}({a}))" if _postfix_safe(fun) else f"(({f})({a}))"
             case ProtDef(witness, proof, tag, hint):
                 x = fresh_name(hint, set(env) | free_vars(tag))
                 w = go(witness, env)

@@ -12,8 +12,10 @@ import random
 from typing import Iterator
 
 from dcalc.axioms import resolve_axiom_gate
+from dcalc.explicit import Env, mu_trace
 from dcalc.parser import parse_document, parse_term
-from dcalc.reduction import NormalClass, classify_nf
+from dcalc.reduction import FuelExhausted, NormalClass, classify_nf
+from dcalc.semantics import beta_nf, encode, lam_to_text, strip
 from dcalc.syntax import (
     TAU,
     Appl,
@@ -349,4 +351,37 @@ def parse_record(mode: str, gate: str, text: str) -> dict:
             }
     except Exception as err:  # noqa: BLE001 - the class name is the record
         out["error"] = type(err).__name__
+    return out
+
+
+# Step budget of the engines in sem_record: the generated terms and corpus
+# deductions need far fewer steps.
+SEM_FUEL = 2000
+
+
+def sem_record(text: str) -> dict:
+    """One line of tests/data/sem_golden.jsonl: a term and what the oracles give.
+
+    The term is parsed with every axiom scheme enabled. "strip" and "encode"
+    hold the printed images, "beta_strip" and "beta_encode" their printed
+    beta normal forms, and "mu_trace" the explicit-substitution trace as
+    [rule, printed term] pairs. A failure is recorded as "Class: message".
+    """
+    e = parse_term(text, GATES["all"])
+    out: dict = {"input": text}
+    for name, image in (("strip", strip), ("encode", encode)):
+        try:
+            img = image(e)
+        except ValueError as err:
+            out[name] = f"ValueError: {err}"
+            continue
+        out[name] = lam_to_text(img)
+        try:
+            out[f"beta_{name}"] = lam_to_text(beta_nf(img, SEM_FUEL))
+        except FuelExhausted as err:
+            out[f"beta_{name}"] = f"FuelExhausted: {err}"
+    try:
+        out["mu_trace"] = [[rule, to_text(t)] for rule, t in mu_trace(Env(), e, SEM_FUEL)]
+    except FuelExhausted as err:
+        out["mu_trace"] = f"FuelExhausted: {err}"
     return out

@@ -256,3 +256,23 @@ def test_deep_input_is_a_depth_diagnostic(argv, capsys):
     assert captured.err.count("\n") == 1
     assert main([*argv, "--json"]) == 1
     assert json.loads(capsys.readouterr().err)["kind"] == "DepthExceeded"
+
+
+def test_check_goes_on_after_a_file_nested_too_deeply(tmp_path, corpus_file, capsys):
+    deep = tmp_path / "deep.dc"
+    numeral = "(s " * 600 + "z" + ")" * 600
+    deep.write_text(f"context N {{ z : tau; s : [tau => tau] }}\ncheck {numeral} : tau\n")
+    ok = corpus_file("logic")
+    assert main(["check", str(deep), ok]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(f"{deep}: 1 error(s) (0 declarations, 0 deductions, ")
+    assert lines[1].startswith(f"{ok}: ok (")
+    assert captured.err.startswith("DepthExceeded @ root: input nested too deeply")
+    assert captured.err.count("\n") == 1
+    assert main(["check", "--json", str(deep), ok]) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["file"] for r in reports] == [str(deep), ok]
+    assert [e["kind"] for e in reports[0]["errors"]] == ["DepthExceeded"]
+    assert reports[1]["errors"] == []

@@ -33,6 +33,8 @@ def test_env_basics():
     assert env.extend("z", b).lookup("z") == b
     with pytest.raises(ValueError):
         Env((("x", TAU), ("x", a)))
+    with pytest.raises(ValueError):
+        env.extend("y", b)
 
 
 def test_env_pool_covers_definitions_and_their_free_names():

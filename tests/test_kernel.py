@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from dcalc import explicit, norms, parser, reduction, semantics, syntax
 from dcalc.explicit import Env, mu_axiom_steps, mu_nf, mu_trace
 from dcalc.parser import parse_term
 from dcalc.reduction import (
+    DEFAULT_FUEL,
     NEG_RULES,
     FuelExhausted,
     axiom_steps,
@@ -24,7 +26,7 @@ from dcalc.reduction import (
     reduce_nf,
     reduce_trace,
 )
-from dcalc.semantics import beta_nf, strip
+from dcalc.semantics import beta_nf, beta_step, encode, lam_to_text, strip
 from dcalc.syntax import children
 
 # Needs beta1, beta1 and nu1 in the plain reducer; seven steps with pending
@@ -105,9 +107,10 @@ def test_counted_functions_stay_module_level(module, name):
     assert fn.__module__ == module.__name__
 
 
-# reduce_nf and neg_nf walk the term once; their traces search every step from
-# the root and specify the strategy. The negation pair has no public fuel, so
-# its fuelled forms are the kernel's own.
+# reduce_nf, neg_nf and beta_nf walk the term once, and mu_nf computes its
+# avoid set once; their traces search every step from the root and specify
+# the strategy. The negation pair has no public fuel, so its fuelled forms are
+# the kernel's own; beta_step's trace is the driver's.
 def _neg_nf_fuel(e, fuel):
     return reduction._normalize(e, NEG_RULES, reduction._neg_positions, fuel)
 
@@ -118,28 +121,56 @@ def _neg_trace_fuel(e, fuel):
     return trace
 
 
+def _beta_trace(e, fuel):
+    trace = []
+    reduction._drive(beta_step, e, fuel, trace, show=lam_to_text)
+    return [("beta", t) for t in trace]
+
+
+def _mu_trace(e, fuel):
+    return mu_trace(Env(), e, fuel)
+
+
+def _mu_nf(e, fuel=DEFAULT_FUEL):
+    return mu_nf(Env(), e, fuel)
+
+
+def _itself(e):
+    return [e]
+
+
+def _images(e):
+    return [strip(e), encode(e)]
+
+
 @pytest.mark.parametrize(
-    "public, nf, trace",
-    [(reduce_nf, reduce_nf, reduce_trace), (neg_nf, _neg_nf_fuel, _neg_trace_fuel)],
-    ids=["reduce", "neg"],
+    "public, nf, trace, inputs",
+    [
+        (reduce_nf, reduce_nf, reduce_trace, _itself),
+        (neg_nf, _neg_nf_fuel, _neg_trace_fuel, _itself),
+        (beta_nf, beta_nf, _beta_trace, _images),
+        (_mu_nf, _mu_nf, _mu_trace, _itself),
+    ],
+    ids=["reduce", "neg", "beta", "mu"],
 )
-def test_normal_form_takes_the_steps_of_the_trace(public, nf, trace):
+def test_normal_form_takes_the_steps_of_the_trace(public, nf, trace, inputs):
     rng = random.Random(47)
     ctxs = sample_contexts()
     for _ in range(200):
-        for e in (
+        for term in (
             gen_typed_term(rng, rng.choice(ctxs), rng.randint(0, 5)),
             gen_neg_heavy(rng, rng.randint(0, 7)),
         ):
-            steps = trace(e, None)
-            last = steps[-1][2] if steps else e
-            assert public(e) == last
-            assert nf(e, len(steps)) == last
-            if steps:
-                with pytest.raises(FuelExhausted) as spec:
-                    trace(e, len(steps) - 1)
-                with pytest.raises(FuelExhausted, match=f"^{re.escape(str(spec.value))}$"):
-                    nf(e, len(steps) - 1)
+            for e in inputs(term):
+                steps = trace(e, None)
+                last = steps[-1][-1] if steps else e
+                assert public(e) == last
+                assert nf(e, len(steps)) == last
+                if steps:
+                    with pytest.raises(FuelExhausted) as spec:
+                        trace(e, len(steps) - 1)
+                    with pytest.raises(FuelExhausted, match=f"^{re.escape(str(spec.value))}$"):
+                        nf(e, len(steps) - 1)
 
 
 def _common_size(a, b):
@@ -183,6 +214,58 @@ def test_normal_form_takes_work_linear_in_its_size_and_steps(k, monkeypatch):
     assert calls <= 5 * (nf_size + len(trace))
 
 
+def _counting(monkeypatch, calls, module, name):
+    """Count the calls made through module.name."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+BINDER_CHAIN = "".join(f"[x{i}:tau]" for i in range(100)) + "[x0,inl(x99,tau)].1"
+
+
+@pytest.mark.parametrize("translate", [strip, encode], ids=["strip", "encode"])
+def test_translations_map_indices_in_one_pass(translate, monkeypatch):
+    """No binder is opened, and no image is walked again to close a lambda."""
+    e = parse_term(BINDER_CHAIN)
+    expected = lam_to_text(translate(e))
+    calls = Counter()
+    for module in (syntax, semantics):
+        if hasattr(module, "open_binder"):
+            _counting(monkeypatch, calls, module, "open_binder")
+    _counting(monkeypatch, calls, semantics, "_lmap")
+    assert lam_to_text(translate(e)) == expected
+    assert calls == Counter()
+
+
+def test_beta_nf_does_not_step_from_the_root(monkeypatch):
+    e = parse_term(f"[A:tau][s:[A=>A]](({_church(4)} A) (({_church(4)} A) s))")
+    images = [strip(e), encode(e)]
+    expected = [reduction._drive(beta_step, img) for img in images]
+    calls = Counter()
+    _counting(monkeypatch, calls, semantics, "beta_step")
+    assert [beta_nf(img) for img in images] == expected
+    assert calls == Counter()
+
+
+def test_mu_nf_scans_free_names_once(monkeypatch):
+    e = parse_term(
+        "".join(f"[x{i}:tau]" for i in range(30)) + "([y:tau]y ([y:tau][z:y]z x0))"
+    )
+    env = Env((("d", parse_term("(a b)")),))
+    steps = mu_trace(env, e)
+    assert len(steps) >= 5
+    calls = Counter()
+    _counting(monkeypatch, calls, explicit, "free_vars")
+    assert mu_nf(env, e) == steps[-1][1]
+    # one scan of the term and one of each definition, not one per binder per step
+    assert calls["free_vars"] <= 1 + len(env.defs)
+
+
 DEEPEST = """
 from dcalc.reduction import reduce_nf
 from dcalc.syntax import Appl, Var
@@ -206,11 +289,75 @@ for left in (True, False):
 """
 
 
-def test_nested_applications_normalize_to_the_old_depth():
-    """At the default recursion limit, as deep as the root-searching reducer went."""
+def _fresh_interpreter(script):
     env = dict(os.environ, PYTHONPATH=str(Path(reduction.__file__).parents[1]))
     out = subprocess.run(
-        [sys.executable, "-c", DEEPEST], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    left, right = map(int, out.stdout.split())
+    return out.stdout
+
+
+def test_nested_applications_normalize_to_the_old_depth():
+    """At the default recursion limit, as deep as the root-searching reducer went."""
+    left, right = map(int, _fresh_interpreter(DEEPEST).split())
     assert left >= 986 and right >= 986
+
+
+# Each oracle engine on a binder chain [x0:tau]...x0 and on left- and
+# right-nested applications, at depths a few levels below the deepest that
+# the engines which re-walked the term took at the default recursion limit
+# (strip 991/993/993, encode 331/993/993, beta_nf 995/995/995, mu_nf
+# 988/991/991). Lambda terms stand in for beta_nf.
+ORACLE_DEPTHS = """
+from dcalc.explicit import Env, mu_nf
+from dcalc.semantics import LApp, LBound, LVar, Lam, beta_nf, encode, strip
+from dcalc.syntax import TAU, Appl, Bound, UnivAbs, Var
+
+def chain(n, top, var):
+    e = var(n - 1)
+    for _ in range(n):
+        e = top(e)
+    return e
+
+def nested(n, app, a, f, left):
+    e = a
+    for _ in range(n):
+        e = app(e, a) if left else app(f, e)
+    return e
+
+def term(shape, n):
+    if shape == "chain":
+        return chain(n, lambda e: UnivAbs(TAU, e), Bound)
+    return nested(n, Appl, Var("a"), Var("f"), shape == "left")
+
+def lam(shape, n):
+    if shape == "chain":
+        return chain(n, Lam, LBound)
+    return nested(n, LApp, LVar("a"), LVar("f"), shape == "left")
+
+RUNS = {
+    "strip": lambda shape, n: strip(term(shape, n)),
+    "encode": lambda shape, n: encode(term(shape, n)),
+    "beta_nf": lambda shape, n: beta_nf(lam(shape, n)),
+    "mu_nf": lambda shape, n: mu_nf(Env(), term(shape, n)),
+}
+FLOORS = {
+    "strip": (986, 988, 988),
+    "encode": (326, 988, 988),
+    "beta_nf": (990, 990, 990),
+    "mu_nf": (983, 986, 986),
+}
+for name, run in RUNS.items():
+    for shape, n in zip(("chain", "left", "right"), FLOORS[name]):
+        try:
+            run(shape, n)
+            print(name, shape, "ok")
+        except RecursionError:
+            print(name, shape, "RecursionError at", n)
+"""
+
+
+def test_oracle_engines_take_the_old_depths():
+    lines = _fresh_interpreter(ORACLE_DEPTHS).splitlines()
+    assert len(lines) == 12
+    assert [line for line in lines if not line.endswith(" ok")] == []

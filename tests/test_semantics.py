@@ -1,6 +1,11 @@
 """Untyped lambda images: the stripping and encoding translations."""
 
+import json
+from pathlib import Path
+
 import pytest
+
+from helpers import sem_record
 
 from dcalc.parser import parse_term
 from dcalc.semantics import (
@@ -14,11 +19,10 @@ from dcalc.semantics import (
     encode,
     is_beta_normal,
     lam_to_text,
-    llam,
     strip,
 )
 from dcalc.reduction import FuelExhausted
-from dcalc.syntax import TAU, Bound, InternalSubst, Var
+from dcalc.syntax import TAU, Bound, ExistAbs, InternalSubst, UnivAbs, Var
 
 la, lb = LVar("a"), LVar("b")
 FST = Lam(Lam(LBound(1)))
@@ -103,6 +107,12 @@ def test_untranslatable_terms():
         strip(Bound(0))
     with pytest.raises(ValueError, match="dangling binder reference"):
         encode(Bound(2))
+    # the index is reported as it dangles outside the term's own binders;
+    # encode translates an abstraction's body before its domain
+    with pytest.raises(ValueError, match=r"^dangling binder reference \?b2$"):
+        strip(UnivAbs(TAU, ExistAbs(TAU, Bound(4))))
+    with pytest.raises(ValueError, match=r"^dangling binder reference \?b0$"):
+        encode(UnivAbs(Bound(3), Bound(1)))
     with pytest.raises(ValueError, match="pending substitutions"):
         strip(InternalSubst(TAU, Bound(0)))
     with pytest.raises(ValueError, match="pending substitutions"):
@@ -140,6 +150,20 @@ def test_beta_nf_fuel():
 
 def test_lam_to_text_freshens_and_marks_dangling_references():
     assert lam_to_text(Lam(Lam(LApp(LBound(1), LBound(0))))) == "\\x.\\x1.(x x1)"
-    assert lam_to_text(llam("y", LApp(LVar("y"), la))) == "\\y.(y a)"
+    assert lam_to_text(Lam(LApp(LBound(0), la), "y")) == "\\y.(y a)"
     assert lam_to_text(LBound(0)) == "?b0"
     assert lam_to_text(Lam(LBound(1))) == "\\x.?b1"
+
+
+GOLDEN = Path(__file__).parent / "data" / "sem_golden.jsonl"
+
+
+def test_oracles_regenerate_the_golden_file():
+    lines = GOLDEN.read_text().splitlines()
+    assert len(lines) > 700
+    changed = [
+        json.loads(line)["input"]
+        for line in lines
+        if json.dumps(sem_record(json.loads(line)["input"])) != line
+    ]
+    assert changed == []

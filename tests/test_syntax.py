@@ -235,5 +235,7 @@ def test_to_text_dangling_index():
 
 
 @hyp.given(terms)
+@hyp.example(Appl(TAU, ProjL(Neg(TAU))))
+@hyp.example(Appl(_univ("a", TAU, TAU), ProjR(ProjL(Neg(TAU)))))
 def test_printing_then_parsing_restores_the_term(e):
     assert parse_term(to_text(e)) == e
