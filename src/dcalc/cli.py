@@ -51,7 +51,7 @@ def _diagnostic(err: Exception) -> dict:
                 out["found"] = to_text(err.found)
             return out
         case ParseError():
-            return {"kind": "ParseError", "path": f"{err.line}:{err.col}", "message": str(err)}
+            return {"kind": "ParseError", "path": f"{err.line}:{err.col}", "message": err.message}
         case FuelExhausted():
             return {"kind": "FuelExhausted", "path": "root", "message": str(err)}
         case RecursionError():

@@ -72,7 +72,10 @@ from .syntax import (
 
 
 class ParseError(Exception):
+    """A syntax error; str() prefixes the bare message with ``line:col``."""
+
     def __init__(self, message: str, line: int, col: int):
+        self.message = message
         self.line = line
         self.col = col
         super().__init__(f"{line}:{col}: {message}")

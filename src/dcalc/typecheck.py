@@ -4,11 +4,22 @@ Every term has at most one type up to convertibility, so checking is
 synthesis followed by a normal-form comparison. Failures raise TypingError
 with a machine-readable kind, the path from the root of the offending term,
 and the expected/found types where that makes sense.
+
+Binders are typed on a stack (Coquand's algorithm over the locally nameless
+representation): _synth carries the types of the binders it is under, and
+Bound(k) has the type of the k-th binder out, shifted past the k+1 binders
+in between. An abstraction pushes its domain and types its scope as it
+stands, so no binder is opened with a fresh name and no type is closed
+again; open_binder runs only where a rule substitutes, in an application's
+result and in the right projection of an existential. Names are picked only
+when a diagnostic is raised: the error's terms still point into the binders
+it was raised under, and synth opens them with the names a checker that
+opened every binder with a fresh variable would pick.
 """
 
 from __future__ import annotations
 
-from .reduction import DEFAULT_FUEL, conv, reduce_nf
+from .reduction import DEFAULT_FUEL, FuelExhausted, conv, reduce_nf
 from .syntax import (
     TAU,
     Appl,
@@ -30,8 +41,8 @@ from .syntax import (
     UnivAbs,
     Var,
     binder_used,
-    close_binder,
     free_vars,
+    fresh_name,
     open_binder,
     path_text,
     shift,
@@ -68,18 +79,65 @@ class TypingError(Exception):
         return "; ".join(parts)
 
 
+# A binder _synth is inside: the type of its variable (an abstraction's
+# domain, a protected definition's witness type), its hint, and the
+# component it scopes over.
+Binder = tuple[Expr, str, Expr]
+
+
 def synth(ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
     """The type of e under ctx, or raise TypingError."""
-    return _synth(ctx, e, (), fuel)
+    binders: list[Binder] = []
+    try:
+        return _synth(ctx, binders, e, (), fuel)
+    except (TypingError, FuelExhausted) as err:
+        if not binders:
+            raise
+        raise _named(ctx, binders, err) from None
 
 
-def _synth(ctx: Context, e: Expr, path: Path, fuel: int) -> Expr:
+def _named(ctx: Context, binders: list[Binder], err: Exception) -> Exception:
+    """err with the binders its terms dangle into opened as named variables.
+
+    An error leaves its binders on the stack. They get the names a checker
+    that opened every binder with a fresh variable would have picked,
+    outermost first, so diagnostics print the same either way.
+    """
+    taken = ctx.names()
+    names = []
+    for ty, hint, scope in binders:
+        x = fresh_name(hint, taken | free_vars(scope) | free_vars(ty))
+        taken.add(x)
+        names.append(x)
+
+    def opened(t: Expr | None) -> Expr | None:
+        if t is not None:
+            for x in reversed(names):
+                t = open_binder(t, Var(x))
+        return t
+
+    if isinstance(err, FuelExhausted):
+        return FuelExhausted(opened(err.expr), err.fuel)
+    return TypingError(err.kind, err.message, err.path, opened(err.expected), opened(err.found))
+
+
+def _synth(ctx: Context, binders: list[Binder], e: Expr, path: Path, fuel: int) -> Expr:
+    """The type of e under ctx, where e's dangling indices point into binders.
+
+    binders lists the enclosing binders, innermost last, and the result's
+    dangling indices point into them too. On success binders is as it was;
+    an error leaves the binders it was raised under on it.
+    """
     match e:
         case Prim():
             return TAU
         case Bound(index):
+            if index < len(binders):
+                return shift(binders[-1 - index][0], index + 1)
             raise TypingError(
-                "UnboundVariable", f"dangling binder reference ?b{index}", path
+                "UnboundVariable",
+                f"dangling binder reference ?b{index - len(binders)}",
+                path,
             )
         case Var(name):
             ty = ctx.lookup(name)
@@ -87,13 +145,14 @@ def _synth(ctx: Context, e: Expr, path: Path, fuel: int) -> Expr:
                 raise TypingError("UnboundVariable", f"{name} is not declared", path)
             return ty
         case UnivAbs(dom, body, hint) | ExistAbs(dom, body, hint):
-            _synth(ctx, dom, path + (0,), fuel)
-            x = ctx.fresh(hint, free_vars(body) | free_vars(dom))
-            tb = _synth(ctx.extend(x, dom), open_binder(body, Var(x)), path + (1,), fuel)
-            return UnivAbs(dom, close_binder(tb, x), hint)
+            _synth(ctx, binders, dom, path + (0,), fuel)
+            binders.append((dom, hint, body))
+            tb = _synth(ctx, binders, body, path + (1,), fuel)
+            binders.pop()
+            return UnivAbs(dom, tb, hint)
         case Appl(fun, arg):
-            tf = _synth(ctx, fun, path + (0,), fuel)
-            ta = _synth(ctx, arg, path + (1,), fuel)
+            tf = _synth(ctx, binders, fun, path + (0,), fuel)
+            ta = _synth(ctx, binders, arg, path + (1,), fuel)
             nf_tf = reduce_nf(tf, fuel)
             if not isinstance(nf_tf, UnivAbs):
                 raise TypingError(
@@ -112,17 +171,20 @@ def _synth(ctx: Context, e: Expr, path: Path, fuel: int) -> Expr:
                 )
             return open_binder(nf_tf.body, arg)
         case ProtDef(witness, proof, tag, hint):
-            tw = _synth(ctx, witness, path + (0,), fuel)
-            tp = _synth(ctx, proof, path + (1,), fuel)
-            x = ctx.fresh(hint, free_vars(tag) | free_vars(tw))
+            tw = _synth(ctx, binders, witness, path + (0,), fuel)
+            tp = _synth(ctx, binders, proof, path + (1,), fuel)
+            depth = len(binders)
+            binders.append((tw, hint, tag))
             try:
-                _synth(ctx.extend(x, tw), open_binder(tag, Var(x)), path + (2,), fuel)
+                _synth(ctx, binders, tag, path + (2,), fuel)
             except TypingError as err:
+                del binders[depth:]
                 raise TypingError(
                     "InvalidTag",
                     f"tag is not typeable over the witness: {err.message}",
                     path,
                 ) from err
+            binders.pop()
             claimed = open_binder(tag, witness)
             if not conv(tp, claimed, fuel):
                 raise TypingError(
@@ -134,7 +196,7 @@ def _synth(ctx: Context, e: Expr, path: Path, fuel: int) -> Expr:
                 )
             return ExistAbs(tw, tag, hint)
         case ProjL(operand):
-            t = reduce_nf(_synth(ctx, operand, path + (0,), fuel), fuel)
+            t = reduce_nf(_synth(ctx, binders, operand, path + (0,), fuel), fuel)
             match t:
                 case ExistAbs(dom, _):
                     return dom
@@ -147,7 +209,7 @@ def _synth(ctx: Context, e: Expr, path: Path, fuel: int) -> Expr:
                 found=t,
             )
         case ProjR(operand):
-            t = reduce_nf(_synth(ctx, operand, path + (0,), fuel), fuel)
+            t = reduce_nf(_synth(ctx, binders, operand, path + (0,), fuel), fuel)
             match t:
                 case ExistAbs(_, body):
                     return open_binder(body, ProjL(operand))
@@ -161,17 +223,18 @@ def _synth(ctx: Context, e: Expr, path: Path, fuel: int) -> Expr:
             )
         case Product(l, r) | Sum(l, r):
             return Product(
-                _synth(ctx, l, path + (0,), fuel), _synth(ctx, r, path + (1,), fuel)
+                _synth(ctx, binders, l, path + (0,), fuel),
+                _synth(ctx, binders, r, path + (1,), fuel),
             )
         case InjL(val, rtag):
-            _synth(ctx, rtag, path + (1,), fuel)
-            return Sum(_synth(ctx, val, path + (0,), fuel), rtag)
+            _synth(ctx, binders, rtag, path + (1,), fuel)
+            return Sum(_synth(ctx, binders, val, path + (0,), fuel), rtag)
         case InjR(ltag, val):
-            _synth(ctx, ltag, path + (0,), fuel)
-            return Sum(ltag, _synth(ctx, val, path + (1,), fuel))
+            _synth(ctx, binders, ltag, path + (0,), fuel)
+            return Sum(ltag, _synth(ctx, binders, val, path + (1,), fuel))
         case Case(left, right):
-            tl = reduce_nf(_synth(ctx, left, path + (0,), fuel), fuel)
-            tr = reduce_nf(_synth(ctx, right, path + (1,), fuel), fuel)
+            tl = reduce_nf(_synth(ctx, binders, left, path + (0,), fuel), fuel)
+            tr = reduce_nf(_synth(ctx, binders, right, path + (1,), fuel), fuel)
             if not isinstance(tl, UnivAbs) or not isinstance(tr, UnivAbs):
                 raise TypingError(
                     "BranchTypeMismatch",
@@ -194,10 +257,10 @@ def _synth(ctx: Context, e: Expr, path: Path, fuel: int) -> Expr:
                     expected=shift(tl.body, -1),
                     found=shift(tr.body, -1),
                 )
-            _synth(ctx, shift(tl.body, -1), path, fuel)
+            _synth(ctx, binders, shift(tl.body, -1), path, fuel)
             return UnivAbs(Sum(tl.dom, tr.dom), tl.body, "z")
         case Neg(operand):
-            return _synth(ctx, operand, path + (0,), fuel)
+            return _synth(ctx, binders, operand, path + (0,), fuel)
         case InternalSubst():
             raise TypingError(
                 "PendingSubstitution", "pending substitutions are not typeable terms", path
@@ -207,8 +270,8 @@ def _synth(ctx: Context, e: Expr, path: Path, fuel: int) -> Expr:
 
 def check(ctx: Context, e: Expr, ty: Expr, fuel: int = DEFAULT_FUEL) -> None:
     """Verify e has type ty under ctx; raise TypingError if not."""
-    _synth(ctx, ty, (), fuel)
-    found = _synth(ctx, e, (), fuel)
+    synth(ctx, ty, fuel)
+    found = synth(ctx, e, fuel)
     if not conv(found, ty, fuel):
         raise TypingError(
             "Mismatch",
@@ -224,7 +287,7 @@ def check_context(ctx: Context, fuel: int = DEFAULT_FUEL) -> None:
     for i, (name, ty) in enumerate(ctx.entries):
         prefix = Context(ctx.entries[:i])
         try:
-            _synth(prefix, ty, (), fuel)
+            synth(prefix, ty, fuel)
         except TypingError as err:
             raise TypingError(
                 "ContextError",
@@ -238,7 +301,7 @@ def check_context(ctx: Context, fuel: int = DEFAULT_FUEL) -> None:
 def valid(ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -> bool:
     """Does e have any type under ctx?"""
     try:
-        _synth(ctx, e, (), fuel)
+        synth(ctx, e, fuel)
         return True
     except TypingError:
         return False

@@ -8,13 +8,17 @@ pairs and for the consistency sweep.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import random
 from typing import Iterator
 
+from dcalc import syntax
 from dcalc.axioms import resolve_axiom_gate
+from dcalc.corpus import corpus_names, load_corpus
 from dcalc.explicit import Env, mu_trace
 from dcalc.parser import parse_document, parse_term
-from dcalc.reduction import FuelExhausted, NormalClass, classify_nf
+from dcalc.reduction import DEFAULT_FUEL, FuelExhausted, NormalClass, classify_nf
 from dcalc.semantics import beta_nf, encode, lam_to_text, strip
 from dcalc.syntax import (
     TAU,
@@ -41,7 +45,7 @@ from dcalc.syntax import (
     shift,
     to_text,
 )
-from dcalc.typecheck import synth
+from dcalc.typecheck import TypingError, synth
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -384,4 +388,49 @@ def sem_record(text: str) -> dict:
         out["mu_trace"] = [[rule, to_text(t)] for rule, t in mu_trace(Env(), e, SEM_FUEL)]
     except FuelExhausted as err:
         out["mu_trace"] = f"FuelExhausted: {err}"
+    return out
+
+
+def term_to_json(e: ExprS) -> list:
+    """e as nested lists: the class name, then each field, terms nested the same way."""
+    return [type(e).__name__] + [
+        term_to_json(v) if dataclasses.is_dataclass(v) else v
+        for v in (getattr(e, f.name) for f in dataclasses.fields(e))
+    ]
+
+
+def term_from_json(data: list) -> ExprS:
+    """The term term_to_json gave data for."""
+    cls = getattr(syntax, data[0])
+    return cls(*(term_from_json(v) if isinstance(v, list) else v for v in data[1:]))
+
+
+@functools.cache
+def diag_contexts() -> dict[str, Context]:
+    """The contexts a golden diagnostic record names: the generator's, then each corpus file's."""
+    small, rich = sample_contexts()
+    out = {"small": small, "rich": rich}
+    out.update((name, load_corpus(name)[0]) for name in corpus_names())
+    return out
+
+
+# The budgets each golden diagnostic record runs synth at.
+DIAG_FUELS = (DEFAULT_FUEL, 1)
+
+
+def diag_record(ctx_name: str, term: list) -> dict:
+    """One line of tests/data/diag_golden.jsonl: a term and what synth gives.
+
+    term is the term's term_to_json form, typed under the context
+    diag_contexts() names ctx_name. "synth" holds, for each of DIAG_FUELS,
+    the printed type, or "Class: message" of the error raised.
+    """
+    ctx = diag_contexts()[ctx_name]
+    e = term_from_json(term)
+    out: dict = {"ctx": ctx_name, "term": term, "synth": []}
+    for fuel in DIAG_FUELS:
+        try:
+            out["synth"].append(to_text(synth(ctx, e, fuel)))
+        except (TypingError, FuelExhausted) as err:
+            out["synth"].append(f"{type(err).__name__}: {err}")
     return out

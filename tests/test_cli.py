@@ -95,6 +95,17 @@ def test_type_reports_typing_errors(capsys):
     assert diag["path"] == "root"
 
 
+def test_parse_errors_print_their_position_once(capsys):
+    assert main(["type", "[x:tau]?b"]) == 1
+    assert capsys.readouterr().err == "ParseError @ 1:8: unexpected character '?'\n"
+
+
+def test_parse_errors_in_json_keep_the_position_out_of_the_message(capsys):
+    assert main(["type", "--json", "[x:tau]?b"]) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag == {"kind": "ParseError", "path": "1:8", "message": "unexpected character '?'"}
+
+
 def test_type_with_context_file(tmp_path, capsys):
     p = tmp_path / "ctx.dc"
     p.write_text("context C { a : tau; x : a }\n")

@@ -27,7 +27,8 @@ from dcalc.reduction import (
     reduce_trace,
 )
 from dcalc.semantics import beta_nf, beta_step, encode, lam_to_text, strip
-from dcalc.syntax import children
+from dcalc.syntax import Context, children
+from dcalc.typecheck import synth
 
 # Needs beta1, beta1 and nu1 in the plain reducer; seven steps with pending
 # substitutions; its stripped image needs two beta steps.
@@ -266,6 +267,28 @@ def test_mu_nf_scans_free_names_once(monkeypatch):
     assert calls["free_vars"] <= 1 + len(env.defs)
 
 
+# Binder chains [x0:tau]...[x(n-1):tau]x0, and [x0:tau][x1:x0]...x(n-1) whose
+# every domain is the binder before it.
+SYNTH_CHAINS = {
+    "tau": lambda n: "".join(f"[x{i}:tau]" for i in range(n)) + "x0",
+    "previous": lambda n: "[x0:tau]"
+    + "".join(f"[x{i}:x{i - 1}]" for i in range(1, n))
+    + f"x{n - 1}",
+}
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+@pytest.mark.parametrize("doms", sorted(SYNTH_CHAINS))
+def test_synth_takes_work_linear_in_binder_depth(doms, n, monkeypatch):
+    """synth opens and closes no binder, so no scope is walked once per binder."""
+    e = parse_term(SYNTH_CHAINS[doms](n))
+    expected = synth(Context(), e)
+    calls = Counter()
+    _counting(monkeypatch, calls, syntax, "_map_leaves")
+    assert synth(Context(), e) == expected
+    assert calls["_map_leaves"] <= 2 * n + 10
+
+
 DEEPEST = """
 from dcalc.reduction import reduce_nf
 from dcalc.syntax import Appl, Var
@@ -361,3 +384,21 @@ def test_oracle_engines_take_the_old_depths():
     lines = _fresh_interpreter(ORACLE_DEPTHS).splitlines()
     assert len(lines) == 12
     assert [line for line in lines if not line.endswith(" ok")] == []
+
+
+# synth on a chain [x0:tau]...[x(n-1):tau]x0 built without the parser, a few
+# levels below the deepest that the checker which opened every binder typed
+# at the default recursion limit (992 in this form).
+SYNTH_DEPTH = """
+from dcalc.syntax import TAU, Bound, Context, UnivAbs
+from dcalc.typecheck import synth
+
+e = Bound(984)
+for _ in range(985):
+    e = UnivAbs(TAU, e)
+print(type(synth(Context(), e)).__name__)
+"""
+
+
+def test_synth_types_binders_to_the_old_depth():
+    assert _fresh_interpreter(SYNTH_DEPTH).split() == ["UnivAbs"]

@@ -1,6 +1,11 @@
 """Type synthesis, checking, and every diagnostic kind."""
 
+import json
+from pathlib import Path
+
 import pytest
+
+from helpers import diag_record
 
 from dcalc.parser import parse_term
 from dcalc.reduction import FuelExhausted, conv
@@ -216,3 +221,17 @@ def test_conv_spec_examples():
     assert conv(parse_term("[x:~[a+b]][~a,~b]"), parse_term("[x:[~a,~b]]~[a+b]"))
     assert conv(a, a)
     assert not conv(TAU, parse_term("[x:tau]x"))
+
+
+GOLDEN = Path(__file__).parent / "data" / "diag_golden.jsonl"
+
+
+def test_diagnostics_regenerate_the_golden_file():
+    lines = GOLDEN.read_text().splitlines()
+    assert len(lines) > 1500
+    changed = []
+    for n, line in enumerate(lines, 1):
+        r = json.loads(line)
+        if json.dumps(diag_record(r["ctx"], r["term"])) != line:
+            changed.append(n)
+    assert changed == []
