@@ -12,15 +12,18 @@ Definition evaluation is the sub-relation with only use/rem as axioms (all
 structural rules retained); it terminates with a strictly decreasing weight
 and eliminates every pending substitution, so it runs without fuel.
 
-Traversal (``_components``) opens every binder with a fresh name on the way
-down and closes it again on the way up, so every term handled by a rule is
-locally closed and environment definitions can be spliced in without index
-adjustments. Fresh names avoid one set, the free names of the term and the
-starting environment's pool, grown by each name opened on the way down;
-``mu_nf`` computes it once for the whole run. A step probes a component for
-a negation step only where its parent's probe did not already cover it.
-Each step still searches from the root, so ``mu_trace`` is the step
-sequence of ``mu_nf``.
+Binders are walked on a stack, as in the locally nameless representation
+(Charguéraud) with de Bruijn-indexed explicit substitutions (Abadi,
+Cardelli, Curien and Lévy): ``_components`` hands each component over as
+it stands, and under a binder the walk pushes one entry, the definition of a
+pending substitution or None for any other binder. No binder is named,
+opened or closed. ``use`` fires on a variable defined in the environment and
+on ``Bound(k)`` whose binder is a pending substitution, giving its
+definition shifted past the k+1 binders in between; ``rem`` lowers the
+indices of its body that point past the spent binder. A step probes a
+component for a negation step only where its parent's probe did not already
+cover it. Each step still searches from the root, so ``mu_trace`` is the
+step sequence of ``mu_nf``.
 """
 
 from __future__ import annotations
@@ -47,15 +50,16 @@ from .syntax import (
     Var,
     binder_used,
     children,
-    close_binder,
-    free_vars,
-    fresh_name,
-    open_binder,
+    pending_path,
     replace_child,
     scoped_index,
+    shift,
 )
 
 Path = tuple[int, ...]
+# One entry per binder a subterm is under, innermost last: the definition of
+# a pending substitution, None for any other binder.
+Stack = list[ExprS | None]
 
 # The plain reducer's rules without nu1..nu5, with beta delayed.
 MU_RULES = {
@@ -68,14 +72,13 @@ MU_RULES = {
 class Env:
     """Ordered definitions with pairwise-distinct names."""
 
-    __slots__ = ("defs", "_index", "_pool")
+    __slots__ = ("defs", "_index")
 
     def __init__(self, defs: tuple[tuple[str, ExprS], ...] = ()):
         self.defs = defs
         self._index = {name: i for i, (name, _) in enumerate(defs)}
         if len(self._index) != len(defs):
             raise ValueError("duplicate definition name in environment")
-        self._pool: set[str] | None = None
 
     def __repr__(self) -> str:
         return f"Env({self.defs!r})"
@@ -94,39 +97,25 @@ class Env:
         return None if i is None else self.defs[i][1]
 
     def extend(self, name: str, defn: ExprS) -> "Env":
-        """This environment with one more definition, its index grown from this one's."""
-        if name in self._index:
-            raise ValueError("duplicate definition name in environment")
-        env = Env()
-        env.defs = self.defs + ((name, defn),)
-        env._index = {**self._index, name: len(self.defs)}
-        return env
-
-    def pool(self) -> set[str]:
-        """Names that fresh binders must avoid: defined names and their free vars.
-
-        Computed on first use. A step asks only the environment it starts
-        from: the definitions it adds on the way down bring in no name that
-        its avoid set lacks.
-        """
-        if self._pool is None:
-            self._pool = set(self._index).union(*(free_vars(d) for _, d in self.defs))
-        return self._pool
+        """This environment with one more definition."""
+        return Env(self.defs + ((name, defn),))
 
 
-def _def_rule(env: Env, e: ExprS) -> tuple[str, ExprS] | None:
-    """use or rem at the root of e: the rules of definition evaluation."""
+def _def_rule(env: Env, stack: Stack, e: ExprS) -> tuple[str, ExprS] | None:
+    """use or rem at the root of e, under the binders of stack."""
     match e:
         case Var(x) if x in env:
             return "use", env.lookup(x)
+        case Bound(k) if k < len(stack) and stack[-1 - k] is not None:
+            return "use", shift(stack[-1 - k], k + 1)
         case InternalSubst(_, body) if not binder_used(body):
-            return "rem", body
+            return "rem", shift(body, -1)
     return None
 
 
 def mu_axiom_steps(env: Env, e: ExprS) -> list[tuple[str, ExprS]]:
     """The non-structural rules applicable at the root: at most one (rule, result)."""
-    found = _def_rule(env, e) or _fire(MU_RULES, e)
+    found = _def_rule(env, [], e) or _fire(MU_RULES, e)
     return [] if found is None else [found]
 
 
@@ -145,66 +134,63 @@ def _neg_reachable_plus(e: ExprS) -> list[ExprS]:
     return out
 
 
-def _components(env: Env, e: ExprS, avoid: set[str]):
-    """Each component of e as (index, env, term, avoid, rebuild), in order.
+def _components(stack: list, e: ExprS):
+    """Each component of e as (index, component), in order.
 
-    avoid holds at least the free names of e and env.pool(), and so does the
-    avoid set handed to each component. A scoped component comes opened with
-    a name fresh for avoid, which the body of a pending substitution also
-    gets as a definition; the definition's free names are already in avoid.
-    rebuild(c) closes that name in c again and puts c in place of the
-    component.
+    While e's scoped component is out, stack holds one more entry: e's
+    definition if e is a pending substitution, else None. The scoped
+    component comes last, so a walk that stops there ends the whole search
+    and may leave the entry behind.
     """
     scoped = scoped_index(e)
     for i, c in enumerate(children(e)):
         if i != scoped:
-            yield i, env, c, avoid, lambda r, i=i: replace_child(e, i, r)
+            yield i, c
             continue
-        x = fresh_name(getattr(e, "hint", "x"), avoid)
-        inner = env.extend(x, e.defn) if isinstance(e, InternalSubst) else env
-        yield i, inner, open_binder(c, Var(x)), avoid | {x}, (
-            lambda r, i=i, x=x: replace_child(e, i, close_binder(r, x))
-        )
+        stack.append(e.defn if type(e) is InternalSubst else None)
+        yield i, c
+        stack.pop()
 
 
-def mu_redexes(env: Env, e: ExprS, _avoid: set[str] | None = None) -> list[tuple[Path, str, ExprS]]:
+def mu_redexes(env: Env, e: ExprS, _stack: Stack | None = None) -> list[tuple[Path, str, ExprS]]:
     """Every single step available, as (path, rule, whole-term-after).
 
     The negation rule contributes one entry per term reachable by a nonempty
     sequence of negation steps from the subterm at the position.
     """
-    avoid = _avoid if _avoid is not None else free_vars(e) | env.pool()
-    out: list[tuple[Path, str, ExprS]] = [((), name, res) for name, res in mu_axiom_steps(env, e)]
+    stack = [] if _stack is None else _stack
+    found = _def_rule(env, stack, e) or _fire(MU_RULES, e)
+    out: list[tuple[Path, str, ExprS]] = [] if found is None else [((), *found)]
     for t in _neg_reachable_plus(e):
         out.append(((), "nu", t))
-    for i, inner, c, inner_avoid, rebuild in _components(env, e, avoid):
-        for p, name, res in mu_redexes(inner, c, inner_avoid):
-            out.append(((i, *p), name, rebuild(res)))
+    for i, c in _components(stack, e):
+        for p, name, res in mu_redexes(env, c, stack):
+            out.append(((i, *p), name, replace_child(e, i, res)))
     return out
 
 
 def mu_step(
-    env: Env, e: ExprS, _avoid: set[str] | None = None, _neg_normal: bool = False
+    env: Env, e: ExprS, _stack: Stack | None = None, _neg_normal: bool = False
 ) -> tuple[str, ExprS] | None:
     """Deterministic single step: root rules, aggregated negation, then children.
 
-    _avoid is the avoid set of _components, by default the free names of e
-    and env.pool(). _neg_normal says e is known to have no negation step:
-    the components at the negation positions of a node without one have none
+    _stack has an entry per binder e is under, innermost last (see
+    _components). _neg_normal says e is known to have no negation step: the
+    components at the negation positions of a node without one have none
     either, so their probe is skipped.
     """
-    avoid = _avoid if _avoid is not None else free_vars(e) | env.pool()
-    steps = mu_axiom_steps(env, e)
-    if steps:
-        return steps[0]
+    stack = [] if _stack is None else _stack
+    found = _def_rule(env, stack, e) or _fire(MU_RULES, e)
+    if found is not None:
+        return found
     if not _neg_normal and neg_step(e) is not None:
         return "nu", neg_nf(e)
     neg_at = _neg_positions(e)
-    for i, inner, c, inner_avoid, rebuild in _components(env, e, avoid):
-        found = mu_step(inner, c, inner_avoid, i in neg_at)
+    for i, c in _components(stack, e):
+        found = mu_step(env, c, stack, i in neg_at)
         if found is not None:
             name, res = found
-            return name, rebuild(res)
+            return name, replace_child(e, i, res)
     return None
 
 
@@ -215,26 +201,20 @@ def mu_trace(env: Env, e: ExprS, fuel: int = DEFAULT_FUEL) -> list[tuple[str, Ex
 
 
 def mu_nf(env: Env, e: ExprS, fuel: int = DEFAULT_FUEL) -> ExprS:
-    """The last term of mu_trace, with the avoid set computed once.
-
-    Every later term's free names stay among those of e and env.pool(): no
-    rule brings in a name but use, which brings in a definition's, and a
-    name opened on the way down is closed again on the way up.
-    """
-    avoid = free_vars(e) | env.pool()
-    return _drive(lambda cur: mu_step(env, cur, avoid), e, fuel)
+    """The last term of mu_trace."""
+    return _drive(lambda cur: mu_step(env, cur), e, fuel)
 
 
-def def_eval_step(env: Env, e: ExprS, _avoid: set[str] | None = None) -> ExprS | None:
+def def_eval_step(env: Env, e: ExprS, _stack: Stack | None = None) -> ExprS | None:
     """One use/rem step under full structural congruence, or None."""
-    avoid = _avoid if _avoid is not None else free_vars(e) | env.pool()
-    found = _def_rule(env, e)
+    stack = [] if _stack is None else _stack
+    found = _def_rule(env, stack, e)
     if found is not None:
         return found[1]
-    for _, inner, c, inner_avoid, rebuild in _components(env, e, avoid):
-        r = def_eval_step(inner, c, inner_avoid)
+    for i, c in _components(stack, e):
+        r = def_eval_step(env, c, stack)
         if r is not None:
-            return rebuild(r)
+            return replace_child(e, i, r)
     return None
 
 
@@ -244,28 +224,37 @@ def def_eval_trace(env: Env, e: ExprS) -> list[ExprS]:
     return trace
 
 
-def contains_subst(e: ExprS) -> bool:
-    if isinstance(e, InternalSubst):
-        return True
-    return any(contains_subst(c) for c in children(e))
-
-
 def def_eval_nf(env: Env, e: ExprS) -> ExprS:
     nf = _drive(lambda cur: def_eval_step(env, cur), e)
-    assert not contains_subst(nf)
+    assert pending_path(nf) is None
     return nf
 
 
 def def_weight(env: Env, e: ExprS) -> int:
-    """Termination weight for definition evaluation; strictly drops per step."""
-    match e:
-        case Prim() | Bound():
-            return 1
-        case Var(x):
-            d = env.lookup(x)
-            return 1 if d is None else def_weight(env, d) + 1
-        case InternalSubst(defn, body, hint):
-            x = fresh_name(hint, env.pool() | free_vars(body) | free_vars(defn))
-            inner = def_weight(env.extend(x, defn), open_binder(body, Var(x)))
-            return def_weight(env, defn) + inner + 1
-    return sum(def_weight(env, c) for c in children(e))
+    """Termination weight for definition evaluation; strictly drops per step.
+
+    A variable weighs one more than its definition, or 1 if it has none.
+    The weights of the definitions of enclosing pending substitutions are
+    kept on a stack, one entry per binder, None for any other binder.
+    """
+    weights: list[int | None] = []
+
+    def go(e: ExprS) -> int:
+        match e:
+            case Prim():
+                return 1
+            case Bound(k):
+                w = weights[-1 - k] if k < len(weights) else None
+                return 1 if w is None else w + 1
+            case Var(x):
+                d = env.lookup(x)
+                return 1 if d is None else def_weight(env, d) + 1
+            case InternalSubst(defn, body):
+                w = go(defn)
+                weights.append(w)
+                inner = go(body)
+                weights.pop()
+                return w + inner + 1
+        return sum(go(c) for _, c in _components(weights, e))
+
+    return go(e)

@@ -24,7 +24,7 @@ strictly decreasing weight and is confluent, so it runs without fuel.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 from .syntax import (
     Appl,
@@ -155,14 +155,13 @@ def _plugged(find: Callable[[ExprS], Step | None]) -> Callable[[ExprS], Step | N
 def _normalize(e: ExprS, rules, positions, fuel: int | None) -> ExprS:
     """The normal form of e, reached by the steps the trace of rules takes.
 
-    rules and positions are as for _every_redex; positions None means every
-    component. A node fires its rule, or else normalizes its components left
-    to right. A component hands its root back to the node after each root
-    contraction, and the node contracts if it now fires: a rule looks only at
-    the root types of its node's components, so a contraction can only make
-    a redex of its parent. Every other node before it in leftmost-outermost
-    order is already normal, so the steps are exactly the trace's. Fuel
-    counts steps as _drive does.
+    rules and positions are as for _every_redex. A node fires its rule, or
+    else normalizes its components left to right. A component hands its root
+    back to the node after each root contraction, and the node contracts if
+    it now fires: a rule looks only at the root types of its node's
+    components, so a contraction can only make a redex of its parent. Every
+    other node before it in leftmost-outermost order is already normal, so
+    the steps are exactly the trace's. Fuel counts steps as _drive does.
     """
     taken = 0
 
@@ -203,11 +202,11 @@ def axiom_steps(e: ExprS) -> list[tuple[str, ExprS]]:
     return [] if found is None else [found]
 
 
-def _every_redex(e: ExprS, rules, positions: Callable[[ExprS], Iterable[int]]) -> list[Step]:
+def _every_redex(e: ExprS, rules, positions) -> list[Step]:
     """Every (position, axiom, whole-term-after) triple, in strategy order.
 
     Axioms come from rules; congruence descends into the components that
-    positions(subterm) lists.
+    positions(subterm) lists, or into every component if positions is None.
     """
     out: list[Step] = []
 
@@ -217,30 +216,35 @@ def _every_redex(e: ExprS, rules, positions: Callable[[ExprS], Iterable[int]]) -
             name, result = found
             out.append((path, name, plug(e, path, result)))
         kids = children(sub)
-        for i in positions(sub):
+        for i in range(len(kids)) if positions is None else positions(sub):
             walk(kids[i], path + (i,))
 
     walk(e, ())
     return out
 
 
-def redexes(e: ExprS) -> list[Step]:
-    """Every (position, axiom, whole-term-after) triple, in strategy order."""
-    return _every_redex(e, RULES, lambda sub: range(len(children(sub))))
-
-
-def first_redex(e: ExprS) -> tuple[Path, str, ExprS] | None:
-    """Leftmost-outermost redex as (path, axiom, contractum-at-path)."""
-    steps = axiom_steps(e)
-    if steps:
-        name, result = steps[0]
-        return (), name, result
-    for i, c in enumerate(children(e)):
-        found = first_redex(c)
-        if found is not None:
-            path, name, result = found
+def _first_redex(e: ExprS, rules, positions) -> Step | None:
+    """The first of _every_redex's triples, with the contractum at its position."""
+    found = _fire(rules, e)
+    if found is not None:
+        return (), *found
+    kids = children(e)
+    for i in range(len(kids)) if positions is None else positions(e):
+        deeper = _first_redex(kids[i], rules, positions)
+        if deeper is not None:
+            path, name, result = deeper
             return (i, *path), name, result
     return None
+
+
+def redexes(e: ExprS) -> list[Step]:
+    """Every (position, axiom, whole-term-after) triple, in strategy order."""
+    return _every_redex(e, RULES, None)
+
+
+def first_redex(e: ExprS) -> Step | None:
+    """Leftmost-outermost redex as (path, axiom, contractum-at-path)."""
+    return _first_redex(e, RULES, None)
 
 
 def reduce_trace(e: ExprS, fuel: int = DEFAULT_FUEL) -> list[Step]:
@@ -330,18 +334,8 @@ def neg_redexes(e: ExprS) -> list[Step]:
     return _every_redex(e, NEG_RULES, _neg_positions)
 
 
-def neg_step(e: ExprS) -> tuple[Path, str, ExprS] | None:
-    found = neg_axiom(e)
-    if found is not None:
-        name, result = found
-        return (), name, result
-    kids = children(e)
-    for i in _neg_positions(e):
-        deeper = neg_step(kids[i])
-        if deeper is not None:
-            path, name, result = deeper
-            return (i, *path), name, result
-    return None
+def neg_step(e: ExprS) -> Step | None:
+    return _first_redex(e, NEG_RULES, _neg_positions)
 
 
 def neg_trace(e: ExprS) -> list[Step]:

@@ -339,15 +339,25 @@ def fresh_name(hint: str, avoid: set[str]) -> str:
 
 
 class Context:
-    """Ordered declarations with pairwise-distinct names, prefix-scoped."""
+    """Ordered declarations with pairwise-distinct names, prefix-scoped.
 
-    __slots__ = ("entries", "_index")
+    A prefix shares the declarations and name index of the context it was
+    cut from and hides the declarations from its length on, so it costs
+    O(1) to make.
+    """
+
+    __slots__ = ("_decls", "_index", "_len")
 
     def __init__(self, entries: tuple[tuple[str, Expr], ...] = ()):
-        self.entries = entries
+        self._decls = entries
         self._index = {name: i for i, (name, _) in enumerate(entries)}
         if len(self._index) != len(entries):
             raise ValueError("duplicate declaration name in context")
+        self._len = len(entries)
+
+    @property
+    def entries(self) -> tuple[tuple[str, Expr], ...]:
+        return self._decls[: self._len]
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}:{to_text(ty)}" for name, ty in self.entries)
@@ -360,31 +370,37 @@ class Context:
         return hash(self.entries)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._len
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
+        i = self._index.get(name)
+        return i is not None and i < self._len
 
     def names(self) -> set[str]:
-        return set(self._index)
+        return {name for name, _ in self.entries}
 
     def lookup(self, name: str) -> Expr | None:
         i = self._index.get(name)
-        return None if i is None else self.entries[i][1]
+        return self._decls[i][1] if i is not None and i < self._len else None
 
     def position(self, name: str) -> int | None:
-        return self._index.get(name)
+        i = self._index.get(name)
+        return i if i is not None and i < self._len else None
 
     def prefix(self, name: str) -> "Context":
         """Declarations strictly before name's declaration."""
-        i = self._index[name]
-        return Context(self.entries[:i])
+        i = self.position(name)
+        if i is None:
+            raise KeyError(name)
+        cut = Context.__new__(Context)
+        cut._decls, cut._index, cut._len = self._decls, self._index, i
+        return cut
 
     def extend(self, name: str, ty: Expr) -> "Context":
         return Context(self.entries + ((name, ty),))
 
     def fresh(self, hint: str, avoid: set[str] | None = None) -> str:
-        taken = set(self._index)
+        taken = self.names()
         if avoid:
             taken |= avoid
         return fresh_name(hint, taken)

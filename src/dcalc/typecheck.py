@@ -284,10 +284,9 @@ def check(ctx: Context, e: Expr, ty: Expr, fuel: int = DEFAULT_FUEL) -> None:
 
 def check_context(ctx: Context, fuel: int = DEFAULT_FUEL) -> None:
     """Verify each declared type is typeable under the declarations before it."""
-    for i, (name, ty) in enumerate(ctx.entries):
-        prefix = Context(ctx.entries[:i])
+    for name, ty in ctx.entries:
         try:
-            synth(prefix, ty, fuel)
+            synth(ctx.prefix(name), ty, fuel)
         except TypingError as err:
             raise TypingError(
                 "ContextError",

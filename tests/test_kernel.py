@@ -108,8 +108,8 @@ def test_counted_functions_stay_module_level(module, name):
     assert fn.__module__ == module.__name__
 
 
-# reduce_nf, neg_nf and beta_nf walk the term once, and mu_nf computes its
-# avoid set once; their traces search every step from the root and specify
+# reduce_nf, neg_nf and beta_nf walk the term once, and mu_nf is mu_trace
+# without the trace; the traces search every step from the root and specify
 # the strategy. The negation pair has no public fuel, so its fuelled forms are
 # the kernel's own; beta_step's trace is the driver's.
 def _neg_nf_fuel(e, fuel):
@@ -253,18 +253,28 @@ def test_beta_nf_does_not_step_from_the_root(monkeypatch):
     assert calls == Counter()
 
 
-def test_mu_nf_scans_free_names_once(monkeypatch):
-    e = parse_term(
-        "".join(f"[x{i}:tau]" for i in range(30)) + "([y:tau]y ([y:tau][z:y]z x0))"
-    )
+# [x0:tau]...[x(n-1):tau]([y:tau]y x0): three mu steps under n binders.
+def _mu_chain(n):
+    return "".join(f"[x{i}:tau]" for i in range(n)) + "([y:tau]y x0)"
+
+
+def test_mu_nf_takes_work_independent_of_binder_depth(monkeypatch):
+    """mu_nf walks binders on a stack: it names, opens and closes none of them."""
     env = Env((("d", parse_term("(a b)")),))
-    steps = mu_trace(env, e)
-    assert len(steps) >= 5
+    terms = {n: parse_term(_mu_chain(n)) for n in (50, 100, 200)}
+    expected = {n: reduce_nf(e) for n, e in terms.items()}
     calls = Counter()
-    _counting(monkeypatch, calls, explicit, "free_vars")
-    assert mu_nf(env, e) == steps[-1][1]
-    # one scan of the term and one of each definition, not one per binder per step
-    assert calls["free_vars"] <= 1 + len(env.defs)
+    for module in (syntax, explicit):
+        for name in ("_map_leaves", "open_binder", "close_binder", "free_vars", "fresh_name"):
+            if hasattr(module, name):
+                _counting(monkeypatch, calls, module, name)
+    leaf_maps = {}
+    for n, e in terms.items():
+        calls.clear()
+        assert mu_nf(env, e) == expected[n]
+        leaf_maps[n] = calls.pop("_map_leaves", 0)
+        assert calls == Counter()
+    assert len(set(leaf_maps.values())) == 1
 
 
 # Binder chains [x0:tau]...[x(n-1):tau]x0, and [x0:tau][x1:x0]...x(n-1) whose

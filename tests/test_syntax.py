@@ -187,6 +187,12 @@ def test_context_basics():
     assert ctx.lookup("q") is None
     assert ctx.position("b") == 1
     assert ctx.prefix("b") == Context((("a", TAU),))
+    # a prefix hides the declarations from its cut on
+    cut = ctx.prefix("b")
+    assert "b" not in cut and cut.lookup("b") is None and cut.position("b") is None
+    assert cut.names() == {"a"} and len(cut) == 1 and cut.prefix("a") == Context()
+    with pytest.raises(KeyError):
+        cut.prefix("b")
     assert len(ctx.extend("c", TAU)) == 3
     assert ctx.names() == {"a", "b"}
     assert ctx.fresh("a") == "a1"

@@ -1,12 +1,14 @@
 """Type synthesis, checking, and every diagnostic kind."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from helpers import diag_record
 
+from dcalc import typecheck
 from dcalc.parser import parse_term
 from dcalc.reduction import FuelExhausted, conv
 from dcalc.syntax import (
@@ -198,6 +200,46 @@ def test_check_context_validates_each_prefix():
     # declarations may only use names that came before
     with pytest.raises(TypingError):
         check_context(Context((("x", a), ("a", TAU))))
+
+
+def test_check_context_names_binders_against_earlier_declarations_only():
+    """A diagnostic's binder names avoid the declarations before, not after."""
+    decl = ("P", parse_term("[y:tau][z:y](z z)"))
+    shown = (
+        "ContextError @ 1.1: declaration P: NotAFunction: "
+        "operator type is not a universal abstraction; found "
+    )
+    for entries, name in (((decl, ("y", TAU)), "y"), ((("y", TAU), decl), "y1")):
+        with pytest.raises(TypingError) as err:
+            check_context(Context(entries))
+        assert str(err.value) == shown + name
+
+
+def test_check_context_takes_work_linear_in_its_length(monkeypatch):
+    """Declarations a0 : tau, ai : a0: each is typed against a prefix that costs
+    O(1) to make, so neither typing nor indexing names grows per declaration."""
+    work = Counter()
+    init = Context.__init__
+    synth_one = typecheck._synth
+
+    def indexed(self, entries=()):
+        work["indexed"] += len(entries)
+        init(self, entries)
+
+    def typed(*args):
+        work["typed"] += 1
+        return synth_one(*args)
+
+    per_declaration = {}
+    for n in (1000, 2000, 4000):
+        ctx = Context((("a0", TAU),) + tuple((f"a{i}", Var("a0")) for i in range(1, n)))
+        work.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Context, "__init__", indexed)
+            m.setattr(typecheck, "_synth", typed)
+            check_context(ctx)
+        per_declaration[n] = work.total() / n
+    assert per_declaration[4000] <= per_declaration[1000] <= 2
 
 
 def test_valid_is_the_boolean_view():
