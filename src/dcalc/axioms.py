@@ -37,6 +37,7 @@ from .syntax import (
     Sum,
     UnivAbs,
     Var,
+    children,
     close_binder,
     free_vars,
     fresh_name,
@@ -94,42 +95,36 @@ def resolve_axiom_gate(tokens: list[str]) -> frozenset[str]:
     return frozenset(out)
 
 
+# The tag canonical writes before the parts of each compound node.
+_TAGS = {
+    UnivAbs: "U",
+    ExistAbs: "E",
+    Appl: "a",
+    ProtDef: "p",
+    ProjL: "l",
+    ProjR: "r",
+    Product: "prod",
+    Sum: "sum",
+    InjL: "il",
+    InjR: "ir",
+    Case: "c",
+    Neg: "n",
+    InternalSubst: "s",
+}
+
+
 def canonical(e: Expr) -> str:
     """Deterministic serialization ignoring binder hints."""
-    match e:
-        case Prim():
-            return "tau"
-        case Var(name):
-            return f"(v {name})"
-        case Bound(index):
-            return f"(b {index})"
-        case UnivAbs(dom, body):
-            return f"(U {canonical(dom)} {canonical(body)})"
-        case ExistAbs(dom, body):
-            return f"(E {canonical(dom)} {canonical(body)})"
-        case Appl(fun, arg):
-            return f"(a {canonical(fun)} {canonical(arg)})"
-        case ProtDef(witness, proof, tag):
-            return f"(p {canonical(witness)} {canonical(proof)} {canonical(tag)})"
-        case ProjL(operand):
-            return f"(l {canonical(operand)})"
-        case ProjR(operand):
-            return f"(r {canonical(operand)})"
-        case Product(l, r):
-            return f"(prod {canonical(l)} {canonical(r)})"
-        case Sum(l, r):
-            return f"(sum {canonical(l)} {canonical(r)})"
-        case InjL(val, rtag):
-            return f"(il {canonical(val)} {canonical(rtag)})"
-        case InjR(ltag, val):
-            return f"(ir {canonical(ltag)} {canonical(val)})"
-        case Case(left, right):
-            return f"(c {canonical(left)} {canonical(right)})"
-        case Neg(operand):
-            return f"(n {canonical(operand)})"
-        case InternalSubst(defn, body):
-            return f"(s {canonical(defn)} {canonical(body)})"
-    raise ValueError(f"unrecognized term: {e!r}")
+    t = type(e)
+    if t is Prim:
+        return "tau"
+    if t is Var:
+        return f"(v {e.name})"
+    if t is Bound:
+        return f"(b {e.index})"
+    if t not in _TAGS:
+        raise ValueError(f"unrecognized term: {e!r}")
+    return f"({' '.join([_TAGS[t], *map(canonical, children(e))])})"
 
 
 def instance_name(scheme: str, indices: tuple[Expr, ...]) -> str:
@@ -161,10 +156,6 @@ def imp(a: Expr, b: Expr) -> Expr:
 
 def _univ(tmp: str, hint: str, dom: Expr, body: Expr) -> Expr:
     return UnivAbs(dom, close_binder(body, tmp), hint)
-
-
-def _exist(tmp: str, hint: str, dom: Expr, body: Expr) -> Expr:
-    return ExistAbs(dom, close_binder(body, tmp), hint)
 
 
 def _app(f: Expr, *args: Expr) -> Expr:

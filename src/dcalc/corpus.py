@@ -51,46 +51,30 @@ def load_corpus(name: str) -> tuple[Context, list[tuple[Expr, Expr]]]:
     return doc.context, [(item.term, item.ty) for item in doc.checks]
 
 
+def _typing_error(prefix: str, run) -> TypingError | None:
+    """What run() raises, as a TypingError whose message starts with prefix."""
+    try:
+        run()
+    except TypingError as err:
+        return TypingError(err.kind, prefix + err.message, err.path, err.expected, err.found)
+    except FuelExhausted as err:
+        return TypingError("FuelExhausted", f"{prefix}{err}")
+    return None
+
+
 def check_document(doc: Document, fuel: int = DEFAULT_FUEL) -> list[TypingError]:
     """All typing errors in a parsed file: context, definitions, then checks."""
-    errors: list[TypingError] = []
-    try:
-        check_context(doc.context, fuel)
-    except TypingError as err:
+    err = _typing_error("", lambda: check_context(doc.context, fuel))
+    if err is not None:
         return [err]
-    except FuelExhausted as err:
-        return [TypingError("FuelExhausted", str(err))]
-    for name, body in doc.defs.items():
-        try:
-            synth(doc.context, body, fuel)
-        except TypingError as err:
-            errors.append(
-                TypingError(
-                    err.kind,
-                    f"definition {name}: {err.message}",
-                    err.path,
-                    err.expected,
-                    err.found,
-                )
-            )
-        except FuelExhausted as err:
-            errors.append(TypingError("FuelExhausted", f"definition {name}: {err}"))
-    for item in doc.checks:
-        try:
-            check(doc.context, item.term, item.ty, fuel)
-        except TypingError as err:
-            errors.append(
-                TypingError(
-                    err.kind,
-                    f"line {item.line}: {err.message}",
-                    err.path,
-                    err.expected,
-                    err.found,
-                )
-            )
-        except FuelExhausted as err:
-            errors.append(TypingError("FuelExhausted", f"line {item.line}: {err}"))
-    return errors
+    found = [
+        _typing_error(f"definition {name}: ", lambda: synth(doc.context, body, fuel))
+        for name, body in doc.defs.items()
+    ] + [
+        _typing_error(f"line {item.line}: ", lambda: check(doc.context, item.term, item.ty, fuel))
+        for item in doc.checks
+    ]
+    return [error for error in found if error is not None]
 
 
 @dataclass(frozen=True)

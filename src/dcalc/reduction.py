@@ -14,6 +14,9 @@ steps and raises FuelExhausted when a further one is available. The traces
 (``reduce_trace``, ``neg_trace``) search each step from the root and are the
 executable specification; ``reduce_nf`` and ``neg_nf`` take the same steps
 in one resuming walk (``_normalize``) that continues where it contracted.
+``semantics.beta_nf`` is the same walk over a one-rule table of its own.
+Whether a term is normal is decided by the same redex search: ``classify_nf``
+calls a term with no redex a dead end when it is stuck on a variable.
 
 Negation reduction is the sub-relation with axioms nu1..nu5 only and
 congruence restricted to negations, both components of products and sums, and
@@ -152,7 +155,7 @@ def _plugged(find: Callable[[ExprS], Step | None]) -> Callable[[ExprS], Step | N
     return step
 
 
-def _normalize(e: ExprS, rules, positions, fuel: int | None) -> ExprS:
+def _normalize(e: ExprS, rules, positions, fuel: int | None, show=to_text) -> ExprS:
     """The normal form of e, reached by the steps the trace of rules takes.
 
     rules and positions are as for _every_redex. A node fires its rule, or
@@ -161,14 +164,15 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None) -> ExprS:
     it now fires: a rule looks only at the root types of its node's
     components, so a contraction can only make a redex of its parent. Every
     other node before it in leftmost-outermost order is already normal, so
-    the steps are exactly the trace's. Fuel counts steps as _drive does.
+    the steps are exactly the trace's. Fuel counts steps, and show prints e,
+    as _drive does.
     """
     taken = 0
 
     def contract(found: tuple[str, ExprS]) -> ExprS:
         nonlocal taken
         if fuel is not None and taken >= fuel:
-            raise FuelExhausted(e, fuel)
+            raise FuelExhausted(e, fuel, show(e))
         taken += 1
         return found[1]
 
@@ -273,44 +277,29 @@ class NormalClass(enum.Enum):
 
 
 def _dead_end(e: ExprS) -> bool:
-    match e:
-        case Var() | Bound():
+    """Is e, which has no redex, stuck on a variable?
+
+    Its spine of eliminations (an application's operator, or the argument
+    of a case application; a projection's or negation's operand) ends at a
+    Var or Bound.
+    """
+    while True:
+        t = type(e)
+        if t is Var or t is Bound:
             return True
-        case Appl(Case(left, right), arg):
-            if _normal(left) and _normal(right) and _dead_end(arg):
-                return True
+        if t is Appl:
+            e = e.arg if type(e.fun) is Case else e.fun
+        elif t is ProjL or t is ProjR or t is Neg:
+            e = e.e
+        else:
             return False
-        case Appl(fun, arg):
-            return _dead_end(fun) and _normal(arg)
-        case ProjL(inner) | ProjR(inner):
-            return _dead_end(inner)
-        case Neg(inner):
-            return not isinstance(inner, Neg) and _dead_end(inner)
-    return False
-
-
-def _normal(e: ExprS) -> bool:
-    match e:
-        case Prim():
-            return True
-        case UnivAbs(dom, body) | ExistAbs(dom, body):
-            return _normal(dom) and _normal(body)
-        case ProtDef(witness, proof, tag):
-            return _normal(witness) and _normal(proof) and _normal(tag)
-        case Product(l, r) | Sum(l, r) | Case(l, r):
-            return _normal(l) and _normal(r)
-        case InjL(a, b) | InjR(a, b):
-            return _normal(a) and _normal(b)
-    return _dead_end(e)
 
 
 def classify_nf(e: ExprS) -> NormalClass:
-    """Sort an expression into dead ends, other normal forms, or reducible."""
-    if _dead_end(e):
-        return NormalClass.DEAD_END
-    if _normal(e):
-        return NormalClass.NORMAL_FORM
-    return NormalClass.REDUCIBLE
+    """Sort an expression into reducible, dead ends, or other normal forms."""
+    if first_redex(e) is not None:
+        return NormalClass.REDUCIBLE
+    return NormalClass.DEAD_END if _dead_end(e) else NormalClass.NORMAL_FORM
 
 
 def neg_axiom(e: ExprS) -> tuple[str, ExprS] | None:

@@ -10,12 +10,18 @@ Every binding operator scopes over exactly one component: abstractions over
 their body, protected definitions over their tag, internal substitutions over
 their body. Instantiating a binder shifts dangling indices of the replacement
 so that terms plugged in under further binders stay well-formed.
+
+One table states each node type's components, and children, replace_child
+and the depth-tracking map ``_map_leaves`` read it, so every traversal is the
+same binder-aware walk. The untyped lambda terms of ``semantics`` are built
+from these nodes too, with ``Lam`` as one more binder.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,18 @@ class InternalSubst:
     hint: str = field(default="x", compare=False)
 
 
+@dataclass(frozen=True)
+class Lam:
+    """Untyped lambda ``\\x.body``, for the images of semantics.strip/encode.
+
+    Not part of the calculus: lambda terms are built from Prim, Var, Bound,
+    Appl and Lam, so the binder handling here serves both.
+    """
+
+    body: "Prim | Var | Bound | Appl | Lam"
+    hint: str = field(default="x", compare=False)
+
+
 Expr = (
     Prim
     | Var
@@ -151,40 +169,59 @@ ExprS = Expr | InternalSubst
 
 TAU = Prim()
 
-# (constructor, scoped-component-index) for the three binding operators;
-# every other constructor binds nothing.
-_SCOPED_INDEX = {UnivAbs: 1, ExistAbs: 1, ProtDef: 2, InternalSubst: 1}
+# The components of every node type, in order. They come first among the
+# constructor's arguments; a binder's hint follows them.
+_COMPONENTS: dict[type, tuple[str, ...]] = {
+    Prim: (),
+    Var: (),
+    Bound: (),
+    UnivAbs: ("dom", "body"),
+    ExistAbs: ("dom", "body"),
+    Appl: ("fun", "arg"),
+    ProtDef: ("witness", "proof", "tag"),
+    ProjL: ("e",),
+    ProjR: ("e",),
+    Product: ("l", "r"),
+    Sum: ("l", "r"),
+    InjL: ("val", "rtag"),
+    InjR: ("ltag", "val"),
+    Case: ("left", "right"),
+    Neg: ("e",),
+    InternalSubst: ("defn", "body"),
+    Lam: ("body",),
+}
+
+# (constructor, scoped-component-index) for the binding operators; every
+# other constructor binds nothing.
+_SCOPED_INDEX = {UnivAbs: 1, ExistAbs: 1, ProtDef: 2, InternalSubst: 1, Lam: 0}
+
+
+def _getter(names: tuple[str, ...]) -> Callable[[ExprS], tuple[ExprS, ...]]:
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(names[0])
+        return lambda e: (get(e),)
+    return lambda e: ()
+
+
+_CHILDREN = {t: _getter(names) for t, names in _COMPONENTS.items()}
 
 
 def children(e: ExprS) -> tuple[ExprS, ...]:
-    match e:
-        case Prim() | Var() | Bound():
-            return ()
-        case (
-            UnivAbs(a, b) | ExistAbs(a, b) | Appl(a, b) | Product(a, b) | Sum(a, b)
-            | Case(a, b) | InjL(a, b) | InjR(a, b) | InternalSubst(a, b)
-        ):
-            return (a, b)
-        case ProtDef(witness, proof, tag):
-            return (witness, proof, tag)
-        case ProjL(inner) | ProjR(inner) | Neg(inner):
-            return (inner,)
-    raise AssertionError(f"unreachable: {e!r}")
+    return _CHILDREN[type(e)](e)
+
+
+def _rebuild(e: ExprS, parts) -> ExprS:
+    """A node of e's type, with e's hint if it binds, from new components."""
+    t = type(e)
+    return t(*parts, e.hint) if t in _SCOPED_INDEX else t(*parts)
 
 
 def replace_child(e: ExprS, i: int, new: ExprS) -> ExprS:
-    match e:
-        case Appl(a, b) | Product(a, b) | Sum(a, b) | InjL(a, b) | InjR(a, b) | Case(a, b):
-            return type(e)(new if i == 0 else a, new if i == 1 else b)
-        case UnivAbs(a, b, hint) | ExistAbs(a, b, hint) | InternalSubst(a, b, hint):
-            return type(e)(new if i == 0 else a, new if i == 1 else b, hint)
-        case ProjL(_) | ProjR(_) | Neg(_):
-            return type(e)(new)
-        case ProtDef(witness, proof, tag, hint):
-            parts = [witness, proof, tag]
-            parts[i] = new
-            return ProtDef(parts[0], parts[1], parts[2], hint)
-    raise AssertionError(f"no child {i} in {e!r}")
+    parts = list(children(e))
+    parts[i] = new
+    return _rebuild(e, parts)
 
 
 def scoped_index(e: ExprS) -> int | None:
@@ -242,15 +279,16 @@ def _map_leaves(e: ExprS, leaf: Callable[[Var | Bound, int], ExprS], depth: int)
     t = type(e)
     if t is Var or t is Bound:
         return leaf(e, depth)
-    if t is Prim:
-        return e
     scoped = _SCOPED_INDEX.get(t)
-    out = e
-    for i, c in enumerate(children(e)):
+    kids = _CHILDREN[t](e)
+    parts = None
+    for i, c in enumerate(kids):
         nc = _map_leaves(c, leaf, depth + 1 if i == scoped else depth)
         if nc is not c:
-            out = replace_child(out, i, nc)
-    return out
+            if parts is None:
+                parts = list(kids)
+            parts[i] = nc
+    return e if parts is None else _rebuild(e, parts)
 
 
 def shift(e: ExprS, by: int, depth: int = 0) -> ExprS:
@@ -469,27 +507,13 @@ def to_text(e: ExprS) -> str:
                 return f"case({go(l, env)},{go(r, env)})"
             case Neg(inner):
                 return f"~{go(inner, env)}"
+            case Lam(body, hint):
+                x = fresh_name(hint, set(env) | free_vars(body))
+                return f"\\{x}.{go(body, [x] + env)}"
         raise AssertionError(f"unreachable: {e!r}")
 
     return go(e, [])
 
 
-for _cls in (
-    Prim,
-    Var,
-    Bound,
-    UnivAbs,
-    ExistAbs,
-    Appl,
-    ProtDef,
-    ProjL,
-    ProjR,
-    Product,
-    Sum,
-    InjL,
-    InjR,
-    Case,
-    Neg,
-    InternalSubst,
-):
+for _cls in _COMPONENTS:
     _cls.__str__ = to_text  # type: ignore[method-assign]

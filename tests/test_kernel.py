@@ -238,7 +238,7 @@ def test_translations_map_indices_in_one_pass(translate, monkeypatch):
     for module in (syntax, semantics):
         if hasattr(module, "open_binder"):
             _counting(monkeypatch, calls, module, "open_binder")
-    _counting(monkeypatch, calls, semantics, "_lmap")
+    _counting(monkeypatch, calls, syntax, "_map_leaves")
     assert lam_to_text(translate(e)) == expected
     assert calls == Counter()
 

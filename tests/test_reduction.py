@@ -153,6 +153,9 @@ def test_classify_nf():
     assert classify_nf(parse_term("~(x a)")) is NormalClass.DEAD_END
     assert classify_nf(parse_term("(case(f,g) x)")) is NormalClass.DEAD_END
     assert classify_nf(parse_term("(case(f,g) inl(a,b))")) is NormalClass.REDUCIBLE
+    # stuck, but on no variable: no rule fires, so these are normal forms
+    for text in ["(tau x)", "([a,b] x)", "inl(a,b).1", "(inl(a,b) c)", "<w:=a, b : c>(d)"]:
+        assert classify_nf(parse_term(text)) is NormalClass.NORMAL_FORM
 
 
 def test_classification_matches_redex_search_on_generated_terms():

@@ -119,6 +119,16 @@ def test_untranslatable_terms():
         encode(InternalSubst(TAU, Bound(0)))
 
 
+def test_images_are_built_from_the_lambda_names():
+    # bench/worker.py tells a beta normal image by these two names
+    mp = parse_term("[x:a;y:[a => b]](y x)")
+    for translate in (strip, encode):
+        assert type(translate(mp)) is Lam
+        assert type(translate(parse_term("(f a)"))) is LApp
+        assert type(beta_nf(translate(mp))) is Lam
+    assert type(beta_nf(LApp(la, LApp(Lam(LBound(0)), lb)))) is LApp
+
+
 def test_beta_step_is_normal_order():
     redex = LApp(Lam(LBound(0)), PI)
     assert beta_step(redex) == PI
