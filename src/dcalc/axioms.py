@@ -143,13 +143,13 @@ class AxiomScheme:
     indices: tuple[Expr, ...]
     name: str
     ty: Expr
-    deps: tuple[str, ...]
 
 
 def imp(a: Expr, b: Expr) -> Expr:
     """Implication: a universal abstraction whose body ignores the binder.
 
-    b must not contain dangling binder references of its own.
+    b is read under the binder: its dangling indices count it, and none
+    points at it.
     """
     return UnivAbs(a, b, "z")
 
@@ -177,30 +177,24 @@ def instance(scheme: str, indices: tuple[Expr, ...]) -> AxiomScheme:
         case "negax+":
             a, b = indices
             ty = imp(Sum(a, b), imp(Neg(a), b))
-            deps: tuple[str, ...] = ()
         case "negax-":
             a, b = indices
             ty = imp(imp(Neg(a), b), Sum(a, b))
-            deps = ()
         case "cast":
             (a,) = indices
             ty = imp(a, TAU)
-            deps = ()
         case "castin":
             (a,) = indices
             cast_nm = instance_name("cast", indices)
             x = Var("@1")
             ty = _univ("@1", "x", a, imp(x, Appl(Var(cast_nm), x)))
-            deps = (cast_nm,)
         case "castout":
             (a,) = indices
             cast_nm = instance_name("cast", indices)
             x = Var("@1")
             ty = _univ("@1", "x", a, imp(Appl(Var(cast_nm), x), x))
-            deps = (cast_nm,)
         case "dcastin" | "dcastout":
             a, b = indices
-            cast_nm = instance_name("cast", (a,))
             ci = Var(instance_name("castin", (a,)))
             co = Var(instance_name("castout", (a,)))
             x, y, z = Var("@1"), Var("@2"), Var("@3")
@@ -211,10 +205,9 @@ def instance(scheme: str, indices: tuple[Expr, ...]) -> AxiomScheme:
                 "@1", "x", a,
                 _univ("@2", "y", imp(x, b), _univ("@3", "z", x, core)),
             )
-            deps = (cast_nm, str(ci.name), str(co.name))
         case _:
             raise ValueError(f"unknown axiom scheme: {scheme}")
-    return AxiomScheme(scheme, indices, name, ty, deps)
+    return AxiomScheme(scheme, indices, name, ty)
 
 
 def closure_requests(scheme: str, indices: tuple[Expr, ...]) -> list[AxiomScheme]:

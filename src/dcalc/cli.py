@@ -36,8 +36,9 @@ class CheckReport:
 
 
 # The failures a command reports as a diagnostic; anything else is a bug.
-# RecursionError is input nested deeper than the recursive kernel can follow.
-FAILURES = (ParseError, TypingError, FuelExhausted, RecursionError, OSError)
+# RecursionError is input nested deeper than the recursive kernel can follow;
+# UnicodeDecodeError is an input file that is not text.
+FAILURES = (ParseError, TypingError, FuelExhausted, RecursionError, OSError, UnicodeDecodeError)
 
 
 def _diagnostic(err: Exception) -> dict:
@@ -80,13 +81,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         started = time.monotonic()
         report = CheckReport(file=path)
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 text = f.read()
             doc = parse_document(text, args.gate)
             report.declarations_checked = len(doc.context.entries)
             report.deductions_checked = len(doc.checks)
             report.errors = [_diagnostic(e) for e in check_document(doc, args.fuel)]
-        except (OSError, ParseError, RecursionError) as err:
+        except (OSError, UnicodeDecodeError, ParseError, RecursionError) as err:
             # the file's own failure; the next file is still checked
             report.errors.append(_diagnostic(err))
         failed = failed or bool(report.errors)
@@ -131,7 +132,7 @@ def _load_context(args: argparse.Namespace) -> Context | None:
     """Parse and check the optional --context file; None if it does not check."""
     if not args.context:
         return Context()
-    with open(args.context) as f:
+    with open(args.context, encoding="utf-8") as f:
         text = f.read()
     doc = parse_document(text, args.gate)
     errors = check_document(doc, args.fuel)

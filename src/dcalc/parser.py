@@ -22,11 +22,15 @@ call form f(a,b) is sugar for ((f a) b). A '(' group after an operand is
 parsed once: '(e)' and '(e, ...)' are calls, but '(e1 e2)' starts the next
 operand, which only an enclosing '(e1 e2)' accepts. It waits in a one-slot
 pushback where its '(' was, so (f (a b).1) is f applied to (a b).1, and
-f (a b) alone is an error at '('. Names are resolved where each part lands:
-a binder's name scopes over its body only, a def's name stands for its
-expansion, and a scheme reference such as negax-{a,~a} for an axiom instance,
-whose declarations (dependencies first) a document splices into the context
-right before the enclosing item. '--' starts a line comment.
+f (a b) alone is an error at '('. Names are resolved where each part lands,
+from the names bound there, innermost first: a binder's name scopes over its
+body only and reads as its de Bruijn index ([a,b:A] is [a:A][b:A]); a def's
+name stands for its expansion, whose free names the binders there capture;
+and a scheme reference such as negax-{a,~a} for an axiom instance, named
+over its indices with bound names kept as names, whose declarations
+(dependencies first) a document splices into the context right before the
+enclosing item. One regular expression scans the text; '--' starts a line
+comment.
 
 Files hold directives: `context NAME { decls }`, `def NAME := expr`,
 `check expr : expr`, and `axiom scheme{indices}`.
@@ -34,6 +38,7 @@ Files hold directives: `context NAME { decls }`, `def NAME := expr`,
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import repeat
@@ -50,6 +55,7 @@ from .axioms import (
 from .syntax import (
     TAU,
     Appl,
+    Bound,
     Case,
     Context,
     ExistAbs,
@@ -66,7 +72,7 @@ from .syntax import (
     Sum,
     UnivAbs,
     Var,
-    close_binder,
+    _map_leaves,
     free_vars,
 )
 
@@ -89,48 +95,28 @@ class Token:
     col: int
 
 
+# One alternative per token class; "bad" takes any character no other does,
+# so the matches tile the text.
+_SCAN = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>--.*)"
+    r"|(?P<NAME>negax[+-]|\w+)|(?P<PUNCT>:=|=>|[][(){}<>,;:!~+.])|(?P<bad>.)"
+)
+
+
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, col = 1, 1
+    for m in _SCAN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, col = line + 1, 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalnum() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word == "negax" and j < n and text[j] in "+-":
-                word += text[j]
-                j += 1
-            toks.append(Token("NAME", word, line, col))
-            col += j - i
-            i = j
-            continue
-        if text.startswith(":=", i) or text.startswith("=>", i):
-            toks.append(Token("PUNCT", text[i : i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "[](){}<>,;:!~+.":
-            toks.append(Token("PUNCT", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", line, col)
+        if kind == "NAME" or kind == "PUNCT":
+            toks.append(Token(kind, m[0], line, col))
+        if kind != "comment":
+            col += len(m[0])
     toks.append(Token("EOF", "", line, col))
     return toks
 
@@ -157,10 +143,11 @@ def _is_scheme(name: str) -> bool:
         return False
 
 
-# Parsing yields builders: functions from the names bound where a term lands
-# to the term. What a name means (a binder, a def or an axiom instance)
-# depends on that scope, and a '(e1 e2)' group learns it only after it is read.
-_Build = Callable[[frozenset[str]], ExprS]
+# Parsing yields builders: functions from the names bound where a term lands,
+# innermost first, to the term. What a name means (a binder's index, a def or
+# an axiom instance) depends on that scope, and a '(e1 e2)' group learns it
+# only after it is read.
+_Build = Callable[[tuple[str, ...]], ExprS]
 
 _INJECTIONS = {"inl": InjL, "inr": InjR, "case": Case}
 
@@ -170,18 +157,10 @@ def _node(make: Callable[..., ExprS], *parts: _Build) -> _Build:
     return lambda bound: make(*map(call, parts, repeat(bound)))
 
 
-def _binder(make: Callable[..., ExprS], names: list[str], *parts: _Build) -> _Build:
-    """make(*heads, body, name) per name, the first outermost; names scope over body only."""
+def _binder(make: Callable[..., ExprS], name: str, *parts: _Build) -> _Build:
+    """make(*heads, body, name); name scopes over body only."""
     *heads, body = parts
-
-    def build(bound: frozenset[str]) -> ExprS:
-        outs = list(map(call, heads, repeat(bound)))
-        e = body(bound | set(names))
-        for name in reversed(names):
-            e = make(*outs, close_binder(e, name), name)
-        return e
-
-    return build
+    return lambda bound: make(*map(call, heads, repeat(bound)), body((name, *bound)), name)
 
 
 def _suffixed(steps: tuple[Callable[..., ExprS], ...], head: ExprS, *args: ExprS) -> ExprS:
@@ -190,6 +169,16 @@ def _suffixed(steps: tuple[Callable[..., ExprS], ...], head: ExprS, *args: ExprS
     for step in steps:
         head = step(head, next(rest)) if step is Appl else step(head)
     return head
+
+
+def _capture(bound: tuple[str, ...], v: Var | Bound, depth: int) -> ExprS:
+    """v, with a free name bound in scope made that binder's index."""
+    return Bound(bound.index(v.name) + depth) if type(v) is Var and v.name in bound else v
+
+
+def _release(bound: tuple[str, ...], v: Var | Bound, depth: int) -> ExprS:
+    """v, with an index of a binder in scope made that binder's name."""
+    return Var(bound[v.index - depth]) if type(v) is Bound and v.index >= depth else v
 
 
 def _fold_right(make: Callable[[ExprS, ExprS], ExprS], *items: ExprS) -> ExprS:
@@ -244,7 +233,7 @@ class _Parser:
 
     def term(self) -> ExprS:
         """An expression, built where no binder is in scope."""
-        return self.expr()(frozenset())
+        return self.expr()(())
 
     # expressions
 
@@ -321,7 +310,7 @@ class _Parser:
             self.expect(":")
             tag = self.expr()
             self.expect(">")
-            return _binder(ProtDef, [name], witness, proof, tag)
+            return _binder(ProtDef, name, witness, proof, tag)
         raise self.error("expected an expression")
 
     def _bracket(self) -> _Build:
@@ -331,7 +320,7 @@ class _Parser:
             self.take()
             defn = self.expr()
             self.expect("]")
-            return _binder(InternalSubst, [name], defn, self.expr())
+            return _binder(InternalSubst, name, defn, self.expr())
         i = 0
         while self.peek(i).kind == "NAME" and self.peek(i + 1).text == ",":
             i += 2
@@ -351,9 +340,11 @@ class _Parser:
                 break
             self.take()
         self.expect("]")
+        # [a,b:A]e is [a:A][b:A]e: A is read again in a's scope
         body = self.expr()
         for names, cls, dom in reversed(groups):
-            body = _binder(cls, names, dom, body)
+            for name in reversed(names):
+                body = _binder(cls, name, dom, body)
         return body
 
     def _connective(self) -> _Build:
@@ -369,29 +360,32 @@ class _Parser:
             items.append(self.expr())
         self.expect("]")
         if kind in (",", "+"):
-            make = Product if kind == "," else Sum
-        else:
-            if "=>" not in used:
-                raise self.error("expected '=>' in implication")
-            if ";" in used[used.index("=>") :]:
-                raise self.error("';' may not follow '=>' in an implication")
-            make = imp
-        return _node(partial(_fold_right, make), *items)
+            return _node(partial(_fold_right, Product if kind == "," else Sum), *items)
+        if "=>" not in used:
+            raise self.error("expected '=>' in implication")
+        if ";" in used[used.index("=>") :]:
+            raise self.error("';' may not follow '=>' in an implication")
+        # item i lands under the i implications before it
+        return lambda bound: _fold_right(
+            imp, *(item(("",) * i + bound) for i, item in enumerate(items))
+        )
 
     # names, resolved where their term lands
 
-    def _ref(self, tok: Token, indices: list[_Build] | None, bound: frozenset[str]) -> ExprS:
-        """A binder, a def's expansion, or with indices an axiom instance.
+    def _ref(self, tok: Token, indices: list[_Build] | None, bound: tuple[str, ...]) -> ExprS:
+        """A binder's index, a def's expansion, or with indices an axiom instance.
 
-        A def expands before the binders around it close, so they capture its
-        free names.
+        The binders around a def's use capture its free names.
         """
         if tok.text in bound or tok.text in self.defs:
             if indices is not None:
                 raise ParseError(
                     f"{tok.text} is not an axiom scheme here", tok.line, tok.col
                 )
-            return Var(tok.text) if tok.text in bound else self.defs[tok.text]
+            if tok.text in bound:
+                return Bound(bound.index(tok.text))
+            body = self.defs[tok.text]
+            return _map_leaves(body, partial(_capture, bound), 0) if bound else body
         return Var(tok.text) if indices is None else self._instance(tok, indices, bound)
 
     def _indices(self, tok: Token) -> list[_Build]:
@@ -415,10 +409,13 @@ class _Parser:
             )
         return indices
 
-    def _instance(self, tok: Token, indices: list[_Build], bound: frozenset[str]) -> Var:
-        """The axiom instance tok names; in a document, it joins the context."""
+    def _instance(self, tok: Token, indices: list[_Build], bound: tuple[str, ...]) -> Var:
+        """The axiom instance tok names; in a document, it joins the context.
+
+        A bound name in an index stays a name, as the declaration reads it.
+        """
         scheme = normalize_scheme(tok.text)
-        made = tuple(map(call, indices, repeat(bound)))
+        made = tuple(_map_leaves(idx(bound), partial(_release, bound), 0) for idx in indices)
         if self.document:
             for idx in made:
                 loose = free_vars(idx) - self.entry_names
@@ -460,7 +457,7 @@ class _Parser:
                         raise ParseError(
                             f"unknown axiom scheme: {ref.text}", ref.line, ref.col
                         )
-                    self._instance(ref, self._indices(ref), frozenset())
+                    self._instance(ref, self._indices(ref), ())
                 case _:
                     raise ParseError(
                         "expected a directive (context, def, check, axiom), got "
@@ -501,7 +498,7 @@ def parse_term(text: str, allowed_schemes: frozenset[str] = frozenset()) -> Expr
     tok = parser.peek()
     if tok.kind != "EOF":
         raise ParseError(f"unexpected trailing input: {tok.text!r}", tok.line, tok.col)
-    return build(frozenset())
+    return build(())
 
 
 def parse_document(text: str, allowed_schemes: frozenset[str] = frozenset()) -> Document:

@@ -287,3 +287,19 @@ def test_check_goes_on_after_a_file_nested_too_deeply(tmp_path, corpus_file, cap
     assert [r["file"] for r in reports] == [str(deep), ok]
     assert [e["kind"] for e in reports[0]["errors"]] == ["DepthExceeded"]
     assert reports[1]["errors"] == []
+
+
+def test_a_file_that_is_not_utf8_is_an_input_diagnostic(tmp_path, corpus_file, capsys):
+    bad = tmp_path / "latin1.dc"
+    bad.write_bytes("context C { caf\xe9 : tau }\n".encode("latin-1"))
+    ok = corpus_file("logic")
+    assert main(["check", str(bad), ok]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith(f"{bad}: 1 error(s) (0 declarations, 0 deductions, ")
+    assert lines[1].startswith(f"{ok}: ok (")
+    assert captured.err.startswith("IOError @ root: 'utf-8' codec can't decode byte 0xe9")
+    assert main(["type", "tau", "--context", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("IOError @ root: 'utf-8' codec can't decode")

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from helpers import parse_record
 
+from dcalc import parser, syntax
 from dcalc.axioms import instance_name, resolve_axiom_gate
 from dcalc.corpus import check_document
 from dcalc.parser import ParseError, _Parser, parse_document, parse_term, tokenize
@@ -44,6 +45,8 @@ def test_tokenize_names_and_punctuation():
         ("NAME", "x2"),
         ("EOF", ""),
     ]
+    # letters and digits of any script, as str.isalnum takes them
+    assert [t.text for t in tokenize("é² ǅ_x٣")] == ["é²", "ǅ_x٣", ""]
 
 
 def test_tokenize_negax_signs_are_single_tokens():
@@ -55,6 +58,11 @@ def test_tokenize_comments_and_positions():
     toks = tokenize("a -- rest of the line\n  b")
     assert [t.text for t in toks[:2]] == ["a", "b"]
     assert (toks[1].line, toks[1].col) == (2, 3)
+    # a comment takes no columns: end of input is where it starts
+    assert [(t.kind, t.line, t.col) for t in tokenize("a -- c")] == [
+        ("NAME", 1, 1),
+        ("EOF", 1, 3),
+    ]
 
 
 def test_tokenize_rejects_stray_characters():
@@ -75,6 +83,10 @@ def test_abstractions_and_group_binders():
     assert parse_term("[x!tau]x") == ExistAbs(TAU, Bound(0))
     assert parse_term("[x,y:tau]x") == UnivAbs(TAU, UnivAbs(TAU, Bound(1)))
     assert parse_term("[x:tau;y!x]y") == UnivAbs(TAU, ExistAbs(Bound(0), Bound(0)))
+    # [a,b:A] is [a:A][b:A]: the second A is read in a's scope
+    assert parse_term("[a,b:a]b") == UnivAbs(Var("a"), UnivAbs(Bound(0), Bound(0)))
+    doc = parse_document("def a := tau\ncheck [a,b:a]b : tau")
+    assert doc.checks[0].term == UnivAbs(TAU, UnivAbs(Bound(0), Bound(0)))
 
 
 def test_implication_chains_nest_right():
@@ -82,6 +94,10 @@ def test_implication_chains_nest_right():
     assert parse_term("[a => b]") == UnivAbs(a, b)
     assert parse_term("[a;b => c]") == UnivAbs(a, UnivAbs(b, c))
     assert parse_term("[a => [b => c]]") == parse_term("[a;b => c]")
+    # an item's bound names count the implications above it
+    assert parse_term("[x:tau][x;x => x]") == UnivAbs(
+        TAU, UnivAbs(Bound(0), UnivAbs(Bound(1), Bound(2)))
+    )
 
 
 def test_products_and_sums_nest_right():
@@ -138,6 +154,9 @@ def test_scheme_references_resolve_to_instance_names():
     assert e == Appl(Var(instance_name("cast", (Var("a"),))), Var("x"))
     e = parse_term("negax-{a,~a}", ALL)
     assert e == Var(instance_name("negax-", (Var("a"), Neg(Var("a")))))
+    # an index names the binders around it
+    cast_x = Var(instance_name("cast", (Var("x"),)))
+    assert parse_term("[x:tau]cast{x}", ALL) == UnivAbs(TAU, cast_x)
 
 
 def test_scheme_reference_must_be_enabled():
@@ -213,6 +232,18 @@ def test_definitions_splice_everywhere():
     ff = UnivAbs(TAU, Bound(0))
     assert doc.context.lookup("w") == ff
     assert doc.checks[0].ty == UnivAbs(ff, ff)
+    # a def's free name is captured by a binder of that name where it is used
+    doc = parse_document(
+        """
+        context C { a : tau; b : a }
+        def f := b
+        check [b:a]f : [b:a]a
+        check [y:a][b:a][z:a]f : tau
+        """
+    )
+    a = Var("a")
+    assert doc.checks[0].term == UnivAbs(a, Bound(0))
+    assert doc.checks[1].term == UnivAbs(a, UnivAbs(a, UnivAbs(a, Bound(1))))
 
 
 def test_duplicate_names_are_rejected():
@@ -356,6 +387,27 @@ def test_nested_brackets_parse_in_linear_work(monkeypatch, depth):
 def test_nested_applications_parse_in_linear_work(monkeypatch, depth):
     text = "(s " * depth + "z" + ")" * depth
     assert _expr_calls(monkeypatch, text) <= 2 * depth + 3
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_a_binder_chain_parses_without_walking_its_body(monkeypatch, n):
+    # names resolve to indices where they are read, so no term is re-walked
+    calls = 0
+    walk = syntax._map_leaves
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return walk(*args)
+
+    for module in (syntax, parser):
+        monkeypatch.setattr(module, "_map_leaves", counted, raising=False)
+    e = parse_term("".join(f"[x{i}:tau]" for i in range(n)) + "x0")
+    assert calls == 0
+    for _ in range(n):
+        assert e.dom == TAU
+        e = e.body
+    assert e == Bound(n - 1)
 
 
 GOLDEN = Path(__file__).parent / "data" / "parse_golden.jsonl"
