@@ -4,174 +4,11 @@ One abstraction operator serves as both function former and dependent
 product; a second, existential abstraction is introduced by protected
 definitions and eliminated by projections. Products, sums, injections, and
 case distinction give the finite counterparts, and negation reduces to a
-normal form through De Morgan and quantifier dualities. The package provides
-reduction, typing, norms, axiom schemes, translations to untyped lambda
-calculus, a corpus of checked formalizations, and the dcalc CLI.
+normal form through De Morgan and quantifier dualities.
+
+Import what you use from its module (dcalc.syntax, dcalc.parser,
+dcalc.typecheck, ...): the package re-exports nothing, so importing it
+loads none of them.
 """
 
-from .axioms import (
-    AxiomScheme,
-    CyclicIndices,
-    PApp,
-    Pi,
-    PLam,
-    PtsExpr,
-    PVar,
-    Star,
-    TranslationError,
-    instance_name,
-    instantiate_axioms,
-    pts_to_dcalc,
-    resolve_axiom_gate,
-)
-from .corpus import (
-    Formula,
-    FF,
-    FT,
-    FVar,
-    Imp,
-    alpha_map,
-    beta_map,
-    check_document,
-    corpus_names,
-    load_corpus,
-)
-from .explicit import Env, def_eval_nf, def_eval_step, def_weight, mu_nf, mu_redexes, mu_step
-from .norms import Leaf, Norm, Pair, norm, norm_to_text, normable
-from .parser import Document, ParseError, parse_document, parse_term
-from .reduction import (
-    DEFAULT_FUEL,
-    FuelExhausted,
-    NormalClass,
-    classify_nf,
-    conv,
-    neg_nf,
-    neg_trace,
-    neg_weight,
-    reduce_nf,
-    reduce_trace,
-    redexes,
-    render_trace,
-)
-from .semantics import LambdaTerm, beta_nf, encode, is_beta_normal, lam_to_text, strip
-from .syntax import (
-    TAU,
-    Appl,
-    Bound,
-    Case,
-    Context,
-    ExistAbs,
-    Expr,
-    ExprS,
-    InjL,
-    InjR,
-    InternalSubst,
-    Neg,
-    Prim,
-    ProjL,
-    ProjR,
-    ProtDef,
-    Product,
-    Sum,
-    UnivAbs,
-    Var,
-    free_vars,
-    open_binder,
-    close_binder,
-    subst,
-    to_text,
-)
-from .typecheck import TypingError, check, check_context, synth, valid
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AxiomScheme",
-    "Appl",
-    "Bound",
-    "Case",
-    "Context",
-    "CyclicIndices",
-    "DEFAULT_FUEL",
-    "Document",
-    "Env",
-    "ExistAbs",
-    "Expr",
-    "ExprS",
-    "FF",
-    "FT",
-    "FVar",
-    "Formula",
-    "FuelExhausted",
-    "Imp",
-    "InjL",
-    "InjR",
-    "InternalSubst",
-    "LambdaTerm",
-    "Leaf",
-    "Neg",
-    "Norm",
-    "NormalClass",
-    "PApp",
-    "PLam",
-    "PVar",
-    "Pair",
-    "ParseError",
-    "Pi",
-    "Prim",
-    "ProjL",
-    "ProjR",
-    "ProtDef",
-    "Product",
-    "PtsExpr",
-    "Star",
-    "Sum",
-    "TAU",
-    "TranslationError",
-    "TypingError",
-    "UnivAbs",
-    "Var",
-    "alpha_map",
-    "beta_map",
-    "beta_nf",
-    "check",
-    "check_context",
-    "check_document",
-    "classify_nf",
-    "close_binder",
-    "conv",
-    "corpus_names",
-    "def_eval_nf",
-    "def_eval_step",
-    "def_weight",
-    "encode",
-    "free_vars",
-    "instance_name",
-    "instantiate_axioms",
-    "is_beta_normal",
-    "lam_to_text",
-    "load_corpus",
-    "mu_nf",
-    "mu_redexes",
-    "mu_step",
-    "neg_nf",
-    "neg_trace",
-    "neg_weight",
-    "norm",
-    "norm_to_text",
-    "normable",
-    "open_binder",
-    "parse_document",
-    "parse_term",
-    "pts_to_dcalc",
-    "redexes",
-    "reduce_nf",
-    "reduce_trace",
-    "render_trace",
-    "resolve_axiom_gate",
-    "strip",
-    "subst",
-    "synth",
-    "to_text",
-    "valid",
-]

@@ -159,10 +159,9 @@ def _univ(tmp: str, hint: str, dom: Expr, body: Expr) -> Expr:
 
 
 def _app(f: Expr, *args: Expr) -> Expr:
-    out = f
     for a in args:
-        out = Appl(out, a)
-    return out
+        f = Appl(f, a)
+    return f
 
 
 def instance(scheme: str, indices: tuple[Expr, ...]) -> AxiomScheme:

@@ -17,13 +17,12 @@ import time
 from dataclasses import dataclass, field
 
 from .axioms import resolve_axiom_gate
-from .corpus import check_document
 from .norms import norm, norm_to_text
 from .parser import ParseError, parse_document, parse_term
 from .reduction import DEFAULT_FUEL, FuelExhausted, reduce_nf, reduce_trace, render_trace
 from .semantics import encode, lam_to_text, strip
 from .syntax import Context, ExprS, path_text, pending_path, to_text
-from .typecheck import TypingError, synth
+from .typecheck import TypingError, check_document, synth
 
 
 @dataclass
@@ -87,7 +86,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             report.declarations_checked = len(doc.context.entries)
             report.deductions_checked = len(doc.checks)
             report.errors = [_diagnostic(e) for e in check_document(doc, args.fuel)]
-        except (OSError, UnicodeDecodeError, ParseError, RecursionError) as err:
+        except FAILURES as err:
             # the file's own failure; the next file is still checked
             report.errors.append(_diagnostic(err))
         failed = failed or bool(report.errors)

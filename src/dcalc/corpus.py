@@ -2,9 +2,11 @@
 
 The corpus directory holds checked formalizations (logic laws, minimal
 logic, equality, cartesian products, naturals, sets, groups). This module
-loads and checks them, and implements the two mappings between minimal-logic
-formulas and terms over the Minimal context, together with a small sequent
-prover used to exercise the completeness direction of the encoding.
+names them, gives their axiom gates and loads them (typecheck.check_document
+checks them, as dcalc check does), and implements the two mappings between
+minimal-logic formulas and terms over the Minimal context, together with a
+small sequent prover used to exercise the completeness direction of the
+encoding. The dcalc command does not import it.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 
-from .axioms import resolve_axiom_gate
-from .parser import Document, parse_document
-from .reduction import DEFAULT_FUEL, FuelExhausted, NormalClass, classify_nf
+from .axioms import _app, resolve_axiom_gate
+from .parser import parse_document
+from .reduction import NormalClass, classify_nf
 from .syntax import Appl, Context, Expr, Neg, UnivAbs, Var, close_binder, open_binder
-from .typecheck import TypingError, check, check_context, synth
 
 CORPUS_AXIOMS = {
     "logic": (),
@@ -49,32 +50,6 @@ def load_corpus(name: str) -> tuple[Context, list[tuple[Expr, Expr]]]:
     """The parsed context and (deduction, claimed type) pairs of one file."""
     doc = parse_document(corpus_text(name), resolve_axiom_gate(["all"]))
     return doc.context, [(item.term, item.ty) for item in doc.checks]
-
-
-def _typing_error(prefix: str, run) -> TypingError | None:
-    """What run() raises, as a TypingError whose message starts with prefix."""
-    try:
-        run()
-    except TypingError as err:
-        return TypingError(err.kind, prefix + err.message, err.path, err.expected, err.found)
-    except FuelExhausted as err:
-        return TypingError("FuelExhausted", f"{prefix}{err}")
-    return None
-
-
-def check_document(doc: Document, fuel: int = DEFAULT_FUEL) -> list[TypingError]:
-    """All typing errors in a parsed file: context, definitions, then checks."""
-    err = _typing_error("", lambda: check_context(doc.context, fuel))
-    if err is not None:
-        return [err]
-    found = [
-        _typing_error(f"definition {name}: ", lambda: synth(doc.context, body, fuel))
-        for name, body in doc.defs.items()
-    ] + [
-        _typing_error(f"line {item.line}: ", lambda: check(doc.context, item.term, item.ty, fuel))
-        for item in doc.checks
-    ]
-    return [error for error in found if error is not None]
 
 
 @dataclass(frozen=True)
@@ -218,12 +193,6 @@ def prove(
                 if arg is not None:
                     return Mp(a, fun, arg)
     return None
-
-
-def _app(f: Expr, *args: Expr) -> Expr:
-    for a in args:
-        f = Appl(f, a)
-    return f
 
 
 def proof_term(

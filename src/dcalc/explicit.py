@@ -4,9 +4,11 @@ This engine shares the plain reducer's rule table (``reduction.RULES``) but
 makes beta steps produce a pending substitution node ``[x:=a]b`` instead of
 substituting eagerly (``beta1_mu``/``beta2_mu``); environments hold named
 definitions that variables unfold against (``use``), and spent binders are
-dropped (``rem``). Negation steps are aggregated: a nonempty sequence of
-negation-reduction steps counts as one step here, so nu1..nu5 are left out
-of the table. Multi-step runs go through the plain reducer's fuel driver.
+dropped (``rem``). An environment is a ``syntax.Context`` whose entries are
+definitions rather than declarations. Negation steps are aggregated: a
+nonempty sequence of negation-reduction steps counts as one step here, so
+nu1..nu5 are left out of the table. Multi-step runs go through the plain
+reducer's fuel driver.
 
 Definition evaluation is the sub-relation with only use/rem as axioms (all
 structural rules retained); it terminates with a strictly decreasing weight
@@ -42,6 +44,7 @@ from .reduction import (
 from .syntax import (
     Appl,
     Bound,
+    Context,
     ExistAbs,
     ExprS,
     InternalSubst,
@@ -69,36 +72,8 @@ MU_RULES = {
 }
 
 
-class Env:
-    """Ordered definitions with pairwise-distinct names."""
-
-    __slots__ = ("defs", "_index")
-
-    def __init__(self, defs: tuple[tuple[str, ExprS], ...] = ()):
-        self.defs = defs
-        self._index = {name: i for i, (name, _) in enumerate(defs)}
-        if len(self._index) != len(defs):
-            raise ValueError("duplicate definition name in environment")
-
-    def __repr__(self) -> str:
-        return f"Env({self.defs!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Env) and self.defs == other.defs
-
-    def __hash__(self) -> int:
-        return hash(self.defs)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
-    def lookup(self, name: str) -> ExprS | None:
-        i = self._index.get(name)
-        return None if i is None else self.defs[i][1]
-
-    def extend(self, name: str, defn: ExprS) -> "Env":
-        """This environment with one more definition."""
-        return Env(self.defs + ((name, defn),))
+# Ordered definitions with pairwise-distinct names.
+Env = Context
 
 
 def _def_rule(env: Env, stack: Stack, e: ExprS) -> tuple[str, ExprS] | None:

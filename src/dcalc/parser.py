@@ -41,9 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import repeat
-from operator import call
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .axioms import (
     SCHEME_ARITY,
@@ -87,8 +85,7 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -154,13 +151,13 @@ _INJECTIONS = {"inl": InjL, "inr": InjR, "case": Case}
 
 def _node(make: Callable[..., ExprS], *parts: _Build) -> _Build:
     """make over the parts, built in the order written; it binds nothing."""
-    return lambda bound: make(*map(call, parts, repeat(bound)))
+    return lambda bound: make(*[part(bound) for part in parts])
 
 
 def _binder(make: Callable[..., ExprS], name: str, *parts: _Build) -> _Build:
     """make(*heads, body, name); name scopes over body only."""
     *heads, body = parts
-    return lambda bound: make(*map(call, heads, repeat(bound)), body((name, *bound)), name)
+    return lambda bound: make(*[head(bound) for head in heads], body((name, *bound)), name)
 
 
 def _suffixed(steps: tuple[Callable[..., ExprS], ...], head: ExprS, *args: ExprS) -> ExprS:
@@ -189,46 +186,43 @@ class _Parser:
     def __init__(self, toks: list[Token], allowed: frozenset[str], document: bool):
         self.toks = toks
         self.pos = 0
+        self.tok = toks[0]
         self.allowed = allowed
         self.document = document
         self.entries: list[tuple[str, Expr]] = []
         self.entry_names: set[str] = set()
         self.defs: dict[str, Expr] = {}
         self.checks: list[CheckItem] = []
-        # A '(e1 e2)' group read after an operand, with its '(' token; until
-        # an atom takes it, the parser sees that '(' as the next token.
-        self.pushed: tuple[Token, _Build] | None = None
-
-    def peek(self, ahead: int = 0) -> Token:
-        if self.pushed is not None:
-            return self.pushed[0]
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        # A '(e1 e2)' group read after an operand; until an atom takes it,
+        # self.tok is the group's '('.
+        self.pushed: _Build | None = None
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "EOF"
+        return self.tok.text == text  # EOF's text is "", which no caller asks for
 
     def take(self) -> Token:
-        tok = self.toks[self.pos]
+        tok = self.tok
         if tok.kind != "EOF":
             self.pos += 1
+            self.tok = self.toks[self.pos]
         return tok
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "EOF":
+        tok = self.tok
+        if tok.text != text:
             got = tok.text if tok.kind != "EOF" else "end of input"
             raise ParseError(f"expected {text!r}, got {got!r}", tok.line, tok.col)
         return self.take()
 
     def expect_name(self) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "NAME":
             got = tok.text if tok.kind != "EOF" else "end of input"
             raise ParseError(f"expected a name, got {got!r}", tok.line, tok.col)
         return self.take()
 
     def error(self, message: str) -> ParseError:
-        tok = self.peek()
+        tok = self.tok
         return ParseError(message, tok.line, tok.col)
 
     def term(self) -> ExprS:
@@ -262,7 +256,7 @@ class _Parser:
                 if not (self.at(")") or self.at(",")):
                     second = self.expr()
                     self.expect(")")
-                    self.pushed = (paren, _node(Appl, call_args[0], second))
+                    self.pushed, self.tok = _node(Appl, call_args[0], second), paren
                     break
                 while self.at(","):
                     self.take()
@@ -276,9 +270,9 @@ class _Parser:
 
     def atom(self) -> _Build:
         if self.pushed is not None:
-            e, self.pushed = self.pushed[1], None
+            e, self.pushed, self.tok = self.pushed, None, self.toks[self.pos]
             return e
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "NAME":
             self.take()
             if tok.text == "tau":
@@ -315,16 +309,18 @@ class _Parser:
 
     def _bracket(self) -> _Build:
         self.expect("[")
-        if self.peek().kind == "NAME" and self.peek(1).text == ":=":
+        toks, pos = self.toks, self.pos
+        if toks[pos].kind == "NAME" and toks[pos + 1].text == ":=":
             name = self.take().text
             self.take()
             defn = self.expr()
             self.expect("]")
             return _binder(InternalSubst, name, defn, self.expr())
-        i = 0
-        while self.peek(i).kind == "NAME" and self.peek(i + 1).text == ",":
+        # EOF ends the tokens, so a NAME always has a token after it
+        i = pos
+        while toks[i].kind == "NAME" and toks[i + 1].text == ",":
             i += 2
-        if not (self.peek(i).kind == "NAME" and self.peek(i + 1).text in (":", "!")):
+        if not (toks[i].kind == "NAME" and toks[i + 1].text in (":", "!")):
             return self._connective()
         groups: list[tuple[list[str], type, _Build]] = []
         while True:
@@ -350,12 +346,12 @@ class _Parser:
     def _connective(self) -> _Build:
         """An implication, product or sum: the separator after the first item decides."""
         items = [self.expr()]
-        kind = self.peek().text
+        kind = self.tok.text
         if kind not in (";", "=>", ",", "+", "]"):
             raise self.error("expected ',' or '+' in bracket")
         seps = (kind,) if kind in (",", "+") else (";", "=>")
         used: list[str] = []
-        while self.peek().text in seps:
+        while self.tok.text in seps:
             used.append(self.take().text)
             items.append(self.expr())
         self.expect("]")
@@ -435,7 +431,7 @@ class _Parser:
     # directives
 
     def document_body(self) -> Document:
-        while self.peek().kind != "EOF":
+        while self.tok.kind != "EOF":
             tok = self.expect_name()
             match tok.text:
                 case "context":
@@ -495,7 +491,7 @@ def parse_term(text: str, allowed_schemes: frozenset[str] = frozenset()) -> Expr
     """Parse one standalone expression."""
     parser = _Parser(tokenize(text), allowed_schemes, document=False)
     build = parser.expr()
-    tok = parser.peek()
+    tok = parser.tok
     if tok.kind != "EOF":
         raise ParseError(f"unexpected trailing input: {tok.text!r}", tok.line, tok.col)
     return build(())

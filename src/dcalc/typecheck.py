@@ -1,9 +1,10 @@
-"""Type synthesis and checking.
+"""Type synthesis and checking, of terms, contexts and whole documents.
 
 Every term has at most one type up to convertibility, so checking is
 synthesis followed by a normal-form comparison. Failures raise TypingError
 with a machine-readable kind, the path from the root of the offending term,
-and the expected/found types where that makes sense.
+and the expected/found types where that makes sense. check_document, the
+checker behind dcalc check, collects them for a parsed file instead.
 
 Binders are typed on a stack (Coquand's algorithm over the locally nameless
 representation): _synth carries the types of the binders it is under, and
@@ -18,6 +19,8 @@ opened every binder with a fresh variable would pick.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from .reduction import DEFAULT_FUEL, FuelExhausted, conv, reduce_nf
 from .syntax import (
@@ -48,6 +51,9 @@ from .syntax import (
     shift,
     to_text,
 )
+
+if TYPE_CHECKING:
+    from .parser import Document
 
 Path = tuple[int, ...]
 
@@ -295,6 +301,32 @@ def check_context(ctx: Context, fuel: int = DEFAULT_FUEL) -> None:
                 expected=err.expected,
                 found=err.found,
             ) from err
+
+
+def _typing_error(prefix: str, run) -> TypingError | None:
+    """What run() raises, as a TypingError whose message starts with prefix."""
+    try:
+        run()
+    except TypingError as err:
+        return TypingError(err.kind, prefix + err.message, err.path, err.expected, err.found)
+    except FuelExhausted as err:
+        return TypingError("FuelExhausted", f"{prefix}{err}")
+    return None
+
+
+def check_document(doc: Document, fuel: int = DEFAULT_FUEL) -> list[TypingError]:
+    """All typing errors in a parsed file: context, definitions, then checks."""
+    err = _typing_error("", lambda: check_context(doc.context, fuel))
+    if err is not None:
+        return [err]
+    found = [
+        _typing_error(f"definition {name}: ", lambda: synth(doc.context, body, fuel))
+        for name, body in doc.defs.items()
+    ] + [
+        _typing_error(f"line {item.line}: ", lambda: check(doc.context, item.term, item.ty, fuel))
+        for item in doc.checks
+    ]
+    return [error for error in found if error is not None]
 
 
 def valid(ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -> bool:

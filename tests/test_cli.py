@@ -2,12 +2,19 @@
 
 import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+from dcalc import cli
 from dcalc.cli import main
-from dcalc.corpus import corpus_text
+from dcalc.corpus import CORPUS_AXIOMS, corpus_text
+
+SRC = Path(cli.__file__).parents[1]
 
 OMEGA = "([x:tau](x x) [x:tau](x x))"
 
@@ -303,3 +310,47 @@ def test_a_file_that_is_not_utf8_is_an_input_diagnostic(tmp_path, corpus_file, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("IOError @ root: 'utf-8' codec can't decode")
+
+
+def test_the_cli_loads_neither_the_corpus_nor_the_explicit_engine():
+    script = (
+        "import sys, dcalc.cli; "
+        "print([m for m in ('dcalc.corpus', 'dcalc.explicit') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"
+
+
+def test_the_corpus_checks_on_python_3_10():
+    """pyproject.toml promises 3.10; PYENV_VERSION picks it where a pyenv shim stands in."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYENV_VERSION="3.10.13")
+    try:
+        probe = subprocess.run(
+            ["python3.10", "-c", "import sys; print(sys.version_info[:2])"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        probe = None
+    if probe is None or probe.stdout != "(3, 10)\n":
+        pytest.skip("no interpreter reporting 3.10 starts")
+    corpus = SRC / "dcalc" / "corpus"
+    for name, gate in sorted(CORPUS_AXIOMS.items()):
+        path = str(corpus / f"{name}.dc")
+        out = subprocess.run(
+            ["python3.10", "-m", "dcalc.cli", "check", "--axioms", ",".join(gate), path],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (out.returncode, out.stderr) == (0, ""), name
+        assert out.stdout.startswith(f"{path}: ok ("), name

@@ -14,7 +14,6 @@ from dcalc.corpus import (
     Imp,
     alpha_map,
     beta_map,
-    check_document,
     corpus_names,
     corpus_text,
     in_M1,
@@ -26,7 +25,7 @@ from dcalc.corpus import (
 from dcalc.parser import ParseError, parse_document, parse_term
 from dcalc.reduction import reduce_nf
 from dcalc.syntax import TAU, Context, Var
-from dcalc.typecheck import check
+from dcalc.typecheck import check, check_document
 
 
 def _parse(name):

@@ -19,12 +19,13 @@ from dcalc.explicit import (
 )
 from dcalc.parser import parse_term
 from dcalc.reduction import FuelExhausted, reduce_nf
-from dcalc.syntax import TAU, Bound, InternalSubst, Product, UnivAbs, Var, pending_path
+from dcalc.syntax import TAU, Bound, Context, InternalSubst, Product, UnivAbs, Var, pending_path
 
 a, b = Var("a"), Var("b")
 
 
 def test_env_basics():
+    assert Env is Context
     env = Env((("x", TAU), ("y", a)))
     assert "x" in env and "z" not in env
     assert env.lookup("y") == a

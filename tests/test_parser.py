@@ -8,7 +8,6 @@ from helpers import parse_record
 
 from dcalc import parser, syntax
 from dcalc.axioms import instance_name, resolve_axiom_gate
-from dcalc.corpus import check_document
 from dcalc.parser import ParseError, _Parser, parse_document, parse_term, tokenize
 from dcalc.syntax import (
     TAU,
@@ -28,6 +27,7 @@ from dcalc.syntax import (
     UnivAbs,
     Var,
 )
+from dcalc.typecheck import check_document
 
 ALL = resolve_axiom_gate(["all"])
 
