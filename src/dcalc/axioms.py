@@ -14,6 +14,7 @@ inserting the cast-family instances it needs as it goes.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .reduction import DEFAULT_FUEL, reduce_nf
@@ -37,8 +38,8 @@ from .syntax import (
     Sum,
     UnivAbs,
     Var,
-    children,
     close_binder,
+    fold,
     free_vars,
     fresh_name,
 )
@@ -113,8 +114,7 @@ _TAGS = {
 }
 
 
-def canonical(e: Expr) -> str:
-    """Deterministic serialization ignoring binder hints."""
+def _serialize(e: Expr, parts: Sequence[str]) -> str:
     t = type(e)
     if t is Prim:
         return "tau"
@@ -124,7 +124,12 @@ def canonical(e: Expr) -> str:
         return f"(b {e.index})"
     if t not in _TAGS:
         raise ValueError(f"unrecognized term: {e!r}")
-    return f"({' '.join([_TAGS[t], *map(canonical, children(e))])})"
+    return f"({' '.join([_TAGS[t], *parts])})"
+
+
+def canonical(e: Expr) -> str:
+    """Deterministic serialization ignoring binder hints."""
+    return fold(e, _serialize)
 
 
 def instance_name(scheme: str, indices: tuple[Expr, ...]) -> str:
@@ -376,8 +381,7 @@ class _Translator:
         raise ValueError(f"unrecognized term: {pe!r}")
 
     def _pick(self, hint: str, locals_: list[tuple[str, Expr]]) -> str:
-        taken = self.global_names() | {n for n, _ in locals_}
-        return fresh_name(hint, taken)
+        return fresh_name(hint, self.global_names(), {n for n, _ in locals_})
 
     def _synth(self, e: Expr, locals_: list[tuple[str, Expr]]) -> Expr:
         try:

@@ -20,7 +20,7 @@ from .axioms import resolve_axiom_gate
 from .norms import norm, norm_to_text
 from .parser import ParseError, parse_document, parse_term
 from .reduction import DEFAULT_FUEL, FuelExhausted, reduce_nf, reduce_trace, render_trace
-from .semantics import encode, lam_to_text, strip
+from .semantics import encode, strip
 from .syntax import Context, ExprS, path_text, pending_path, to_text
 from .typecheck import TypingError, check_document, synth
 
@@ -55,7 +55,7 @@ def _diagnostic(err: Exception) -> dict:
         case FuelExhausted():
             return {"kind": "FuelExhausted", "path": "root", "message": str(err)}
         case RecursionError():
-            # printing the term would recurse as deep again
+            # the parser may give up before there is a term, so none is shown
             limit = sys.getrecursionlimit()
             message = f"input nested too deeply for the recursion limit ({limit})"
             return {"kind": "DepthExceeded", "path": "root", "message": message}
@@ -181,7 +181,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_sem(args: argparse.Namespace) -> int:
     e = _expr_arg(args, "Untranslatable", "pending substitutions have no translation")
-    print(lam_to_text(encode(e) if args.encode else strip(e)))
+    print(to_text(encode(e) if args.encode else strip(e)))
     return 0
 
 

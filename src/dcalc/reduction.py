@@ -27,7 +27,7 @@ strictly decreasing weight and is confluent, so it runs without fuel.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from .syntax import (
     Appl,
@@ -48,6 +48,7 @@ from .syntax import (
     ExistAbs,
     Var,
     children,
+    fold,
     open_binder,
     path_text,
     plug,
@@ -64,9 +65,8 @@ Rule = Callable[[ExprS, ExprS], "tuple[str, ExprS] | None"]
 
 
 class FuelExhausted(Exception):
-    def __init__(self, e, fuel: int, text: str | None = None):
-        shown = to_text(e) if text is None else text
-        super().__init__(f"no normal form within {fuel} steps: {shown}")
+    def __init__(self, e, fuel: int):
+        super().__init__(f"no normal form within {fuel} steps: {to_text(e)}")
         self.expr = e
         self.fuel = fuel
 
@@ -122,19 +122,19 @@ def _fire(rules: dict[tuple[type, type], Rule], e: ExprS) -> tuple[str, ExprS] |
     return None if rule is None else rule(e, head)
 
 
-def _drive(step, e, fuel: int | None = None, trace: list | None = None, show=to_text):
+def _drive(step, e, fuel: int | None = None, trace: list | None = None):
     """Apply step from e until it returns None, and return the last term.
 
     step(cur) gives None at a normal form, else the next term or a tuple
     ending with it; trace, when given, collects what step gave. With fuel,
-    at most fuel steps are taken, and FuelExhausted (naming e, printed by
-    show) is raised when a further step is available. Without fuel the
-    caller guarantees termination.
+    at most fuel steps are taken, and FuelExhausted (naming e) is raised
+    when a further step is available. Without fuel the caller guarantees
+    termination.
     """
     cur, taken = e, 0
     while (found := step(cur)) is not None:
         if fuel is not None and taken >= fuel:
-            raise FuelExhausted(e, fuel, show(e))
+            raise FuelExhausted(e, fuel)
         taken += 1
         cur = found[-1] if type(found) is tuple else found
         if trace is not None:
@@ -155,7 +155,7 @@ def _plugged(find: Callable[[ExprS], Step | None]) -> Callable[[ExprS], Step | N
     return step
 
 
-def _normalize(e: ExprS, rules, positions, fuel: int | None, show=to_text) -> ExprS:
+def _normalize(e: ExprS, rules, positions, fuel: int | None) -> ExprS:
     """The normal form of e, reached by the steps the trace of rules takes.
 
     rules and positions are as for _every_redex. A node fires its rule, or
@@ -164,15 +164,14 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None, show=to_text) -> Ex
     it now fires: a rule looks only at the root types of its node's
     components, so a contraction can only make a redex of its parent. Every
     other node before it in leftmost-outermost order is already normal, so
-    the steps are exactly the trace's. Fuel counts steps, and show prints e,
-    as _drive does.
+    the steps are exactly the trace's. Fuel counts steps, as _drive does.
     """
     taken = 0
 
     def contract(found: tuple[str, ExprS]) -> ExprS:
         nonlocal taken
         if fuel is not None and taken >= fuel:
-            raise FuelExhausted(e, fuel, show(e))
+            raise FuelExhausted(e, fuel)
         taken += 1
         return found[1]
 
@@ -337,11 +336,12 @@ def neg_nf(e: ExprS) -> ExprS:
     return _normalize(e, NEG_RULES, _neg_positions, None)
 
 
+def _weigh(e: ExprS, kids: Sequence[int]) -> int:
+    if type(e) is Neg:
+        return (kids[0] + 1) ** 2
+    return 1 + sum(kids)
+
+
 def neg_weight(e: ExprS) -> int:
     """Termination weight for negation reduction; strictly drops per step."""
-    match e:
-        case Prim() | Var() | Bound():
-            return 1
-        case Neg(inner):
-            return (neg_weight(inner) + 1) ** 2
-    return 1 + sum(neg_weight(c) for c in children(e))
+    return fold(e, _weigh)

@@ -4,14 +4,15 @@ The stripping mapping erases types: both abstraction forms become lambdas,
 pairing constructs become Church pairs, projections apply a selector, and
 negation vanishes. The encoding mapping instead keeps domains as data,
 pairing every abstraction with its domain; application first projects the
-function component. Both leave the inert constant pi^ for tau.
+function component. Both map tau to the free name pi^, which no parsed term
+can contain.
 
 Both translate in one pass: a binder reference becomes the index of its
 abstraction's lambda at once, from the lambda depth at which each enclosing
 abstraction's image sits, so no binder is opened and no lambda closed.
 
-Lambda terms are the kernel's own nodes: Prim (printed pi^), Var, Bound, Appl
-and syntax.Lam, so syntax shifts and opens them as it does any binder.
+Lambda terms are the kernel's own nodes: Var, Bound, Appl and syntax.Lam, so
+syntax shifts, opens and prints them as it does any term.
 beta_step is the normal-order step and the executable specification; beta_nf
 is reduction._normalize over the one rule beta, the walk behind reduce_nf,
 and takes the same steps.
@@ -23,7 +24,6 @@ from collections.abc import Callable
 
 from .reduction import DEFAULT_FUEL, _first_redex, _normalize
 from .syntax import (
-    TAU,
     Appl,
     Bound,
     Case,
@@ -48,10 +48,10 @@ from .syntax import (
 )
 
 # The lambda side's names for the kernel nodes it is built from; PI is the
-# image of tau, printed pi^.
+# image of tau, a name the parser cannot produce.
 LApp, LVar, LBound = Appl, Var, Bound
-LambdaTerm = Prim | Var | Bound | Lam | Appl
-PI = TAU
+LambdaTerm = Var | Bound | Lam | Appl
+PI = Var("pi^")
 
 # The one rule of the untyped lambda calculus, in reduction.RULES's form.
 BETA_RULES = {(Appl, Lam): lambda e, f: ("beta", open_binder(f.body, e.arg))}
@@ -76,7 +76,7 @@ def beta_step(e: LambdaTerm) -> LambdaTerm | None:
 
 def beta_nf(e: LambdaTerm, fuel: int | None = DEFAULT_FUEL) -> LambdaTerm:
     """The normal form of e, reached by the steps beta_step takes."""
-    return _normalize(e, BETA_RULES, None, fuel, lam_to_text)
+    return _normalize(e, BETA_RULES, None, fuel)
 
 
 def is_beta_normal(e: LambdaTerm) -> bool:
@@ -109,7 +109,9 @@ def _translate(
 ) -> LambdaTerm:
     """The cases strip and encode share; go translates the components."""
     match e:
-        case Prim() | Var():
+        case Prim():
+            return PI
+        case Var():
             return e
         case Bound(index):
             if index < len(binders):
@@ -180,21 +182,3 @@ def encode(
             k = Appl(Bound(1 if isinstance(e, InjL) else 0), _UV)
             return _lam2(Appl(k, encode(val, avoid | {"x", "y"}, _depth + 2, _binders)))
     return _translate(e, avoid, _depth, _binders, encode)
-
-
-def lam_to_text(e: LambdaTerm, _env: tuple[str, ...] = ()) -> str:
-    match e:
-        case Prim():
-            return "pi^"
-        case Var(name):
-            return name
-        case Bound(index):
-            if index < len(_env):
-                return _env[index]
-            return f"?b{index}"
-        case Lam(body, hint):
-            x = fresh_name(hint, set(_env) | free_vars(body))
-            return f"\\{x}.{lam_to_text(body, (x, *_env))}"
-        case Appl(fun, arg):
-            return f"({lam_to_text(fun, _env)} {lam_to_text(arg, _env)})"
-    raise ValueError(f"unrecognized term: {e!r}")

@@ -11,17 +11,20 @@ their body, protected definitions over their tag, internal substitutions over
 their body. Instantiating a binder shifts dangling indices of the replacement
 so that terms plugged in under further binders stay well-formed.
 
-One table states each node type's components, and children, replace_child
-and the depth-tracking map ``_map_leaves`` read it, so every traversal is the
-same binder-aware walk. The untyped lambda terms of ``semantics`` are built
-from these nodes too, with ``Lam`` as one more binder.
+One table states each node type's components, and children, replace_child,
+the depth-tracking map ``_map_leaves`` and ``walk`` read it. ``walk`` is the
+one pre-order traversal, on a stack of its own, and ``fold`` folds bottom-up
+on it; the read-only walks and the printer use them and do not recurse. The
+untyped lambda terms of ``semantics`` are built from these nodes too, with
+``Lam`` as one more binder, and print through ``to_text`` as well.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Container, Iterator, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import TypeVar
 
 
 @dataclass(frozen=True)
@@ -139,11 +142,11 @@ class InternalSubst:
 class Lam:
     """Untyped lambda ``\\x.body``, for the images of semantics.strip/encode.
 
-    Not part of the calculus: lambda terms are built from Prim, Var, Bound,
-    Appl and Lam, so the binder handling here serves both.
+    Not part of the calculus: lambda terms are built from Var, Bound, Appl
+    and Lam, so the binder handling and the printer here serve both.
     """
 
-    body: "Prim | Var | Bound | Appl | Lam"
+    body: "Var | Bound | Appl | Lam"
     hint: str = field(default="x", compare=False)
 
 
@@ -168,6 +171,8 @@ Expr = (
 ExprS = Expr | InternalSubst
 
 TAU = Prim()
+
+T = TypeVar("T")
 
 # The components of every node type, in order. They come first among the
 # constructor's arguments; a binder's hint follows them.
@@ -206,6 +211,8 @@ def _getter(names: tuple[str, ...]) -> Callable[[ExprS], tuple[ExprS, ...]]:
 
 
 _CHILDREN = {t: _getter(names) for t, names in _COMPONENTS.items()}
+_ARITY = {t: len(names) for t, names in _COMPONENTS.items()}
+_LEAVES = {t for t, k in _ARITY.items() if k == 0}
 
 
 def children(e: ExprS) -> tuple[ExprS, ...]:
@@ -247,27 +254,63 @@ def path_text(path: tuple[int, ...]) -> str:
     return ".".join(map(str, path)) or "root"
 
 
+def walk(e: ExprS) -> Iterator[tuple[ExprS, int]]:
+    """Every node of e in pre-order, with the number of binders whose scope it is in.
+
+    The walk keeps its own stack, so it goes as deep as the term does.
+    """
+    todo = [(e, 0)]
+    pop, push = todo.pop, todo.append
+    while todo:
+        item = pop()
+        yield item
+        node, depth = item
+        t = type(node)
+        if t in _LEAVES:
+            continue
+        scoped = _SCOPED_INDEX.get(t)
+        kids = _CHILDREN[t](node)
+        i = len(kids)
+        for kid in reversed(kids):
+            i -= 1
+            push((kid, depth + 1 if i == scoped else depth))
+
+
+def fold(e: ExprS, f: Callable[[ExprS, Sequence], T]) -> T:
+    """f(node, the values of its components in order), bottom-up; e's value.
+
+    Walks the pre-order backwards, so a node comes after its components,
+    whose values then sit on top of one stack, the first component's last.
+    """
+    values: list = []
+    for node, _ in reversed(list(walk(e))):
+        k = len(values) - _ARITY[type(node)]
+        kids = values[k:][::-1]
+        del values[k:]
+        values.append(f(node, kids))
+    return values[0]
+
+
+def _first_pending(e: ExprS, found: Sequence[tuple | None]) -> tuple | None:
+    """The path to the first pending substitution, nested: () at one, else (i, the
+    nested path in component i) for the first component i that has one, else None.
+    """
+    if type(e) is InternalSubst:
+        return ()
+    return next(((i, at) for i, at in enumerate(found) if at is not None), None)
+
+
 def pending_path(e: ExprS) -> tuple[int, ...] | None:
     """The path of the leftmost-outermost pending substitution in e, or None."""
-    if isinstance(e, InternalSubst):
-        return ()
-    for i, c in enumerate(children(e)):
-        at = pending_path(c)
-        if at is not None:
-            return (i,) + at
-    return None
+    at, path = fold(e, _first_pending), []
+    while at:
+        i, at = at
+        path.append(i)
+    return None if at is None else tuple(path)
 
 
 def free_vars(e: ExprS) -> set[str]:
-    match e:
-        case Prim() | Bound():
-            return set()
-        case Var(name):
-            return {name}
-    out: set[str] = set()
-    for c in children(e):
-        out |= free_vars(c)
-    return out
+    return {node.name for node, _ in walk(e) if type(node) is Var}
 
 
 def _map_leaves(e: ExprS, leaf: Callable[[Var | Bound, int], ExprS], depth: int) -> ExprS:
@@ -345,35 +388,24 @@ def close_binder(scoped: ExprS, x: str) -> ExprS:
 
 def binder_used(scoped: ExprS) -> bool:
     """True when a binder's scoped component actually references the binder."""
-
-    def go(e: ExprS, depth: int) -> bool:
-        match e:
-            case Prim() | Var():
-                return False
-            case Bound(index):
-                return index == depth
-        scoped_i = scoped_index(e)
-        return any(
-            go(c, depth + 1 if i == scoped_i else depth) for i, c in enumerate(children(e))
-        )
-
-    return go(scoped, 0)
+    return any(type(node) is Bound and node.index == depth for node, depth in walk(scoped))
 
 
 def size(e: ExprS) -> int:
-    match e:
-        case Prim() | Var() | Bound():
-            return 1
-    return 1 + sum(size(c) for c in children(e))
+    return sum(1 for _ in walk(e))
 
 
-def fresh_name(hint: str, avoid: set[str]) -> str:
-    if hint not in avoid:
-        return hint
-    i = 1
-    while f"{hint}{i}" in avoid:
+def fresh_name(hint: str, *avoid: Container[str]) -> str:
+    """hint, or hint with the least suffix 1, 2, ... that none of avoid holds."""
+    name, i = hint, 0
+    while True:
+        for names in avoid:
+            if name in names:
+                break
+        else:
+            return name
         i += 1
-    return f"{hint}{i}"
+        name = f"{hint}{i}"
 
 
 class Context:
@@ -438,14 +470,7 @@ class Context:
         return Context(self.entries + ((name, ty),))
 
     def fresh(self, hint: str, avoid: set[str] | None = None) -> str:
-        taken = self.names()
-        if avoid:
-            taken |= avoid
-        return fresh_name(hint, taken)
-
-
-# What separates the bound name from the first component in a bracket binder.
-_BINDS = {UnivAbs: ":", ExistAbs: "!", InternalSubst: ":="}
+        return fresh_name(hint, self, avoid or ())
 
 
 def _postfix_safe(e: ExprS) -> bool:
@@ -462,57 +487,94 @@ def _reads_as_call(e: ExprS) -> bool:
     return False
 
 
+def _application(e: Appl) -> tuple:
+    if not _reads_as_call(e.arg):
+        return "(", e.fun, " ", e.arg, ")"
+    # print the call f(a), with f closed so the call takes all of it
+    if _postfix_safe(e.fun):
+        return "(", e.fun, "(", e.arg, "))"
+    return "((", e.fun, ")(", e.arg, "))"
+
+
+# What each compound node prints as, in order: text, components, and the
+# scope of its binder, named x, between (x,) and None.
+_LAYOUT: dict[type, Callable[[ExprS, str], tuple]] = {
+    UnivAbs: lambda e, x: (f"[{x}:", e.dom, "]", (x,), e.body, None),
+    ExistAbs: lambda e, x: (f"[{x}!", e.dom, "]", (x,), e.body, None),
+    InternalSubst: lambda e, x: (f"[{x}:=", e.defn, "]", (x,), e.body, None),
+    Lam: lambda e, x: (f"\\{x}.", (x,), e.body, None),
+    ProtDef: lambda e, x: (f"<{x}:=", e.witness, ", ", e.proof, " : ", (x,), e.tag, None, ">"),
+    Appl: lambda e, _: _application(e),
+    ProjL: lambda e, _: (e.e, ".1") if _postfix_safe(e.e) else ("(", e.e, ").1"),
+    ProjR: lambda e, _: (e.e, ".2") if _postfix_safe(e.e) else ("(", e.e, ").2"),
+    Product: lambda e, _: ("[", e.l, ",", e.r, "]"),
+    Sum: lambda e, _: ("[", e.l, "+", e.r, "]"),
+    InjL: lambda e, _: ("inl(", e.val, ",", e.rtag, ")"),
+    InjR: lambda e, _: ("inr(", e.ltag, ",", e.val, ")"),
+    Case: lambda e, _: ("case(", e.left, ",", e.right, ")"),
+    Neg: lambda e, _: ("~", e.e),
+}
+
+
+def _names_below(e: ExprS) -> dict[int, AbstractSet[str]]:
+    """The names free in each binder's scoped component, keyed by the binder's id."""
+    below: dict[int, AbstractSet[str]] = {}
+
+    def names(node: ExprS, kids: Sequence[AbstractSet[str]]) -> AbstractSet[str]:
+        if type(node) is Var:
+            return {node.name}
+        if type(node) in _SCOPED_INDEX:
+            below[id(node)] = kids[_SCOPED_INDEX[type(node)]]
+        out: AbstractSet[str] = frozenset()
+        for k in kids:
+            if k:
+                out = out | k if out else k  # a component's own set, while it is the only one
+        return out
+
+    fold(e, names)
+    return below
+
+
 def to_text(e: ExprS) -> str:
-    """Print a term; binder hints are freshened so reparsing gives the same term."""
+    """Print a term; binder hints are freshened so reparsing gives the same term.
 
-    def go(e: ExprS, env: list[str]) -> str:
-        match e:
-            case Prim():
-                return "tau"
-            case Var(name):
-                return name
-            case Bound(index):
-                if index < len(env):
-                    return env[index]
-                return f"?b{index - len(env)}"
-            case UnivAbs(a, body, hint) | ExistAbs(a, body, hint) | InternalSubst(a, body, hint):
-                x = fresh_name(hint, set(env) | free_vars(body))
-                return f"[{x}{_BINDS[type(e)]}{go(a, env)}]{go(body, [x] + env)}"
-            case Appl(fun, arg):
-                f, a = go(fun, env), go(arg, env)
-                if not _reads_as_call(arg):
-                    return f"({f} {a})"
-                # print the call f(a), with f closed so the call takes all of it
-                return f"({f}({a}))" if _postfix_safe(fun) else f"(({f})({a}))"
-            case ProtDef(witness, proof, tag, hint):
-                x = fresh_name(hint, set(env) | free_vars(tag))
-                w = go(witness, env)
-                p = go(proof, env)
-                return f"<{x}:={w}, {p} : {go(tag, [x] + env)}>"
-            case ProjL(inner):
-                s = go(inner, env)
-                return f"{s}.1" if _postfix_safe(inner) else f"({s}).1"
-            case ProjR(inner):
-                s = go(inner, env)
-                return f"{s}.2" if _postfix_safe(inner) else f"({s}).2"
-            case Product(l, r):
-                return f"[{go(l, env)},{go(r, env)}]"
-            case Sum(l, r):
-                return f"[{go(l, env)}+{go(r, env)}]"
-            case InjL(val, rtag):
-                return f"inl({go(val, env)},{go(rtag, env)})"
-            case InjR(ltag, val):
-                return f"inr({go(ltag, env)},{go(val, env)})"
-            case Case(l, r):
-                return f"case({go(l, env)},{go(r, env)})"
-            case Neg(inner):
-                return f"~{go(inner, env)}"
-            case Lam(body, hint):
-                x = fresh_name(hint, set(env) | free_vars(body))
-                return f"\\{x}.{go(body, [x] + env)}"
-        raise AssertionError(f"unreachable: {e!r}")
-
-    return go(e, [])
+    A binder's name differs from those of the binders around it and from
+    the names free in its scope; the latter are folded up only once a name
+    free somewhere in e is picked. A dangling index prints as ?bK, K counted
+    past the root.
+    """
+    free = free_vars(e)
+    below: dict[int, AbstractSet[str]] = {}
+    out: list[str] = []
+    names: list[str] = []  # the enclosing binders' names, innermost last
+    taken: set[str] = set()
+    todo: list = [e]  # what is left to print, as _LAYOUT gives it, last first
+    while todo:
+        item = todo.pop()
+        t = type(item)
+        if t is str:
+            out.append(item)
+        elif t is Var:
+            out.append(item.name)
+        elif t is Bound:
+            k = item.index
+            out.append(names[-1 - k] if k < len(names) else f"?b{k - len(names)}")
+        elif t is Prim:
+            out.append("tau")
+        elif t is tuple:
+            names.append(item[0])
+            taken.add(item[0])
+        elif item is None:
+            taken.remove(names.pop())
+        else:
+            x = ""
+            if t in _SCOPED_INDEX:
+                x = fresh_name(item.hint, taken)
+                if x in free:  # x may be free in the scope: look there
+                    below = below or _names_below(e)
+                    x = fresh_name(item.hint, taken, below[id(item)])
+            todo += reversed(_LAYOUT[t](item, x))
+    return "".join(out)
 
 
 for _cls in _COMPONENTS:

@@ -6,7 +6,7 @@ Usage, from the repository root:
         > tests/data/sem_golden.jsonl
 
 Each output line is one JSON object made by helpers.sem_record: the input
-text, its strip and encode images printed by lam_to_text, their beta normal
+text, its strip and encode images printed by to_text, their beta normal
 forms, and the explicit-substitution trace with every rule name and printed
 term. The inputs cover hand-picked terms whose binder names clash with the
 names the translations introduce (z, x, y, u, v), the corpus deductions and

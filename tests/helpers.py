@@ -19,7 +19,7 @@ from dcalc.corpus import corpus_names, load_corpus
 from dcalc.explicit import Env, mu_trace
 from dcalc.parser import parse_document, parse_term
 from dcalc.reduction import DEFAULT_FUEL, FuelExhausted, NormalClass, classify_nf
-from dcalc.semantics import beta_nf, encode, lam_to_text, strip
+from dcalc.semantics import beta_nf, encode, strip
 from dcalc.syntax import (
     TAU,
     Appl,
@@ -379,9 +379,9 @@ def sem_record(text: str) -> dict:
         except ValueError as err:
             out[name] = f"ValueError: {err}"
             continue
-        out[name] = lam_to_text(img)
+        out[name] = to_text(img)
         try:
-            out[f"beta_{name}"] = lam_to_text(beta_nf(img, SEM_FUEL))
+            out[f"beta_{name}"] = to_text(beta_nf(img, SEM_FUEL))
         except FuelExhausted as err:
             out[f"beta_{name}"] = f"FuelExhausted: {err}"
     try:

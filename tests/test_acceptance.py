@@ -46,7 +46,6 @@ from dcalc.semantics import (
     beta_nf,
     beta_step,
     encode,
-    lam_to_text,
     strip,
 )
 from dcalc.syntax import (
@@ -378,9 +377,9 @@ def test_worked_translations_reproduce_their_lambda_terms():
     ded = parse_term("[p:tau][q:tau][x:p][y:[z:p]q](y x)")
     enc = encode(ident)
     ok = strip(ident) == Lam(Lam(LBound(0)))
-    ok = ok and lam_to_text(strip(ident)) == "\\x.\\y.y"
+    ok = ok and to_text(strip(ident)) == "\\x.\\y.y"
     ok = ok and strip(ded) == Lam(Lam(Lam(Lam(LApp(LBound(0), LBound(1))))))
-    ok = ok and lam_to_text(strip(ded)) == "\\p.\\q.\\x.\\y.(y x)"
+    ok = ok and to_text(strip(ded)) == "\\p.\\q.\\x.\\y.(y x)"
     ok = ok and encode(TAU) == PI
     ok = ok and enc == Lam(
         LApp(
@@ -388,7 +387,7 @@ def test_worked_translations_reproduce_their_lambda_terms():
             Lam(Lam(LApp(LApp(LBound(0), LBound(1)), Lam(LBound(0))))),
         )
     )
-    ok = ok and lam_to_text(enc) == "\\z.((z pi^) \\x.\\z1.((z1 x) \\y.y))"
+    ok = ok and to_text(enc) == "\\z.((z pi^) \\x.\\z1.((z1 x) \\y.y))"
     ok = ok and beta_nf(encode(parse_term("<x:=tau, tau : ~x>.1"))) == PI
     report(
         "worked-translations",

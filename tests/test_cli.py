@@ -269,7 +269,7 @@ def test_deep_input_is_a_depth_diagnostic(argv, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    # one line, without the term: printing it would recurse as deep again
+    # one line, without the term: the parser may give up before there is one
     assert captured.err.startswith("DepthExceeded @ root: input nested too deeply")
     assert captured.err.count("\n") == 1
     assert main([*argv, "--json"]) == 1

@@ -26,8 +26,8 @@ from dcalc.reduction import (
     reduce_nf,
     reduce_trace,
 )
-from dcalc.semantics import beta_nf, beta_step, encode, lam_to_text, strip
-from dcalc.syntax import Context, children
+from dcalc.semantics import beta_nf, beta_step, encode, strip
+from dcalc.syntax import Context, children, to_text
 from dcalc.typecheck import synth
 
 # Needs beta1, beta1 and nu1 in the plain reducer; seven steps with pending
@@ -124,7 +124,7 @@ def _neg_trace_fuel(e, fuel):
 
 def _beta_trace(e, fuel):
     trace = []
-    reduction._drive(beta_step, e, fuel, trace, show=lam_to_text)
+    reduction._drive(beta_step, e, fuel, trace)
     return [("beta", t) for t in trace]
 
 
@@ -233,13 +233,13 @@ BINDER_CHAIN = "".join(f"[x{i}:tau]" for i in range(100)) + "[x0,inl(x99,tau)].1
 def test_translations_map_indices_in_one_pass(translate, monkeypatch):
     """No binder is opened, and no image is walked again to close a lambda."""
     e = parse_term(BINDER_CHAIN)
-    expected = lam_to_text(translate(e))
+    expected = to_text(translate(e))
     calls = Counter()
     for module in (syntax, semantics):
         if hasattr(module, "open_binder"):
             _counting(monkeypatch, calls, module, "open_binder")
     _counting(monkeypatch, calls, syntax, "_map_leaves")
-    assert lam_to_text(translate(e)) == expected
+    assert to_text(translate(e)) == expected
     assert calls == Counter()
 
 
@@ -412,3 +412,57 @@ print(type(synth(Context(), e)).__name__)
 
 def test_synth_types_binders_to_the_old_depth():
     assert _fresh_interpreter(SYNTH_DEPTH).split() == ["UnivAbs"]
+
+
+# A spent substitution [x:=tau] over a body 900 binders deep: deciding that
+# the body does not use x walks all of it, and rem then drops the binder.
+SPENT_SUBST_DEPTH = """
+from dcalc.explicit import Env, def_eval_nf, mu_nf
+from dcalc.syntax import TAU, Bound, InternalSubst, UnivAbs, to_text
+
+body = Bound(0)
+for i in range(900):
+    body = UnivAbs(TAU, body, f"x{i}")
+e = InternalSubst(TAU, body)
+for run in (lambda: mu_nf(Env(), e), lambda: def_eval_nf(Env(), e)):
+    print(to_text(run()) == to_text(body))
+"""
+
+
+def test_engines_drop_a_spent_substitution_over_deep_binders():
+    assert _fresh_interpreter(SPENT_SUBST_DEPTH).split() == ["True", "True"]
+
+
+# The read-only walks and the printer on a chain of 10^4 binders built
+# without the parser, at the default recursion limit: none of them recurses.
+# Only ints, strings and sets are compared, since == and hash of the nodes
+# recurse.
+READ_ONLY_DEPTH = """
+from dcalc.axioms import canonical
+from dcalc.reduction import neg_weight
+from dcalc.semantics import PI, LApp, LBound, Lam
+from dcalc.syntax import (
+    TAU, Bound, InternalSubst, UnivAbs, Var, binder_used, free_vars, pending_path, size,
+    to_text,
+)
+
+n = 10_000
+e = InternalSubst(Var("a"), Bound(n))
+for i in range(n - 1, -1, -1):
+    e = UnivAbs(TAU, e, f"x{i}")
+lam = LApp(LBound(n - 1), PI)
+for i in range(n - 1, -1, -1):
+    lam = Lam(lam, f"y{i}")
+print(free_vars(e) == {"a"})
+print(size(e) == neg_weight(e) == 2 * n + 3)
+print(binder_used(e.body), not binder_used(e.body.body))
+print(pending_path(e) == (1,) * n)
+print(canonical(e) == "(U tau " * n + f"(s (v a) (b {n}))" + ")" * n)
+print(to_text(e) == "".join(f"[x{i}:tau]" for i in range(n)) + "[x:=a]x0")
+print(to_text(lam) == "".join(f"\\\\y{i}." for i in range(n)) + "(y0 pi^)")
+"""
+
+
+def test_read_only_walks_and_the_printer_take_any_depth():
+    lines = _fresh_interpreter(READ_ONLY_DEPTH).split()
+    assert lines == ["True"] * 8

@@ -18,11 +18,10 @@ from dcalc.semantics import (
     beta_step,
     encode,
     is_beta_normal,
-    lam_to_text,
     strip,
 )
 from dcalc.reduction import FuelExhausted
-from dcalc.syntax import TAU, Bound, ExistAbs, InternalSubst, UnivAbs, Var
+from dcalc.syntax import TAU, Bound, ExistAbs, InternalSubst, UnivAbs, Var, to_text
 
 la, lb = LVar("a"), LVar("b")
 FST = Lam(Lam(LBound(1)))
@@ -34,25 +33,25 @@ def test_leaves():
     assert encode(TAU) == PI
     assert strip(Var("a")) == la
     assert encode(Var("a")) == la
-    assert lam_to_text(PI) == "pi^"
+    assert to_text(PI) == "pi^"
 
 
 def test_strip_forgets_domains():
     e = parse_term("[x:tau][y:x]y")
     assert strip(e) == Lam(Lam(LBound(0)))
-    assert lam_to_text(strip(e)) == "\\x.\\y.y"
+    assert to_text(strip(e)) == "\\x.\\y.y"
     assert strip(parse_term("[x!tau]x")) == Lam(LBound(0))
     # the modus-ponens deduction strips to an application of its premises
     mp = parse_term("[x:a;y:[a => b]](y x)")
     assert strip(mp) == Lam(Lam(LApp(LBound(0), LBound(1))))
-    assert lam_to_text(strip(mp)) == "\\x.\\y.(y x)"
+    assert to_text(strip(mp)) == "\\x.\\y.(y x)"
 
 
 def test_encode_carries_domains():
     e = parse_term("[x:tau][y:x]y")
     inner = Lam(Lam(LApp(LApp(LBound(0), LBound(1)), Lam(LBound(0)))))
     assert encode(e) == Lam(LApp(LApp(LBound(0), PI), inner))
-    assert lam_to_text(encode(e)) == "\\z.((z pi^) \\x.\\z1.((z1 x) \\y.y))"
+    assert to_text(encode(e)) == "\\z.((z pi^) \\x.\\z1.((z1 x) \\y.y))"
 
 
 def test_encode_application_discards_the_operator_domain():
@@ -94,7 +93,7 @@ def test_injections_do_not_capture_free_x_or_y():
     assert strip(parse_term("inr(tau,y)")) == Lam(Lam(LApp(LBound(0), ly)))
     assert encode(parse_term("inl(x,tau)")) == Lam(Lam(LApp(LApp(LBound(1), SND), lx)))
     assert encode(parse_term("inr(tau,y)")) == Lam(Lam(LApp(LApp(LBound(0), SND), ly)))
-    assert lam_to_text(strip(parse_term("inl(x,tau)"))) == "\\x1.\\y.(x1 x)"
+    assert to_text(strip(parse_term("inl(x,tau)"))) == "\\x1.\\y.(x1 x)"
 
 
 def test_negation_vanishes():
@@ -158,11 +157,11 @@ def test_beta_nf_fuel():
         beta_nf(LApp(lw, lw), fuel=20)
 
 
-def test_lam_to_text_freshens_and_marks_dangling_references():
-    assert lam_to_text(Lam(Lam(LApp(LBound(1), LBound(0))))) == "\\x.\\x1.(x x1)"
-    assert lam_to_text(Lam(LApp(LBound(0), la), "y")) == "\\y.(y a)"
-    assert lam_to_text(LBound(0)) == "?b0"
-    assert lam_to_text(Lam(LBound(1))) == "\\x.?b1"
+def test_lambda_terms_print_with_fresh_names_and_dangling_references():
+    assert to_text(Lam(Lam(LApp(LBound(1), LBound(0))))) == "\\x.\\x1.(x x1)"
+    assert to_text(Lam(LApp(LBound(0), la), "y")) == "\\y.(y a)"
+    assert to_text(LBound(0)) == "?b0"
+    assert to_text(Lam(LBound(1))) == "\\x.?b0"
 
 
 GOLDEN = Path(__file__).parent / "data" / "sem_golden.jsonl"

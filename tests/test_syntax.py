@@ -1,5 +1,7 @@
 """Structural operations on the locally nameless term representation."""
 
+import sys
+
 import pytest
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -245,3 +247,40 @@ def test_to_text_dangling_index():
 @hyp.example(Appl(_univ("a", TAU, TAU), ProjR(ProjL(Neg(TAU)))))
 def test_printing_then_parsing_restores_the_term(e):
     assert parse_term(to_text(e)) == e
+
+
+def _calls_while_printing(e) -> int:
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        to_text(e)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_printing_a_binder_chain_takes_linear_work():
+    """[x1:tau][x2:x1]...[xn:x(n-1)]b: a binder's name needs no walk of its scope.
+
+    The hints differ, so each binder keeps its own, except that x1 is renamed
+    where b is a free x1. Binders that all share one hint still probe x, x1,
+    x2, ... in turn, so that the names stay as they were; this test does not
+    cover them.
+    """
+
+    def chain(n, body):
+        e = body
+        for i in range(n, 0, -1):
+            e = UnivAbs(TAU if i == 1 else Bound(0), e, f"x{i}")
+        return e
+
+    assert to_text(chain(3, Bound(0))) == "[x1:tau][x2:x1][x3:x2]x3"
+    assert to_text(chain(3, Var("x1"))) == "[x11:tau][x2:x11][x3:x2]x1"
+    for body in (Bound(0), Var("x1")):
+        calls = {n: _calls_while_printing(chain(n, body)) for n in (200, 400, 800)}
+        assert calls[800] <= 5 * calls[200]
