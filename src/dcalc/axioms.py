@@ -14,7 +14,6 @@ inserting the cast-family instances it needs as it goes.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .reduction import DEFAULT_FUEL, reduce_nf
@@ -38,8 +37,8 @@ from .syntax import (
     Sum,
     UnivAbs,
     Var,
+    children,
     close_binder,
-    fold,
     free_vars,
     fresh_name,
 )
@@ -114,22 +113,33 @@ _TAGS = {
 }
 
 
-def _serialize(e: Expr, parts: Sequence[str]) -> str:
-    t = type(e)
-    if t is Prim:
-        return "tau"
-    if t is Var:
-        return f"(v {e.name})"
-    if t is Bound:
-        return f"(b {e.index})"
-    if t not in _TAGS:
-        raise ValueError(f"unrecognized term: {e!r}")
-    return f"({' '.join([_TAGS[t], *parts])})"
-
-
 def canonical(e: Expr) -> str:
-    """Deterministic serialization ignoring binder hints."""
-    return fold(e, _serialize)
+    """Deterministic serialization ignoring binder hints.
+
+    The pieces go into one list in pre-order and are joined once, so the
+    work is linear in the size of e.
+    """
+    out: list[str] = []
+    todo: list = [e]  # what is left to write, last first: nodes and text
+    while todo:
+        item = todo.pop()
+        t = type(item)
+        if t is str:
+            out.append(item)
+        elif t is Prim:
+            out.append("tau")
+        elif t is Var:
+            out.append(f"(v {item.name})")
+        elif t is Bound:
+            out.append(f"(b {item.index})")
+        elif t in _TAGS:
+            out += "(", _TAGS[t]
+            todo.append(")")
+            for kid in reversed(children(item)):
+                todo += kid, " "
+        else:
+            raise ValueError(f"unrecognized term: {item!r}")
+    return "".join(out)
 
 
 def instance_name(scheme: str, indices: tuple[Expr, ...]) -> str:

@@ -12,11 +12,19 @@ their body. Instantiating a binder shifts dangling indices of the replacement
 so that terms plugged in under further binders stay well-formed.
 
 One table states each node type's components, and children, replace_child,
-the depth-tracking map ``_map_leaves`` and ``walk`` read it. ``walk`` is the
-one pre-order traversal, on a stack of its own, and ``fold`` folds bottom-up
-on it; the read-only walks and the printer use them and do not recurse. The
-untyped lambda terms of ``semantics`` are built from these nodes too, with
-``Lam`` as one more binder, and print through ``to_text`` as well.
+the depth-tracking maps ``_map_leaves`` and ``_map_indices`` and ``walk``
+read it. ``walk`` is the one pre-order traversal, on a stack of its own, and
+``fold`` folds bottom-up on it; the read-only walks and the printer use them
+and do not recurse. The untyped lambda terms of ``semantics`` are built from
+these nodes too, with ``Lam`` as one more binder, and print through
+``to_text`` as well.
+
+Each compound node caches its loose bound, ``_loose``: 1 plus the largest
+index that dangles out of it, or 0 when it is locally closed (the
+``looseBVarRange`` of the Lean 4 kernel). shift and open_binder map only the
+indices that dangle, so a subterm whose bound is within their depth comes
+back as it is, unwalked. close_binder rewrites names, so it walks the whole
+term.
 """
 
 from __future__ import annotations
@@ -334,15 +342,53 @@ def _map_leaves(e: ExprS, leaf: Callable[[Var | Bound, int], ExprS], depth: int)
     return e if parts is None else _rebuild(e, parts)
 
 
+def _loose(e: ExprS) -> int:
+    """1 plus the largest index that dangles out of e, or 0 when e is locally closed.
+
+    A compound node computes it once and keeps it, as ``_loose_bound``.
+    """
+    t = type(e)
+    if t is Bound:
+        return e.index + 1
+    if t in _LEAVES:
+        return 0
+    n = getattr(e, "_loose_bound", None)
+    if n is None:
+        n = 0
+        scoped = _SCOPED_INDEX.get(t)
+        for i, c in enumerate(_CHILDREN[t](e)):
+            k = _loose(c) - (i == scoped)
+            if k > n:
+                n = k
+        object.__setattr__(e, "_loose_bound", n)
+    return n
+
+
+def _map_indices(e: ExprS, leaf: Callable[[Bound, int], ExprS], depth: int) -> ExprS:
+    """Rebuild e with every Bound that dangles out of it replaced by ``leaf(node, d)``.
+
+    A Bound dangles when its index is at least ``d``, which is ``depth`` plus
+    the number of binders between e and the node. A subterm from which no
+    index dangles comes back as it is, unwalked.
+    """
+    t = type(e)
+    if t is Bound:
+        return leaf(e, depth) if e.index >= depth else e
+    if t in _LEAVES or _loose(e) <= depth:
+        return e
+    scoped = _SCOPED_INDEX.get(t)
+    kids = _CHILDREN[t](e)
+    parts = list(kids)
+    for i, c in enumerate(kids):
+        parts[i] = _map_indices(c, leaf, depth + 1 if i == scoped else depth)
+    return _rebuild(e, parts)
+
+
 def shift(e: ExprS, by: int, depth: int = 0) -> ExprS:
     """Add ``by`` to every index that points past ``depth`` enclosing binders."""
     if by == 0:
         return e
-
-    def leaf(v: Var | Bound, d: int) -> ExprS:
-        return Bound(v.index + by) if type(v) is Bound and v.index >= d else v
-
-    return _map_leaves(e, leaf, depth)
+    return _map_indices(e, lambda v, d: Bound(v.index + by), depth)
 
 
 def subst(a: ExprS, x: str, b: ExprS) -> ExprS:
@@ -365,16 +411,14 @@ def open_binder(scoped: ExprS, repl: ExprS) -> ExprS:
     """
     shifted: dict[int, ExprS] = {}
 
-    def leaf(v: Var | Bound, d: int) -> ExprS:
-        if type(v) is Var or v.index < d:
-            return v
+    def leaf(v: Bound, d: int) -> ExprS:
         if v.index > d:
             return Bound(v.index - 1)
         if d not in shifted:
             shifted[d] = shift(repl, d)
         return shifted[d]
 
-    return _map_leaves(scoped, leaf, 0)
+    return _map_indices(scoped, leaf, 0)
 
 
 def close_binder(scoped: ExprS, x: str) -> ExprS:
@@ -516,23 +560,23 @@ _LAYOUT: dict[type, Callable[[ExprS, str], tuple]] = {
 }
 
 
-def _names_below(e: ExprS) -> dict[int, AbstractSet[str]]:
-    """The names free in each binder's scoped component, keyed by the binder's id."""
-    below: dict[int, AbstractSet[str]] = {}
+def _names_free_in(e: ExprS) -> dict[int, AbstractSet[str]]:
+    """The names free in each node of e, keyed by the node's id."""
+    free: dict[int, AbstractSet[str]] = {}
 
     def names(node: ExprS, kids: Sequence[AbstractSet[str]]) -> AbstractSet[str]:
         if type(node) is Var:
-            return {node.name}
-        if type(node) in _SCOPED_INDEX:
-            below[id(node)] = kids[_SCOPED_INDEX[type(node)]]
-        out: AbstractSet[str] = frozenset()
-        for k in kids:
-            if k:
-                out = out | k if out else k  # a component's own set, while it is the only one
+            out: AbstractSet[str] = {node.name}
+        else:
+            out = frozenset()
+            for k in kids:
+                if k:
+                    out = out | k if out else k  # a component's own set, while it is the only one
+        free[id(node)] = out
         return out
 
     fold(e, names)
-    return below
+    return free
 
 
 def to_text(e: ExprS) -> str:
@@ -571,8 +615,9 @@ def to_text(e: ExprS) -> str:
             if t in _SCOPED_INDEX:
                 x = fresh_name(item.hint, taken)
                 if x in free:  # x may be free in the scope: look there
-                    below = below or _names_below(e)
-                    x = fresh_name(item.hint, taken, below[id(item)])
+                    below = below or _names_free_in(e)
+                    scope = _CHILDREN[t](item)[_SCOPED_INDEX[t]]
+                    x = fresh_name(item.hint, taken, below[id(scope)])
             todo += reversed(_LAYOUT[t](item, x))
     return "".join(out)
 

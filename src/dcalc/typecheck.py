@@ -16,10 +16,20 @@ result and in the right projection of an existential. Names are picked only
 when a diagnostic is raised: the error's terms still point into the binders
 it was raised under, and synth opens them with the names a checker that
 opened every binder with a fresh variable would pick.
+
+A definition is spliced into each use as one shared node, so a document
+can hold a term far larger than its text. check_document types its
+declarations, definitions and checks under one fuel with one memo: the
+type of each locally closed compound subterm, by node identity. The
+declarations come first, each under the ones before it, and a type found
+under a context holds under every longer one. Only successes go in, so
+every error is raised afresh, with its own path and text. A bare synth,
+check or check_context takes no memo.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from typing import TYPE_CHECKING
 
 from .reduction import DEFAULT_FUEL, FuelExhausted, conv, reduce_nf
@@ -43,8 +53,9 @@ from .syntax import (
     Sum,
     UnivAbs,
     Var,
+    _loose,
+    _names_free_in,
     binder_used,
-    free_vars,
     fresh_name,
     open_binder,
     path_text,
@@ -85,6 +96,10 @@ class TypingError(Exception):
         return "; ".join(parts)
 
 
+# The types check_document has synthesized: a node's id, to the node (which
+# keeps the id from being reused) and its type.
+Memo = dict[int, tuple[Expr, Expr]]
+
 # A binder _synth is inside: the type of its variable (an abstraction's
 # domain, a protected definition's witness type), its hint, and the
 # component it scopes over.
@@ -93,9 +108,13 @@ Binder = tuple[Expr, str, Expr]
 
 def synth(ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
     """The type of e under ctx, or raise TypingError."""
+    return _synth_root(ctx, e, fuel, None)
+
+
+def _synth_root(ctx: Context, e: Expr, fuel: int, memo: Memo | None) -> Expr:
     binders: list[Binder] = []
     try:
-        return _synth(ctx, binders, e, (), fuel)
+        return _synth(ctx, binders, e, (), fuel, memo)
     except (TypingError, FuelExhausted) as err:
         if not binders:
             raise
@@ -107,12 +126,21 @@ def _named(ctx: Context, binders: list[Binder], err: Exception) -> Exception:
 
     An error leaves its binders on the stack. They get the names a checker
     that opened every binder with a fresh variable would have picked,
-    outermost first, so diagnostics print the same either way.
+    outermost first, so diagnostics print the same either way. The names
+    free in a binder's scope and type come from one fold per term, since
+    each scope holds the next binder's.
     """
     taken = ctx.names()
+    free: dict[int, AbstractSet[str]] = {}
+
+    def free_in(t: Expr) -> AbstractSet[str]:
+        if id(t) not in free:
+            free.update(_names_free_in(t))
+        return free[id(t)]
+
     names = []
     for ty, hint, scope in binders:
-        x = fresh_name(hint, taken | free_vars(scope) | free_vars(ty))
+        x = fresh_name(hint, taken, free_in(scope), free_in(ty))
         taken.add(x)
         names.append(x)
 
@@ -127,13 +155,22 @@ def _named(ctx: Context, binders: list[Binder], err: Exception) -> Exception:
     return TypingError(err.kind, err.message, err.path, opened(err.expected), opened(err.found))
 
 
-def _synth(ctx: Context, binders: list[Binder], e: Expr, path: Path, fuel: int) -> Expr:
+def _synth(
+    ctx: Context, binders: list[Binder], e: Expr, path: Path, fuel: int, memo: Memo | None
+) -> Expr:
     """The type of e under ctx, where e's dangling indices point into binders.
 
     binders lists the enclosing binders, innermost last, and the result's
     dangling indices point into them too. On success binders is as it was;
-    an error leaves the binders it was raised under on it.
+    an error leaves the binders it was raised under on it. With a memo, a
+    compound e that is locally closed is typed once: its type does not
+    depend on the binders around it, so a shared node is looked up by id.
     """
+    key = None
+    if memo is not None and type(e) is not Var and type(e) is not Prim and _loose(e) == 0:
+        key = id(e)
+        if key in memo:
+            return memo[key][1]
     match e:
         case Prim():
             return TAU
@@ -151,14 +188,14 @@ def _synth(ctx: Context, binders: list[Binder], e: Expr, path: Path, fuel: int) 
                 raise TypingError("UnboundVariable", f"{name} is not declared", path)
             return ty
         case UnivAbs(dom, body, hint) | ExistAbs(dom, body, hint):
-            _synth(ctx, binders, dom, path + (0,), fuel)
+            _synth(ctx, binders, dom, path + (0,), fuel, memo)
             binders.append((dom, hint, body))
-            tb = _synth(ctx, binders, body, path + (1,), fuel)
+            tb = _synth(ctx, binders, body, path + (1,), fuel, memo)
             binders.pop()
-            return UnivAbs(dom, tb, hint)
+            ty = UnivAbs(dom, tb, hint)
         case Appl(fun, arg):
-            tf = _synth(ctx, binders, fun, path + (0,), fuel)
-            ta = _synth(ctx, binders, arg, path + (1,), fuel)
+            tf = _synth(ctx, binders, fun, path + (0,), fuel, memo)
+            ta = _synth(ctx, binders, arg, path + (1,), fuel, memo)
             nf_tf = reduce_nf(tf, fuel)
             if not isinstance(nf_tf, UnivAbs):
                 raise TypingError(
@@ -175,14 +212,14 @@ def _synth(ctx: Context, binders: list[Binder], e: Expr, path: Path, fuel: int) 
                     expected=nf_tf.dom,
                     found=ta,
                 )
-            return open_binder(nf_tf.body, arg)
+            ty = open_binder(nf_tf.body, arg)
         case ProtDef(witness, proof, tag, hint):
-            tw = _synth(ctx, binders, witness, path + (0,), fuel)
-            tp = _synth(ctx, binders, proof, path + (1,), fuel)
+            tw = _synth(ctx, binders, witness, path + (0,), fuel, memo)
+            tp = _synth(ctx, binders, proof, path + (1,), fuel, memo)
             depth = len(binders)
             binders.append((tw, hint, tag))
             try:
-                _synth(ctx, binders, tag, path + (2,), fuel)
+                _synth(ctx, binders, tag, path + (2,), fuel, memo)
             except TypingError as err:
                 del binders[depth:]
                 raise TypingError(
@@ -200,47 +237,49 @@ def _synth(ctx: Context, binders: list[Binder], e: Expr, path: Path, fuel: int) 
                     expected=claimed,
                     found=tp,
                 )
-            return ExistAbs(tw, tag, hint)
+            ty = ExistAbs(tw, tag, hint)
         case ProjL(operand):
-            t = reduce_nf(_synth(ctx, binders, operand, path + (0,), fuel), fuel)
+            t = reduce_nf(_synth(ctx, binders, operand, path + (0,), fuel, memo), fuel)
             match t:
                 case ExistAbs(dom, _):
-                    return dom
+                    ty = dom
                 case Product(l, _):
-                    return l
-            raise TypingError(
-                "NotProjectable",
-                "operand type supports no left projection",
-                path,
-                found=t,
-            )
+                    ty = l
+                case _:
+                    raise TypingError(
+                        "NotProjectable",
+                        "operand type supports no left projection",
+                        path,
+                        found=t,
+                    )
         case ProjR(operand):
-            t = reduce_nf(_synth(ctx, binders, operand, path + (0,), fuel), fuel)
+            t = reduce_nf(_synth(ctx, binders, operand, path + (0,), fuel, memo), fuel)
             match t:
                 case ExistAbs(_, body):
-                    return open_binder(body, ProjL(operand))
+                    ty = open_binder(body, ProjL(operand))
                 case Product(_, r):
-                    return r
-            raise TypingError(
-                "NotProjectable",
-                "operand type supports no right projection",
-                path,
-                found=t,
-            )
+                    ty = r
+                case _:
+                    raise TypingError(
+                        "NotProjectable",
+                        "operand type supports no right projection",
+                        path,
+                        found=t,
+                    )
         case Product(l, r) | Sum(l, r):
-            return Product(
-                _synth(ctx, binders, l, path + (0,), fuel),
-                _synth(ctx, binders, r, path + (1,), fuel),
+            ty = Product(
+                _synth(ctx, binders, l, path + (0,), fuel, memo),
+                _synth(ctx, binders, r, path + (1,), fuel, memo),
             )
         case InjL(val, rtag):
-            _synth(ctx, binders, rtag, path + (1,), fuel)
-            return Sum(_synth(ctx, binders, val, path + (0,), fuel), rtag)
+            _synth(ctx, binders, rtag, path + (1,), fuel, memo)
+            ty = Sum(_synth(ctx, binders, val, path + (0,), fuel, memo), rtag)
         case InjR(ltag, val):
-            _synth(ctx, binders, ltag, path + (0,), fuel)
-            return Sum(ltag, _synth(ctx, binders, val, path + (1,), fuel))
+            _synth(ctx, binders, ltag, path + (0,), fuel, memo)
+            ty = Sum(ltag, _synth(ctx, binders, val, path + (1,), fuel, memo))
         case Case(left, right):
-            tl = reduce_nf(_synth(ctx, binders, left, path + (0,), fuel), fuel)
-            tr = reduce_nf(_synth(ctx, binders, right, path + (1,), fuel), fuel)
+            tl = reduce_nf(_synth(ctx, binders, left, path + (0,), fuel, memo), fuel)
+            tr = reduce_nf(_synth(ctx, binders, right, path + (1,), fuel, memo), fuel)
             if not isinstance(tl, UnivAbs) or not isinstance(tr, UnivAbs):
                 raise TypingError(
                     "BranchTypeMismatch",
@@ -263,21 +302,29 @@ def _synth(ctx: Context, binders: list[Binder], e: Expr, path: Path, fuel: int) 
                     expected=shift(tl.body, -1),
                     found=shift(tr.body, -1),
                 )
-            _synth(ctx, binders, shift(tl.body, -1), path, fuel)
-            return UnivAbs(Sum(tl.dom, tr.dom), tl.body, "z")
+            _synth(ctx, binders, shift(tl.body, -1), path, fuel, memo)
+            ty = UnivAbs(Sum(tl.dom, tr.dom), tl.body, "z")
         case Neg(operand):
-            return _synth(ctx, binders, operand, path + (0,), fuel)
+            ty = _synth(ctx, binders, operand, path + (0,), fuel, memo)
         case InternalSubst():
             raise TypingError(
                 "PendingSubstitution", "pending substitutions are not typeable terms", path
             )
-    raise ValueError(f"unrecognized term: {e!r}")
+        case _:
+            raise ValueError(f"unrecognized term: {e!r}")
+    if key is not None:
+        memo[key] = (e, ty)
+    return ty
 
 
 def check(ctx: Context, e: Expr, ty: Expr, fuel: int = DEFAULT_FUEL) -> None:
     """Verify e has type ty under ctx; raise TypingError if not."""
-    synth(ctx, ty, fuel)
-    found = synth(ctx, e, fuel)
+    _check(ctx, e, ty, fuel, None)
+
+
+def _check(ctx: Context, e: Expr, ty: Expr, fuel: int, memo: Memo | None) -> None:
+    _synth_root(ctx, ty, fuel, memo)
+    found = _synth_root(ctx, e, fuel, memo)
     if not conv(found, ty, fuel):
         raise TypingError(
             "Mismatch",
@@ -290,9 +337,15 @@ def check(ctx: Context, e: Expr, ty: Expr, fuel: int = DEFAULT_FUEL) -> None:
 
 def check_context(ctx: Context, fuel: int = DEFAULT_FUEL) -> None:
     """Verify each declared type is typeable under the declarations before it."""
+    _check_context(ctx, fuel, None)
+
+
+def _check_context(ctx: Context, fuel: int, memo: Memo | None) -> None:
+    # A type found under a prefix holds under every longer one, so the
+    # declarations, typed in order, can share one memo.
     for name, ty in ctx.entries:
         try:
-            synth(ctx.prefix(name), ty, fuel)
+            _synth_root(ctx.prefix(name), ty, fuel, memo)
         except TypingError as err:
             raise TypingError(
                 "ContextError",
@@ -316,14 +369,15 @@ def _typing_error(prefix: str, run) -> TypingError | None:
 
 def check_document(doc: Document, fuel: int = DEFAULT_FUEL) -> list[TypingError]:
     """All typing errors in a parsed file: context, definitions, then checks."""
-    err = _typing_error("", lambda: check_context(doc.context, fuel))
+    ctx, memo = doc.context, {}
+    err = _typing_error("", lambda: _check_context(ctx, fuel, memo))
     if err is not None:
         return [err]
     found = [
-        _typing_error(f"definition {name}: ", lambda: synth(doc.context, body, fuel))
+        _typing_error(f"definition {name}: ", lambda: _synth_root(ctx, body, fuel, memo))
         for name, body in doc.defs.items()
     ] + [
-        _typing_error(f"line {item.line}: ", lambda: check(doc.context, item.term, item.ty, fuel))
+        _typing_error(f"line {item.line}: ", lambda: _check(ctx, item.term, item.ty, fuel, memo))
         for item in doc.checks
     ]
     return [error for error in found if error is not None]

@@ -11,7 +11,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import random
-from typing import Iterator
+import sys
+from typing import Callable, Iterator
 
 from dcalc import syntax
 from dcalc.axioms import resolve_axiom_gate
@@ -48,6 +49,22 @@ from dcalc.syntax import (
 from dcalc.typecheck import TypingError, synth
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+def calls_during(run: Callable[[], object]) -> int:
+    """The Python calls run() makes, as sys.setprofile sees them: a work count."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def report(tag: str, ok: bool, detail: str = "") -> None:

@@ -1,6 +1,12 @@
 """Axiom scheme instantiation and the pure-type-system translation."""
 
+import json
+import random
+from pathlib import Path
+
 import pytest
+
+from helpers import GATES, enumerate_subst_terms, gen_typed_term, sample_contexts
 
 from dcalc.axioms import (
     FAMILIES,
@@ -11,6 +17,7 @@ from dcalc.axioms import (
     PVar,
     Star,
     TranslationError,
+    canonical,
     closure_requests,
     instance,
     instance_name,
@@ -19,8 +26,8 @@ from dcalc.axioms import (
     pts_to_dcalc,
     resolve_axiom_gate,
 )
-from dcalc.parser import parse_term
-from dcalc.syntax import TAU, Appl, Bound, Context, UnivAbs, Var
+from dcalc.parser import parse_document, parse_term
+from dcalc.syntax import TAU, Appl, Bound, Context, Prim, UnivAbs, Var, fold
 from dcalc.typecheck import check_context, synth
 
 a, b = Var("a"), Var("b")
@@ -58,6 +65,72 @@ def test_instance_names_are_stable_and_hint_insensitive():
     # swapping indices does
     assert instance_name("negax+", (a, b)) != instance_name("negax+", (b, a))
     assert instance_name("negaxp", (a, b)) == instance_name("negax+", (a, b))
+
+
+# The tag of each compound node, by class name, as instance names have always hashed it.
+_TAG_OF = {
+    "UnivAbs": "U",
+    "ExistAbs": "E",
+    "Appl": "a",
+    "ProtDef": "p",
+    "ProjL": "l",
+    "ProjR": "r",
+    "Product": "prod",
+    "Sum": "sum",
+    "InjL": "il",
+    "InjR": "ir",
+    "Case": "c",
+    "Neg": "n",
+    "InternalSubst": "s",
+}
+
+
+def _canonical_by_fold(e):
+    """canonical as a fold that builds each node's string from its parts' strings."""
+
+    def serialize(node, parts):
+        t = type(node)
+        if t is Prim:
+            return "tau"
+        if t is Var:
+            return f"(v {node.name})"
+        if t is Bound:
+            return f"(b {node.index})"
+        return f"({' '.join([_TAG_OF[t.__name__], *parts])})"
+
+    return fold(e, serialize)
+
+
+PARSE_GOLDEN = Path(__file__).parent / "data" / "parse_golden.jsonl"
+
+
+def _pinned_terms():
+    """The acceptance pool, pending substitutions, and every parse-golden term."""
+    rng = random.Random(20260814)
+    contexts = sample_contexts()
+    for _ in range(1000):
+        yield gen_typed_term(rng, rng.choice(contexts), rng.randint(0, 7))
+    yield from enumerate_subst_terms(4)
+    for line in PARSE_GOLDEN.read_text().splitlines():
+        r = json.loads(line)
+        if "ok" not in r:
+            continue
+        if r["mode"] == "term":
+            yield parse_term(r["input"], GATES[r["gate"]])
+            continue
+        doc = parse_document(r["input"], GATES[r["gate"]])
+        yield from (ty for _, ty in doc.context.entries)
+        yield from doc.defs.values()
+        for item in doc.checks:
+            yield from (item.term, item.ty)
+
+
+def test_canonical_writes_what_a_fold_over_the_parts_writes():
+    """So axiom instance names, which hash it, stay as they were."""
+    terms = list(_pinned_terms())
+    assert len(terms) > 4000
+    assert [canonical(e) for e in terms] == [_canonical_by_fold(e) for e in terms]
+    assert canonical(UnivAbs(TAU, Appl(Bound(0), Var("a")))) == "(U tau (a (b 0) (v a)))"
 
 
 def test_instance_arity_is_enforced():

@@ -226,6 +226,16 @@ def _counting(monkeypatch, calls, module, name):
     monkeypatch.setattr(module, name, counted)
 
 
+# Every walker that shift, open_binder and close_binder use: the full map,
+# the map that skips locally closed subterms, and the loose bound it reads.
+WALKERS = ("_map_leaves", "_map_indices", "_loose")
+
+
+def _counting_walkers(monkeypatch, calls):
+    for name in WALKERS:
+        _counting(monkeypatch, calls, syntax, name)
+
+
 BINDER_CHAIN = "".join(f"[x{i}:tau]" for i in range(100)) + "[x0,inl(x99,tau)].1"
 
 
@@ -238,7 +248,7 @@ def test_translations_map_indices_in_one_pass(translate, monkeypatch):
     for module in (syntax, semantics):
         if hasattr(module, "open_binder"):
             _counting(monkeypatch, calls, module, "open_binder")
-    _counting(monkeypatch, calls, syntax, "_map_leaves")
+    _counting_walkers(monkeypatch, calls)
     assert to_text(translate(e)) == expected
     assert calls == Counter()
 
@@ -265,14 +275,14 @@ def test_mu_nf_takes_work_independent_of_binder_depth(monkeypatch):
     expected = {n: reduce_nf(e) for n, e in terms.items()}
     calls = Counter()
     for module in (syntax, explicit):
-        for name in ("_map_leaves", "open_binder", "close_binder", "free_vars", "fresh_name"):
+        for name in (*WALKERS, "open_binder", "close_binder", "free_vars", "fresh_name"):
             if hasattr(module, name):
                 _counting(monkeypatch, calls, module, name)
     leaf_maps = {}
     for n, e in terms.items():
         calls.clear()
         assert mu_nf(env, e) == expected[n]
-        leaf_maps[n] = calls.pop("_map_leaves", 0)
+        leaf_maps[n] = sum(calls.pop(name, 0) for name in WALKERS)
         assert calls == Counter()
     assert len(set(leaf_maps.values())) == 1
 
@@ -294,9 +304,9 @@ def test_synth_takes_work_linear_in_binder_depth(doms, n, monkeypatch):
     e = parse_term(SYNTH_CHAINS[doms](n))
     expected = synth(Context(), e)
     calls = Counter()
-    _counting(monkeypatch, calls, syntax, "_map_leaves")
+    _counting_walkers(monkeypatch, calls)
     assert synth(Context(), e) == expected
-    assert calls["_map_leaves"] <= 2 * n + 10
+    assert calls.total() <= 2 * n + 10
 
 
 DEEPEST = """

@@ -393,15 +393,20 @@ def test_nested_applications_parse_in_linear_work(monkeypatch, depth):
 def test_a_binder_chain_parses_without_walking_its_body(monkeypatch, n):
     # names resolve to indices where they are read, so no term is re-walked
     calls = 0
-    walk = syntax._map_leaves
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return walk(*args)
+    def counting(walk):
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return walk(*args)
 
-    for module in (syntax, parser):
-        monkeypatch.setattr(module, "_map_leaves", counted, raising=False)
+        return counted
+
+    # every walker that shift, open_binder and close_binder use
+    for name in ("_map_leaves", "_map_indices", "_loose"):
+        walk = getattr(syntax, name)
+        for module in (syntax, parser):
+            monkeypatch.setattr(module, name, counting(walk), raising=False)
     e = parse_term("".join(f"[x{i}:tau]" for i in range(n)) + "x0")
     assert calls == 0
     for _ in range(n):

@@ -1,13 +1,18 @@
 """Structural operations on the locally nameless term representation."""
 
-import sys
+import random
+from functools import partial
 
 import pytest
 import hypothesis as hyp
 import hypothesis.strategies as st
 
+from helpers import calls_during, gen_typed_term, sample_contexts
+
 from dcalc.parser import parse_term
 from dcalc.syntax import (
+    _loose,
+    _map_leaves,
     TAU,
     Appl,
     Bound,
@@ -38,6 +43,7 @@ from dcalc.syntax import (
     subst,
     subtree_at,
     to_text,
+    walk,
 )
 
 _names = st.sampled_from(["a", "b", "c"])
@@ -158,6 +164,46 @@ def test_open_shifts_the_replacement_under_binders():
     assert open_binder(UnivAbs(TAU, Bound(2)), TAU) == UnivAbs(TAU, Bound(1))
 
 
+def _loose_by_walk(e):
+    """The loose bound from every Bound and the binders above it."""
+    return max([node.index - depth + 1 for node, depth in walk(e) if type(node) is Bound] + [0])
+
+
+def _shift_by_full_walk(e, by, depth):
+    def leaf(v, d):
+        return Bound(v.index + by) if type(v) is Bound and v.index >= d else v
+
+    return _map_leaves(e, leaf, depth)
+
+
+def _open_by_full_walk(scoped, repl):
+    def leaf(v, d):
+        if type(v) is Var or v.index < d:
+            return v
+        return Bound(v.index - 1) if v.index > d else _shift_by_full_walk(repl, d, 0)
+
+    return _map_leaves(scoped, leaf, 0)
+
+
+REPLACEMENTS = (TAU, Var("a"), Bound(0), Appl(Bound(2), UnivAbs(TAU, Bound(1))))
+
+
+@pytest.mark.parametrize("depth", range(8))
+def test_the_loose_bound_and_the_walks_that_skip_by_it_match_full_walks(depth):
+    """shift and open_binder leave a subterm with no dangling index unwalked."""
+    rng = random.Random(depth)
+    for _ in range(30):
+        e = gen_typed_term(rng, rng.choice(sample_contexts()), depth)
+        for node, _ in walk(e):  # every subterm: the scoped ones have dangling indices
+            assert _loose(node) == _loose_by_walk(node)
+            for by, d in ((1, 0), (2, 1), (-1, 1)):
+                assert shift(node, by, d) == _shift_by_full_walk(node, by, d)
+            for repl in REPLACEMENTS:
+                assert open_binder(node, repl) == _open_by_full_walk(node, repl)
+        assert _loose(e) == 0
+        assert shift(e, 1) is e
+
+
 def test_free_vars():
     e = Product(Var("a"), UnivAbs(Var("b"), Bound(0)))
     assert free_vars(e) == {"a", "b"}
@@ -249,21 +295,6 @@ def test_printing_then_parsing_restores_the_term(e):
     assert parse_term(to_text(e)) == e
 
 
-def _calls_while_printing(e) -> int:
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    sys.setprofile(count)
-    try:
-        to_text(e)
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
 def test_printing_a_binder_chain_takes_linear_work():
     """[x1:tau][x2:x1]...[xn:x(n-1)]b: a binder's name needs no walk of its scope.
 
@@ -282,5 +313,5 @@ def test_printing_a_binder_chain_takes_linear_work():
     assert to_text(chain(3, Bound(0))) == "[x1:tau][x2:x1][x3:x2]x3"
     assert to_text(chain(3, Var("x1"))) == "[x11:tau][x2:x11][x3:x2]x1"
     for body in (Bound(0), Var("x1")):
-        calls = {n: _calls_while_printing(chain(n, body)) for n in (200, 400, 800)}
+        calls = {n: calls_during(partial(to_text, chain(n, body))) for n in (200, 400, 800)}
         assert calls[800] <= 5 * calls[200]

@@ -1,15 +1,19 @@
 """Type synthesis, checking, and every diagnostic kind."""
 
 import json
-from collections import Counter
+import sys
+from collections import Counter, defaultdict
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from helpers import diag_record
+from helpers import DIAG_FUELS, calls_during, diag_contexts, diag_record, term_from_json
 
 from dcalc import typecheck
-from dcalc.parser import parse_term
+from dcalc.axioms import resolve_axiom_gate
+from dcalc.corpus import CORPUS_AXIOMS, corpus_names, corpus_text
+from dcalc.parser import CheckItem, Document, parse_document, parse_term
 from dcalc.reduction import FuelExhausted, conv
 from dcalc.syntax import (
     TAU,
@@ -28,8 +32,9 @@ from dcalc.syntax import (
     Sum,
     UnivAbs,
     Var,
+    to_text,
 )
-from dcalc.typecheck import TypingError, check, check_context, synth, valid
+from dcalc.typecheck import TypingError, check, check_context, check_document, synth, valid
 
 a, b = Var("a"), Var("b")
 EMPTY = Context()
@@ -277,3 +282,130 @@ def test_diagnostics_regenerate_the_golden_file():
         if json.dumps(diag_record(r["ctx"], r["term"])) != line:
             changed.append(n)
     assert changed == []
+
+
+def _failing_under_binders(n):
+    """The error of [x0:tau]...[x(n-1):tau](tau tau), built without the parser."""
+    e = Appl(TAU, TAU)
+    for i in reversed(range(n)):
+        e = UnivAbs(TAU, e, f"x{i}")
+    try:
+        synth(EMPTY, e)
+    except TypingError as err:
+        return err
+    raise AssertionError("the chain typed")
+
+
+def test_a_diagnostic_under_binders_takes_linear_work():
+    """The names the binders get come from one fold of free names, not one per binder."""
+    err = _failing_under_binders(3)
+    assert str(err) == (
+        "NotAFunction @ 1.1.1: operator type is not a universal abstraction; found tau"
+    )
+    calls = {n: calls_during(partial(_failing_under_binders, n)) for n in (200, 400, 800)}
+    assert calls[800] <= 5 * calls[200]
+
+
+class _WorkBoundExceeded(Exception):
+    pass
+
+
+def _doubling_chain(n: int) -> str:
+    """def d(i) := f(d(i-1), d(i-1)): d(n) spells out 2^n uses of f, sharing them.
+
+    d(n) is a check's term, and a declaration's type too.
+    """
+    return (
+        "context C { f : [tau => [tau => tau]] }\ndef d0 := tau\n"
+        + "".join(f"def d{i} := f(d{i - 1}, d{i - 1})\n" for i in range(1, n + 1))
+        + f"context D {{ q : d{n} }}\ncheck d{n} : tau\ncheck q : d{n}\n"
+    )
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_a_doubling_chain_of_definitions_checks_in_linear_work(n):
+    """A definition's body is shared at each use, and check_document types it once."""
+    doc = parse_document(_doubling_chain(n))
+    assert len(doc.checks) == 2
+    bound = 10 * (n + 1)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is typecheck._synth.__code__:
+            calls += 1
+            if calls > bound:
+                raise _WorkBoundExceeded  # an exponential walk stops here, not after 2^n
+
+    sys.setprofile(count)
+    try:
+        errors = check_document(doc)
+    finally:
+        sys.setprofile(None)
+    assert errors == []
+    assert calls <= bound
+
+
+def _error_record(err: TypingError) -> tuple:
+    texts = [None if t is None else to_text(t) for t in (err.expected, err.found)]
+    return (err.kind, err.path, err.message, *texts)
+
+
+def _item_by_item(doc: Document, fuel: int) -> list[tuple]:
+    """check_document's errors, from a fresh synth or check of each item."""
+    runs = [("", partial(check_context, doc.context, fuel))]
+    runs += [
+        (f"definition {name}: ", partial(synth, doc.context, body, fuel))
+        for name, body in doc.defs.items()
+    ] + [(f"line {c.line}: ", partial(check, doc.context, c.term, c.ty, fuel)) for c in doc.checks]
+    out = []
+    for prefix, run in runs:
+        try:
+            run()
+        except TypingError as err:
+            kind, path, message, *texts = _error_record(err)
+            out.append((kind, path, prefix + message, *texts))
+        except FuelExhausted as err:
+            out.append(("FuelExhausted", (), f"{prefix}{err}", None, None))
+        if not prefix and out:  # the context is wrong: nothing more is checked
+            break
+    return out
+
+
+def _failing_documents() -> list[Document]:
+    """One document per golden diagnostic context: each golden term as a
+    definition, and checks that reuse those very nodes, as binder types too."""
+    terms = defaultdict(list)
+    for line in GOLDEN.read_text().splitlines():
+        r = json.loads(line)
+        terms[r["ctx"]].append(term_from_json(r["term"]))
+    docs = []
+    for name, ctx in diag_contexts().items():
+        es = terms[name]
+        defs = {f"t{i}": e for i, e in enumerate(es)}
+        checks = []
+        here = Bound(0)  # one node under binders of many types, so no memo may take it
+        for i, (e, f) in enumerate(zip(es, es[1:] + es[:1])):
+            checks += (
+                CheckItem(e, TAU, 3 * i),
+                CheckItem(Appl(e, f), f, 3 * i + 1),
+                CheckItem(UnivAbs(e, Appl(here, f)), TAU, 3 * i + 2),
+            )
+        docs.append(Document(ctx, defs, checks))
+    return docs
+
+
+def test_check_document_reports_what_a_fresh_check_of_each_item_does():
+    failing = _failing_documents()
+    corpus = [
+        parse_document(corpus_text(name), resolve_axiom_gate(gate))
+        for name in corpus_names()
+        for gate in (CORPUS_AXIOMS[name], ["all"])
+    ]
+    errors = 0
+    for doc in corpus + failing:
+        for fuel in DIAG_FUELS:
+            expected = _item_by_item(doc, fuel)
+            assert [_error_record(err) for err in check_document(doc, fuel)] == expected
+            errors += len(expected)
+    assert errors > 1000
