@@ -14,18 +14,17 @@ Definition evaluation is the sub-relation with only use/rem as axioms (all
 structural rules retained); it terminates with a strictly decreasing weight
 and eliminates every pending substitution, so it runs without fuel.
 
-Binders are walked on a stack, as in the locally nameless representation
+This module states only what fires at a node; reduction's redex search
+walks binders on a stack, as in the locally nameless representation
 (Charguéraud) with de Bruijn-indexed explicit substitutions (Abadi,
-Cardelli, Curien and Lévy): ``_components`` hands each component over as
-it stands, and under a binder the walk pushes one entry, the definition of a
-pending substitution or None for any other binder. No binder is named,
+Cardelli, Curien and Lévy), and hands each node one entry per binder above
+it: the definition of a pending substitution, or None. No binder is named,
 opened or closed. ``use`` fires on a variable defined in the environment and
 on ``Bound(k)`` whose binder is a pending substitution, giving its
 definition shifted past the k+1 binders in between; ``rem`` lowers the
-indices of its body that point past the spent binder. A step probes a
-component for a negation step only where its parent's probe did not already
-cover it. Each step still searches from the root, so ``mu_trace`` is the
-step sequence of ``mu_nf``.
+indices of its body that point past the spent binder. A step probes a node
+for a negation step only where no ancestor's probe covered it. Each step
+searches from the root, so ``mu_trace`` is the step sequence of ``mu_nf``.
 """
 
 from __future__ import annotations
@@ -34,8 +33,13 @@ from .reduction import (
     DEFAULT_FUEL,
     NEG_RULES,
     RULES,
+    Binders,
+    Hit,
+    Path,
     _drive,
+    _every_hit,
     _fire,
+    _first_hit,
     _neg_positions,
     neg_nf,
     neg_redexes,
@@ -54,15 +58,10 @@ from .syntax import (
     binder_used,
     children,
     pending_path,
-    replace_child,
+    plug,
     scoped_index,
     shift,
 )
-
-Path = tuple[int, ...]
-# One entry per binder a subterm is under, innermost last: the definition of
-# a pending substitution, None for any other binder.
-Stack = list[ExprS | None]
 
 # The plain reducer's rules without nu1..nu5, with beta delayed.
 MU_RULES = {
@@ -76,15 +75,19 @@ MU_RULES = {
 Env = Context
 
 
-def _def_rule(env: Env, stack: Stack, e: ExprS) -> tuple[str, ExprS] | None:
-    """use or rem at the root of e, under the binders of stack."""
-    match e:
-        case Var(x) if x in env:
-            return "use", env.lookup(x)
-        case Bound(k) if k < len(stack) and stack[-1 - k] is not None:
-            return "use", shift(stack[-1 - k], k + 1)
-        case InternalSubst(_, body) if not binder_used(body):
-            return "rem", shift(body, -1)
+def _def_rule(env: Env, binders: Binders, e: ExprS) -> Hit | None:
+    """use or rem at the root of e, under binders."""
+    t = type(e)
+    if t is Var:
+        defn = env.lookup(e.name)
+        if defn is not None:
+            return "use", defn
+    elif t is Bound:
+        k = e.index
+        if k < len(binders) and (defn := binders[-1 - k]) is not None:
+            return "use", shift(defn, k + 1)
+    elif t is InternalSubst and not binder_used(e.body):
+        return "rem", shift(e.body, -1)
     return None
 
 
@@ -109,64 +112,38 @@ def _neg_reachable_plus(e: ExprS) -> list[ExprS]:
     return out
 
 
-def _components(stack: list, e: ExprS):
-    """Each component of e as (index, component), in order.
-
-    While e's scoped component is out, stack holds one more entry: e's
-    definition if e is a pending substitution, else None. The scoped
-    component comes last, so a walk that stops there ends the whole search
-    and may leave the entry behind.
-    """
-    scoped = scoped_index(e)
-    for i, c in enumerate(children(e)):
-        if i != scoped:
-            yield i, c
-            continue
-        stack.append(e.defn if type(e) is InternalSubst else None)
-        yield i, c
-        stack.pop()
-
-
-def mu_redexes(env: Env, e: ExprS, _stack: Stack | None = None) -> list[tuple[Path, str, ExprS]]:
+def mu_redexes(env: Env, e: ExprS) -> list[tuple[Path, str, ExprS]]:
     """Every single step available, as (path, rule, whole-term-after).
 
     The negation rule contributes one entry per term reachable by a nonempty
     sequence of negation steps from the subterm at the position.
     """
-    stack = [] if _stack is None else _stack
-    found = _def_rule(env, stack, e) or _fire(MU_RULES, e)
-    out: list[tuple[Path, str, ExprS]] = [] if found is None else [((), *found)]
-    for t in _neg_reachable_plus(e):
-        out.append(((), "nu", t))
-    for i, c in _components(stack, e):
-        for p, name, res in mu_redexes(env, c, stack):
-            out.append(((i, *p), name, replace_child(e, i, res)))
-    return out
+
+    def hits(sub: ExprS, binders: Binders) -> list[Hit]:
+        found = _def_rule(env, binders, sub) or _fire(MU_RULES, sub)
+        return ([] if found is None else [found]) + [("nu", t) for t in _neg_reachable_plus(sub)]
+
+    return _every_hit(e, hits)
 
 
-def mu_step(
-    env: Env, e: ExprS, _stack: Stack | None = None, _neg_normal: bool = False
-) -> tuple[str, ExprS] | None:
-    """Deterministic single step: root rules, aggregated negation, then children.
+def mu_step(env: Env, e: ExprS) -> Hit | None:
+    """Deterministic single step: root rules, aggregated negation, then children."""
+    # Ids of the components at the negation positions of a node with no
+    # negation step, which have none either; the term keeps them alive.
+    neg_normal: set[int] = set()
 
-    _stack has an entry per binder e is under, innermost last (see
-    _components). _neg_normal says e is known to have no negation step: the
-    components at the negation positions of a node without one have none
-    either, so their probe is skipped.
-    """
-    stack = [] if _stack is None else _stack
-    found = _def_rule(env, stack, e) or _fire(MU_RULES, e)
-    if found is not None:
-        return found
-    if not _neg_normal and neg_step(e) is not None:
-        return "nu", neg_nf(e)
-    neg_at = _neg_positions(e)
-    for i, c in _components(stack, e):
-        found = mu_step(env, c, stack, i in neg_at)
+    def fires(sub: ExprS, binders: Binders) -> Hit | None:
+        found = _def_rule(env, binders, sub) or _fire(MU_RULES, sub)
         if found is not None:
-            name, res = found
-            return name, replace_child(e, i, res)
-    return None
+            return found
+        if id(sub) not in neg_normal and neg_step(sub) is not None:
+            return "nu", neg_nf(sub)
+        for i in _neg_positions(sub):
+            neg_normal.add(id(children(sub)[i]))
+        return None
+
+    found = _first_hit(e, fires)
+    return None if found is None else (found[1], plug(e, found[0], found[2]))
 
 
 def mu_trace(env: Env, e: ExprS, fuel: int = DEFAULT_FUEL) -> list[tuple[str, ExprS]]:
@@ -180,17 +157,10 @@ def mu_nf(env: Env, e: ExprS, fuel: int = DEFAULT_FUEL) -> ExprS:
     return _drive(lambda cur: mu_step(env, cur), e, fuel)
 
 
-def def_eval_step(env: Env, e: ExprS, _stack: Stack | None = None) -> ExprS | None:
+def def_eval_step(env: Env, e: ExprS) -> ExprS | None:
     """One use/rem step under full structural congruence, or None."""
-    stack = [] if _stack is None else _stack
-    found = _def_rule(env, stack, e)
-    if found is not None:
-        return found[1]
-    for i, c in _components(stack, e):
-        r = def_eval_step(env, c, stack)
-        if r is not None:
-            return replace_child(e, i, r)
-    return None
+    found = _first_hit(e, lambda sub, binders: _def_rule(env, binders, sub))
+    return None if found is None else plug(e, found[0], found[2])
 
 
 def def_eval_trace(env: Env, e: ExprS) -> list[ExprS]:
@@ -214,6 +184,12 @@ def def_weight(env: Env, e: ExprS) -> int:
     """
     weights: list[int | None] = []
 
+    def under(entry: int | None, e: ExprS) -> int:
+        weights.append(entry)
+        w = go(e)
+        weights.pop()
+        return w
+
     def go(e: ExprS) -> int:
         match e:
             case Prim():
@@ -226,10 +202,8 @@ def def_weight(env: Env, e: ExprS) -> int:
                 return 1 if d is None else def_weight(env, d) + 1
             case InternalSubst(defn, body):
                 w = go(defn)
-                weights.append(w)
-                inner = go(body)
-                weights.pop()
-                return w + inner + 1
-        return sum(go(c) for _, c in _components(weights, e))
+                return w + under(w, body) + 1
+        scoped = scoped_index(e)
+        return sum(under(None, c) if i == scoped else go(c) for i, c in enumerate(children(e)))
 
     return go(e)

@@ -1,4 +1,4 @@
-"""The rewrite rules, the fuel-bounded driver, normal forms and negation.
+"""The rewrite rules, the redex searches, the fuel-bounded driver and negation.
 
 The rewrite axioms come in three groups: beta (application meets abstraction
 or case meets injection), pi (projections meet introduction forms), and nu
@@ -6,7 +6,9 @@ or case meets injection), pi (projections meet introduction forms), and nu
 each of them once, keyed by the type of the redex and of its head component;
 the negation engine here and the explicit-substitution engine select their
 subsets from it. Structural congruence applies in every component of every
-operator. The deterministic strategy is leftmost-outermost.
+operator. The deterministic strategy is leftmost-outermost: every engine
+finds its steps with one search (``_first_hit``, ``_every_hit``), which keeps
+a stack of binders and asks the engine only what fires at a node.
 
 Every engine runs its single steps through one driver, ``_drive``, which
 counts them against an optional fuel budget: ``fuel=N`` allows exactly N
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Sequence
+from functools import partial
 
 from .syntax import (
     Appl,
@@ -62,6 +65,11 @@ DEFAULT_FUEL = 100_000
 Path = tuple[int, ...]
 Step = tuple[Path, str, ExprS]
 Rule = Callable[[ExprS, ExprS], "tuple[str, ExprS] | None"]
+Hit = tuple[str, ExprS]  # a rule's name and the contractum that replaces its node
+# One entry per binder a node is under, innermost last: the definition of a
+# pending substitution, None for any other binder.
+Binders = list["ExprS | None"]
+Fires = Callable[[ExprS, Binders], "Hit | None"]
 
 
 class FuelExhausted(Exception):
@@ -109,7 +117,7 @@ RULES: dict[tuple[type, type], Rule] = {
 NEG_RULES = {k: RULES[k] for k in [(Neg, t) for t in (Neg, Product, Sum, UnivAbs, ExistAbs)]}
 
 
-def _fire(rules: dict[tuple[type, type], Rule], e: ExprS) -> tuple[str, ExprS] | None:
+def _fire(rules: dict[tuple[type, type], Rule], e: ExprS, binders=None) -> Hit | None:
     """The axiom of rules that applies at the root of e, with its contractum."""
     t = type(e)
     if t is Appl:
@@ -120,6 +128,16 @@ def _fire(rules: dict[tuple[type, type], Rule], e: ExprS) -> tuple[str, ExprS] |
         return None
     rule = rules.get((t, type(head)))
     return None if rule is None else rule(e, head)
+
+
+def _hits(fire: Fires) -> Callable[[ExprS, Binders], list[Hit]]:
+    """fire's hit as a list, for _every_hit."""
+    return lambda sub, binders: [] if (found := fire(sub, binders)) is None else [found]
+
+
+# The Fires of the two tables here; a rule table's Fires ignores binders.
+_RULES_FIRE = partial(_fire, RULES)
+_NEG_FIRE = partial(_fire, NEG_RULES)
 
 
 def _drive(step, e, fuel: int | None = None, trace: list | None = None):
@@ -158,17 +176,21 @@ def _plugged(find: Callable[[ExprS], Step | None]) -> Callable[[ExprS], Step | N
 def _normalize(e: ExprS, rules, positions, fuel: int | None) -> ExprS:
     """The normal form of e, reached by the steps the trace of rules takes.
 
-    rules and positions are as for _every_redex. A node fires its rule, or
-    else normalizes its components left to right. A component hands its root
-    back to the node after each root contraction, and the node contracts if
-    it now fires: a rule looks only at the root types of its node's
-    components, so a contraction can only make a redex of its parent. Every
-    other node before it in leftmost-outermost order is already normal, so
-    the steps are exactly the trace's. Fuel counts steps, as _drive does.
+    positions is as for _first_hit. A node fires its rule, or else normalizes
+    its components left to right. A component hands its root back to the
+    node after each root contraction, and the node contracts if it now
+    fires: a rule looks only at the root types of its node's components, so
+    a contraction can only make a redex of its parent. Every other node
+    before it in leftmost-outermost order is already normal, so the steps are
+    exactly the trace's. A node found normal is kept, so a node shared by
+    several components is walked once; it takes no step wherever it sits.
+    Fuel counts steps, as _drive does.
     """
     taken = 0
+    # id -> node found normal; holding the node keeps its id from reuse.
+    normal: dict[int, ExprS] = {}
 
-    def contract(found: tuple[str, ExprS]) -> ExprS:
+    def contract(found: Hit) -> ExprS:
         nonlocal taken
         if fuel is not None and taken >= fuel:
             raise FuelExhausted(e, fuel)
@@ -181,6 +203,8 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None) -> ExprS:
         if found is not None:
             return contract(found), False
         kids = children(sub)
+        if not kids or id(sub) in normal:
+            return sub, True
         for i in range(len(kids)) if positions is None else positions(sub):
             kid, done = walk(kids[i])
             while not done:
@@ -191,6 +215,7 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None) -> ExprS:
                 kid, done = walk(kid)
             if kid is not kids[i]:
                 sub = replace_child(sub, i, kid)
+        normal[id(sub)] = sub
         return sub, True
 
     cur, done = walk(e)
@@ -199,55 +224,64 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None) -> ExprS:
     return cur
 
 
-def axiom_steps(e: ExprS) -> list[tuple[str, ExprS]]:
+def axiom_steps(e: ExprS) -> list[Hit]:
     """The axioms applicable at the root of e: at most one (axiom, contractum)."""
-    found = _fire(RULES, e)
+    found = _RULES_FIRE(e)
     return [] if found is None else [found]
 
 
-def _every_redex(e: ExprS, rules, positions) -> list[Step]:
-    """Every (position, axiom, whole-term-after) triple, in strategy order.
-
-    Axioms come from rules; congruence descends into the components that
-    positions(subterm) lists, or into every component if positions is None.
-    """
-    out: list[Step] = []
-
-    def walk(sub: ExprS, path: Path) -> None:
-        found = _fire(rules, sub)
-        if found is not None:
-            name, result = found
-            out.append((path, name, plug(e, path, result)))
-        kids = children(sub)
-        for i in range(len(kids)) if positions is None else positions(sub):
-            walk(kids[i], path + (i,))
-
-    walk(e, ())
-    return out
-
-
-def _first_redex(e: ExprS, rules, positions) -> Step | None:
-    """The first of _every_redex's triples, with the contractum at its position."""
-    found = _fire(rules, e)
+def _first_hit(e: ExprS, fires: Fires, positions=None, binders=None) -> Step | None:
+    """(path, name, contractum) at the first node in pre-order where fires(node,
+    binders) hits, descending left to right into the components positions(node)
+    lists (all if None); the recursion shares binders, which callers omit."""
+    binders = [] if binders is None else binders
+    found = fires(e, binders)
     if found is not None:
         return (), *found
     kids = children(e)
+    scoped = scoped_index(e) if kids else None
     for i in range(len(kids)) if positions is None else positions(e):
-        deeper = _first_redex(kids[i], rules, positions)
+        if i != scoped:
+            deeper = _first_hit(kids[i], fires, positions, binders)
+        else:
+            binders.append(e.defn if type(e) is InternalSubst else None)
+            deeper = _first_hit(kids[i], fires, positions, binders)
+            binders.pop()
         if deeper is not None:
             path, name, result = deeper
             return (i, *path), name, result
     return None
 
 
+def _every_hit(e: ExprS, hits, positions=None) -> list[Step]:
+    """Every (path, name, whole term after) in _first_hit's order; hits lists a node's."""
+    out: list[Step] = []
+    binders: Binders = []
+
+    def go(sub: ExprS, path: Path) -> None:
+        out.extend((path, name, plug(e, path, result)) for name, result in hits(sub, binders))
+        kids = children(sub)
+        scoped = scoped_index(sub)
+        for i in range(len(kids)) if positions is None else positions(sub):
+            if i != scoped:
+                go(kids[i], (*path, i))
+            else:
+                binders.append(sub.defn if type(sub) is InternalSubst else None)
+                go(kids[i], (*path, i))
+                binders.pop()
+
+    go(e, ())
+    return out
+
+
 def redexes(e: ExprS) -> list[Step]:
     """Every (position, axiom, whole-term-after) triple, in strategy order."""
-    return _every_redex(e, RULES, None)
+    return _every_hit(e, _hits(_RULES_FIRE))
 
 
 def first_redex(e: ExprS) -> Step | None:
     """Leftmost-outermost redex as (path, axiom, contractum-at-path)."""
-    return _first_redex(e, RULES, None)
+    return _first_hit(e, _RULES_FIRE)
 
 
 def reduce_trace(e: ExprS, fuel: int = DEFAULT_FUEL) -> list[Step]:
@@ -303,27 +337,27 @@ def classify_nf(e: ExprS) -> NormalClass:
 
 def neg_axiom(e: ExprS) -> tuple[str, ExprS] | None:
     """The negation-only axioms nu1..nu5 at the root."""
-    return _fire(NEG_RULES, e)
+    return _NEG_FIRE(e)
 
 
 def _neg_positions(e: ExprS) -> tuple[int, ...]:
     """Components negation reduction may descend into."""
-    match e:
-        case Neg(_):
-            return (0,)
-        case Product(_, _) | Sum(_, _):
-            return (0, 1)
-        case UnivAbs() | ExistAbs() | ProtDef() | InternalSubst():
-            return (scoped_index(e),)  # type: ignore[return-value]
+    t = type(e)
+    if t is Neg:
+        return (0,)
+    if t is Product or t is Sum:
+        return (0, 1)
+    if t is UnivAbs or t is ExistAbs or t is ProtDef or t is InternalSubst:
+        return (scoped_index(e),)  # type: ignore[return-value]
     return ()
 
 
 def neg_redexes(e: ExprS) -> list[Step]:
-    return _every_redex(e, NEG_RULES, _neg_positions)
+    return _every_hit(e, _hits(_NEG_FIRE), _neg_positions)
 
 
 def neg_step(e: ExprS) -> Step | None:
-    return _first_redex(e, NEG_RULES, _neg_positions)
+    return _first_hit(e, _NEG_FIRE, _neg_positions)
 
 
 def neg_trace(e: ExprS) -> list[Step]:

@@ -12,17 +12,19 @@ abstraction's lambda at once, from the lambda depth at which each enclosing
 abstraction's image sits, so no binder is opened and no lambda closed.
 
 Lambda terms are the kernel's own nodes: Var, Bound, Appl and syntax.Lam, so
-syntax shifts, opens and prints them as it does any term.
-beta_step is the normal-order step and the executable specification; beta_nf
-is reduction._normalize over the one rule beta, the walk behind reduce_nf,
-and takes the same steps.
+syntax shifts, opens and prints them as it does any term, and the one rule
+beta is a table in reduction.RULES's form. beta_step, the normal-order step
+and the executable specification, is reduction's leftmost-outermost search
+over that table; beta_nf is reduction._normalize over it, the walk behind
+reduce_nf, and takes the same steps.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 
-from .reduction import DEFAULT_FUEL, _first_redex, _normalize
+from .reduction import DEFAULT_FUEL, _fire, _first_hit, _normalize
 from .syntax import (
     Appl,
     Bound,
@@ -45,6 +47,7 @@ from .syntax import (
     free_vars,
     fresh_name,
     open_binder,
+    plug,
 )
 
 # The lambda side's names for the kernel nodes it is built from; PI is the
@@ -55,23 +58,13 @@ PI = Var("pi^")
 
 # The one rule of the untyped lambda calculus, in reduction.RULES's form.
 BETA_RULES = {(Appl, Lam): lambda e, f: ("beta", open_binder(f.body, e.arg))}
+_BETA_FIRE = partial(_fire, BETA_RULES)
 
 
 def beta_step(e: LambdaTerm) -> LambdaTerm | None:
     """One normal-order step: leftmost-outermost, including under lambdas."""
-    match e:
-        case Appl(Lam(body), arg):
-            return open_binder(body, arg)
-        case Lam(body, hint):
-            r = beta_step(body)
-            return None if r is None else Lam(r, hint)
-        case Appl(fun, arg):
-            r = beta_step(fun)
-            if r is not None:
-                return Appl(r, arg)
-            r = beta_step(arg)
-            return None if r is None else Appl(fun, r)
-    return None
+    found = _first_hit(e, _BETA_FIRE)
+    return None if found is None else plug(e, found[0], found[2])
 
 
 def beta_nf(e: LambdaTerm, fuel: int | None = DEFAULT_FUEL) -> LambdaTerm:
@@ -80,7 +73,7 @@ def beta_nf(e: LambdaTerm, fuel: int | None = DEFAULT_FUEL) -> LambdaTerm:
 
 
 def is_beta_normal(e: LambdaTerm) -> bool:
-    return _first_redex(e, BETA_RULES, None) is None
+    return _first_hit(e, _BETA_FIRE) is None
 
 
 def _lam2(body: LambdaTerm, x: str = "x", y: str = "y") -> Lam:
@@ -95,7 +88,7 @@ _FST = _lam2(Bound(1))
 _SND = _lam2(Bound(0))
 _UV = _lam2(Bound(0), "u", "v")
 
-# strip or encode: go(component, avoid, depth, binders) as below.
+# _strip or _encode: go(component, avoid, depth, binders) as below.
 Go = Callable[[Expr, set[str], int, tuple[int, ...]], LambdaTerm]
 
 
@@ -134,51 +127,48 @@ def _translate(
     raise ValueError(f"unrecognized term: {e!r}")
 
 
-def strip(
-    e: Expr, _avoid: set[str] | None = None, _depth: int = 0, _binders: tuple[int, ...] = ()
-) -> LambdaTerm:
-    """Type-stripping translation, in one pass over e.
+def strip(e: Expr) -> LambdaTerm:
+    """Type-stripping translation, in one pass over e."""
+    return _strip(e, free_vars(e), 0, ())
 
-    The private arguments carry the pass: _avoid holds the names a lambda's
-    hint is freshened against (the free names of the whole term and the
-    hints chosen above), _depth counts the lambdas above, and _binders holds
-    the lambda depth of the image of each enclosing abstraction, innermost
-    first, so a binder reference becomes its lambda's index at once.
-    """
-    avoid = _avoid if _avoid is not None else free_vars(e)
+
+def _strip(e: Expr, avoid: set[str], depth: int, binders: tuple[int, ...]) -> LambdaTerm:
+    """strip's pass: avoid holds the names a hint is freshened against (the free
+    names of the term and the hints chosen above), depth counts the lambdas
+    above, and binders the lambda depth of the image of each enclosing
+    abstraction, innermost first, so a binder reference becomes its index."""
     match e:
         case UnivAbs(_, body, hint) | ExistAbs(_, body, hint):
             x = fresh_name(hint, avoid)
-            return Lam(strip(body, avoid | {x}, _depth + 1, (_depth, *_binders)), x)
+            return Lam(_strip(body, avoid | {x}, depth + 1, (depth, *binders)), x)
         case Appl(fun, arg):
-            return Appl(strip(fun, avoid, _depth, _binders), strip(arg, avoid, _depth, _binders))
+            return Appl(_strip(fun, avoid, depth, binders), _strip(arg, avoid, depth, binders))
         case InjL(val, _) | InjR(_, val):
             # \x.\y.(x val) or \x.\y.(y val), built on indices: the image
             # of val is locally closed, so its free x or y is not captured.
             k = Bound(1 if isinstance(e, InjL) else 0)
-            return _lam2(Appl(k, strip(val, avoid | {"x", "y"}, _depth + 2, _binders)))
-    return _translate(e, avoid, _depth, _binders, strip)
+            return _lam2(Appl(k, _strip(val, avoid | {"x", "y"}, depth + 2, binders)))
+    return _translate(e, avoid, depth, binders, _strip)
 
 
-def encode(
-    e: Expr, _avoid: set[str] | None = None, _depth: int = 0, _binders: tuple[int, ...] = ()
-) -> LambdaTerm:
-    """Type-encoding translation: abstractions carry their domains.
+def encode(e: Expr) -> LambdaTerm:
+    """Type-encoding translation: abstractions carry their domains."""
+    return _encode(e, free_vars(e), 0, ())
 
-    One pass over e, with the private arguments of strip.
-    """
-    avoid = _avoid if _avoid is not None else free_vars(e)
+
+def _encode(e: Expr, avoid: set[str], depth: int, binders: tuple[int, ...]) -> LambdaTerm:
+    """encode's pass, with the arguments of _strip."""
     match e:
         case UnivAbs(dom, body, hint) | ExistAbs(dom, body, hint):
             # \z.((z dom) \x.body), the body translated first
             x = fresh_name(hint, avoid)
-            inner = encode(body, avoid | {x}, _depth + 2, (_depth + 1, *_binders))
-            dom_image = encode(dom, avoid, _depth + 1, _binders)
+            inner = _encode(body, avoid | {x}, depth + 2, (depth + 1, *binders))
+            dom_image = _encode(dom, avoid, depth + 1, binders)
             return _pair(dom_image, Lam(inner, x), avoid)
         case Appl(fun, arg):
-            fun_image = Appl(encode(fun, avoid, _depth, _binders), _SND)
-            return Appl(fun_image, encode(arg, avoid, _depth, _binders))
+            fun_image = Appl(_encode(fun, avoid, depth, binders), _SND)
+            return Appl(fun_image, _encode(arg, avoid, depth, binders))
         case InjL(val, _) | InjR(_, val):
             k = Appl(Bound(1 if isinstance(e, InjL) else 0), _UV)
-            return _lam2(Appl(k, encode(val, avoid | {"x", "y"}, _depth + 2, _binders)))
-    return _translate(e, avoid, _depth, _binders, encode)
+            return _lam2(Appl(k, _encode(val, avoid | {"x", "y"}, depth + 2, binders)))
+    return _translate(e, avoid, depth, binders, _encode)

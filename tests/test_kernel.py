@@ -13,21 +13,32 @@ import pytest
 
 from helpers import gen_neg_heavy, gen_typed_term, sample_contexts
 from dcalc import explicit, norms, parser, reduction, semantics, syntax
-from dcalc.explicit import Env, mu_axiom_steps, mu_nf, mu_trace
+from dcalc.explicit import (
+    Env,
+    def_eval_step,
+    mu_axiom_steps,
+    mu_nf,
+    mu_redexes,
+    mu_step,
+    mu_trace,
+)
 from dcalc.parser import parse_term
 from dcalc.reduction import (
     DEFAULT_FUEL,
     NEG_RULES,
     FuelExhausted,
     axiom_steps,
+    first_redex,
     neg_axiom,
     neg_nf,
+    neg_redexes,
     neg_step,
+    redexes,
     reduce_nf,
     reduce_trace,
 )
 from dcalc.semantics import beta_nf, beta_step, encode, strip
-from dcalc.syntax import Context, children, to_text
+from dcalc.syntax import Context, children, plug, to_text
 from dcalc.typecheck import synth
 
 # Needs beta1, beta1 and nu1 in the plain reducer; seven steps with pending
@@ -81,6 +92,49 @@ def test_engine_rule_sets_are_subsets_of_the_one_table():
         assert [s for s in mu if s[0] not in {"beta1_mu", "beta2_mu"}] == shared
     # the generators reach every axiom of each group
     assert {"beta1", "beta3", "pi1", "pi3", "nu1", "nu4", "nu6", "nu8"} <= fired
+
+
+# An environment that defines a name the generated terms use freely.
+DEFINED = Env((("x", parse_term("[a,~~b]")),))
+
+
+def _terms_on_mu_paths():
+    """Generated terms and the first terms of their mu traces, which hold
+    pending substitutions under binders."""
+    rng = random.Random(53)
+    ctxs = sample_contexts()
+    for _ in range(100):
+        for e in (
+            gen_typed_term(rng, rng.choice(ctxs), rng.randint(0, 5)),
+            gen_neg_heavy(rng, rng.randint(0, 5)),
+        ):
+            for _ in range(12):
+                yield e
+                found = mu_step(DEFINED, e)
+                if found is None:
+                    break
+                e = found[1]
+
+
+def test_the_first_hit_is_the_first_of_every_hit():
+    """Each engine's deterministic step is one of the steps its every-hit search lists."""
+    terms = 0
+    for e in _terms_on_mu_paths():
+        terms += 1
+        for first, every in ((first_redex(e), redexes(e)), (neg_step(e), neg_redexes(e))):
+            if first is None:
+                assert every == []
+            else:
+                path, name, result = first
+                assert every[0] == (path, name, plug(e, path, result))
+        for env in (Env(), DEFINED):
+            steps = {(name, after) for _path, name, after in mu_redexes(env, e)}
+            found = mu_step(env, e)
+            assert found in steps if found is not None else steps == set()
+            defs = {after for name, after in steps if name in ("use", "rem")}
+            after = def_eval_step(env, e)
+            assert after in defs if after is not None else defs == set()
+    assert terms > 500
 
 
 # The functions bench/tracer.py counts work by; they must stay module-level

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import DIAG_FUELS, calls_during, diag_contexts, diag_record, term_from_json
 
-from dcalc import typecheck
+from dcalc import reduction, typecheck
 from dcalc.axioms import resolve_axiom_gate
 from dcalc.corpus import CORPUS_AXIOMS, corpus_names, corpus_text
 from dcalc.parser import CheckItem, Document, parse_document, parse_term
@@ -344,6 +344,40 @@ def test_a_doubling_chain_of_definitions_checks_in_linear_work(n):
         sys.setprofile(None)
     assert errors == []
     assert calls <= bound
+
+
+def _shared_conversion(n: int) -> str:
+    """check p(d(n)) : P(([x:tau]x d(n))), d as in _doubling_chain.
+
+    Conversion normalizes d(n), a normal term of n+1 shared nodes that
+    spells out 2^n uses of f, on both sides.
+    """
+    return (
+        "context C { f : [tau => [tau => tau]]; P : [tau => tau]; p : [x:tau]P(x) }\n"
+        + "def d0 := tau\n"
+        + "".join(f"def d{i} := f(d{i - 1}, d{i - 1})\n" for i in range(1, n + 1))
+        + f"check p(d{n}) : P(([x:tau]x d{n}))\n"
+    )
+
+
+def test_conversion_of_a_doubling_chain_takes_linear_work(monkeypatch):
+    """reduce_nf walks a normal node that several components share once."""
+    fire = reduction._fire
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return fire(*args)
+
+    monkeypatch.setattr(reduction, "_fire", counted)
+    counts = {}
+    for n in (8, 16):
+        doc = parse_document(_shared_conversion(n))
+        calls = 0
+        assert check_document(doc) == []
+        counts[n] = calls
+    assert counts[16] <= 3 * counts[8]
 
 
 def _error_record(err: TypingError) -> tuple:
