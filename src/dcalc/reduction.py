@@ -16,6 +16,13 @@ steps and raises FuelExhausted when a further one is available. The traces
 (``reduce_trace``, ``neg_trace``) search each step from the root and are the
 executable specification; ``reduce_nf`` and ``neg_nf`` take the same steps
 in one resuming walk (``_normalize``) that continues where it contracted.
+Given a memo (``reduce_nf``'s and ``conv``'s optional last argument, which
+typecheck.check_document sets), the walk keeps the normal form of each node
+it finishes, with the steps it took, and reuses it where the node comes back
+in the same file: always at a call's root, and inside the walk
+where the node's root never contracted or its parent does not read it. A
+reused normal form is charged its steps, so fuel still counts the trace's
+steps.
 ``semantics.beta_nf`` is the same walk over a one-rule table of its own.
 Whether a term is normal is decided by the same redex search: ``classify_nf``
 calls a term with no redex a dead end when it is stuck on a variable.
@@ -173,7 +180,28 @@ def _plugged(find: Callable[[ExprS], Step | None]) -> Callable[[ExprS], Step | N
     return step
 
 
-def _normalize(e: ExprS, rules, positions, fuel: int | None) -> ExprS:
+# What _normalize found, by node identity. A node found normal is its own
+# entry; any other node whose normalization finished maps to (node, its
+# normal form, the steps taken, whether its root contracted on the way).
+# Holding the node keeps its id from reuse.
+NormalForms = dict[int, "ExprS | tuple[ExprS, ExprS, int, bool]"]
+
+
+def _reads(e: ExprS, i: int) -> bool:
+    """Does whether a rule fires at e hang on the root of e's component i?
+
+    An application reads its operator, and its argument under a case; a
+    projection or negation reads its operand.
+    """
+    t = type(e)
+    if t is Appl:
+        return i == 0 or type(e.fun) is Case
+    return t is ProjL or t is ProjR or t is Neg
+
+
+def _normalize(
+    e: ExprS, rules, positions, fuel: int | None, memo: NormalForms | None = None
+) -> ExprS:
     """The normal form of e, reached by the steps the trace of rules takes.
 
     positions is as for _first_hit. A node fires its rule, or else normalizes
@@ -182,45 +210,77 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None) -> ExprS:
     fires: a rule looks only at the root types of its node's components, so
     a contraction can only make a redex of its parent. Every other node
     before it in leftmost-outermost order is already normal, so the steps are
-    exactly the trace's. A node found normal is kept, so a node shared by
-    several components is walked once; it takes no step wherever it sits.
-    Fuel counts steps, as _drive does.
+    exactly the trace's. Fuel counts steps, as _drive does.
+
+    What a walk finds is kept by node identity, so a node shared by several
+    components is walked once. Without a memo, the call keeps the nodes it
+    found normal, for itself. With one (check_document's, under RULES) it
+    keeps in the memo, for later calls too, every node whose normalization
+    finished, with its steps. The call's root always reuses its entry. A
+    component reuses it when its root never contracted, or when its parent
+    does not read it (_reads): either way the walk would take the same steps
+    with no say from the parent. A reused entry is charged its steps, and
+    FuelExhausted (naming e) is raised if they pass the fuel, so fuel=N
+    still means the N steps of the trace.
     """
     taken = 0
-    # id -> node found normal; holding the node keeps its id from reuse.
-    normal: dict[int, ExprS] = {}
+    record = memo is not None
+    if memo is None:
+        memo = {}
 
-    def contract(found: Hit) -> ExprS:
+    def charge(steps: int) -> None:
         nonlocal taken
-        if fuel is not None and taken >= fuel:
+        if fuel is not None and taken + steps > fuel:
             raise FuelExhausted(e, fuel)
-        taken += 1
-        return found[1]
+        taken += steps
 
-    def walk(sub: ExprS) -> tuple[ExprS, bool]:
-        """(normal form of sub, True), or (contractum, False) after a root step."""
+    def walk(sub: ExprS, read: bool) -> tuple[ExprS, bool]:
+        """(normal form of sub, True), or (contractum, False) after a root step.
+
+        read is whether sub's parent reads it (_reads); only a memo asks.
+        """
+        kids = children(sub)
+        if not kids:
+            return sub, True
+        hit = memo.get(id(sub))
+        if hit is not None:
+            if hit is sub:
+                return sub, True
+            if not (read and hit[3]):
+                charge(hit[2])
+                return hit[1], True
         found = _fire(rules, sub)
         if found is not None:
-            return contract(found), False
-        kids = children(sub)
-        if not kids or id(sub) in normal:
-            return sub, True
+            charge(1)
+            return found[1], False
+        node, start = sub, taken
         for i in range(len(kids)) if positions is None else positions(sub):
-            kid, done = walk(kids[i])
-            while not done:
-                sub = replace_child(sub, i, kid)
-                found = _fire(rules, sub)
-                if found is not None:
-                    return contract(found), False
-                kid, done = walk(kid)
+            reads = record and _reads(sub, i)
+            mark = taken
+            kid, done = walk(kids[i], reads)
+            if not done:
+                while not done:
+                    sub = replace_child(sub, i, kid)
+                    found = _fire(rules, sub)
+                    if found is not None:
+                        charge(1)
+                        return found[1], False
+                    kid, done = walk(kid, reads)
+                if record:
+                    memo[id(kids[i])] = (kids[i], kid, taken - mark, True)
             if kid is not kids[i]:
                 sub = replace_child(sub, i, kid)
-        normal[id(sub)] = sub
+        memo[id(sub)] = sub
+        if record and sub is not node:
+            memo[id(node)] = (node, sub, taken - start, False)
         return sub, True
 
-    cur, done = walk(e)
-    while not done:
-        cur, done = walk(cur)
+    cur, done = walk(e, False)
+    if not done:
+        while not done:
+            cur, done = walk(cur, False)
+        if record:
+            memo[id(e)] = (e, cur, taken, True)
     return cur
 
 
@@ -290,13 +350,16 @@ def reduce_trace(e: ExprS, fuel: int = DEFAULT_FUEL) -> list[Step]:
     return trace
 
 
-def reduce_nf(e: ExprS, fuel: int = DEFAULT_FUEL) -> ExprS:
-    return _normalize(e, RULES, None, fuel)
+def reduce_nf(e: ExprS, fuel: int = DEFAULT_FUEL, memo: NormalForms | None = None) -> ExprS:
+    """The normal form of e; memo is check_document's map of normal forms."""
+    return _normalize(e, RULES, None, fuel, memo)
 
 
-def conv(a: ExprS, b: ExprS, fuel: int = DEFAULT_FUEL) -> bool:
+def conv(
+    a: ExprS, b: ExprS, fuel: int = DEFAULT_FUEL, memo: NormalForms | None = None
+) -> bool:
     """Congruence test: common normal form, valid inputs assumed."""
-    return a == b or reduce_nf(a, fuel) == reduce_nf(b, fuel)
+    return a == b or reduce_nf(a, fuel, memo) == reduce_nf(b, fuel, memo)
 
 
 def render_trace(steps: list[Step]) -> str:

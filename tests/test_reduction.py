@@ -9,6 +9,7 @@ from dcalc.parser import parse_term
 from dcalc.reduction import (
     FuelExhausted,
     NormalClass,
+    NormalForms,
     axiom_steps,
     classify_nf,
     conv,
@@ -32,10 +33,12 @@ from dcalc.syntax import (
     InjR,
     Neg,
     Product,
+    ProjL,
     ProtDef,
     Sum,
     UnivAbs,
     Var,
+    walk,
 )
 
 a, b = Var("a"), Var("b")
@@ -135,6 +138,52 @@ def test_fuel_exhaustion():
     assert "within 25 steps" in str(err.value)
     with pytest.raises(FuelExhausted):
         reduce_trace(loop, fuel=25)
+
+
+def _sharing(e):
+    """Terms that share e: where the parent reads e's root, and where it does not."""
+    self_apply = UnivAbs(TAU, Appl(Bound(0), Bound(0)))
+    branch = UnivAbs(TAU, Bound(0))
+    return [
+        Appl(Case(branch, branch), e),
+        Appl(e, e),
+        ProjL(Product(e, e)),
+        Neg(Product(e, Neg(e))),
+        Appl(self_apply, e),
+        Product(e, e),
+    ]
+
+
+def test_a_warm_memo_still_takes_the_steps_of_the_trace():
+    """A memo that holds every subterm's normal form charges their steps, so
+    fuel=N raises exactly when the trace takes more than N steps."""
+    rng = random.Random(14)
+    ctxs = sample_contexts()
+    reused = 0
+    for _ in range(120):
+        e = gen_typed_term(rng, rng.choice(ctxs), rng.randint(1, 4))
+        for t in _sharing(e):
+            try:
+                steps = len(reduce_trace(t, fuel=500))
+            except FuelExhausted:
+                continue
+            nf = reduce_nf(t)
+            warm: NormalForms = {}
+            for sub, _ in walk(t):
+                if sub is not t:
+                    reduce_nf(sub, memo=warm)
+            reused += any(type(entry) is tuple for entry in warm.values())
+            rooted = dict(warm)
+            reduce_nf(t, memo=rooted)  # t's own entry, too
+            for fuel in range(max(steps - 1, 0), steps + 2):
+                for memo in (dict(warm), rooted):
+                    try:
+                        got = reduce_nf(t, fuel, memo)
+                    except FuelExhausted as err:
+                        assert err.expr is t and fuel < steps
+                    else:
+                        assert fuel >= steps and got == nf
+    assert reused > 200
 
 
 def test_conv():

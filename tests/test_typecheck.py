@@ -14,7 +14,7 @@ from dcalc import reduction, typecheck
 from dcalc.axioms import resolve_axiom_gate
 from dcalc.corpus import CORPUS_AXIOMS, corpus_names, corpus_text
 from dcalc.parser import CheckItem, Document, parse_document, parse_term
-from dcalc.reduction import FuelExhausted, conv
+from dcalc.reduction import DEFAULT_FUEL, FuelExhausted, conv
 from dcalc.syntax import (
     TAU,
     Appl,
@@ -346,38 +346,61 @@ def test_a_doubling_chain_of_definitions_checks_in_linear_work(n):
     assert calls <= bound
 
 
-def _shared_conversion(n: int) -> str:
+def _shared_conversion(n: int, use: str = "{}") -> str:
     """check p(d(n)) : P(([x:tau]x d(n))), d as in _doubling_chain.
 
     Conversion normalizes d(n), a normal term of n+1 shared nodes that
-    spells out 2^n uses of f, on both sides.
+    spells out 2^n uses of f, on both sides. With use "g({})", each d(i)
+    applies g := [x:tau]x to both uses of d(i-1), so d(n) must be reduced.
     """
     return (
         "context C { f : [tau => [tau => tau]]; P : [tau => tau]; p : [x:tau]P(x) }\n"
-        + "def d0 := tau\n"
-        + "".join(f"def d{i} := f(d{i - 1}, d{i - 1})\n" for i in range(1, n + 1))
+        + "def g := [x:tau]x\ndef d0 := tau\n"
+        + "".join(
+            "def d{i} := f({u}, {u})\n".format(i=i, u=use.format(f"d{i - 1}"))
+            for i in range(1, n + 1)
+        )
         + f"check p(d{n}) : P(([x:tau]x d{n}))\n"
     )
 
 
-def test_conversion_of_a_doubling_chain_takes_linear_work(monkeypatch):
-    """reduce_nf walks a normal node that several components share once."""
+def _count_fire(monkeypatch) -> Counter:
+    """Counts of reduction._fire's calls ("visits") and of its hits ("contractions")."""
     fire = reduction._fire
-    calls = 0
+    counts: Counter = Counter()
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
-        return fire(*args)
+        found = fire(*args)
+        counts["visits"] += 1
+        counts["contractions"] += found is not None
+        return found
 
     monkeypatch.setattr(reduction, "_fire", counted)
-    counts = {}
+    return counts
+
+
+def test_conversion_of_a_doubling_chain_takes_linear_work(monkeypatch):
+    """reduce_nf walks a normal node that several components share once."""
+    counts = _count_fire(monkeypatch)
+    visits = {}
     for n in (8, 16):
         doc = parse_document(_shared_conversion(n))
-        calls = 0
+        counts.clear()
         assert check_document(doc) == []
-        counts[n] = calls
-    assert counts[16] <= 3 * counts[8]
+        visits[n] = counts["visits"]
+    assert visits[16] <= 3 * visits[8]
+
+
+def test_a_shared_redex_is_reduced_once_per_file(monkeypatch):
+    """check_document keeps each normal form it reached, with its steps."""
+    counts = _count_fire(monkeypatch)
+    contractions = {}
+    for n in (6, 12):
+        doc = parse_document(_shared_conversion(n, "g({})"))
+        counts.clear()
+        assert check_document(doc) == []
+        contractions[n] = counts["contractions"]
+    assert 0 < contractions[12] <= 3 * contractions[6]
 
 
 def _error_record(err: TypingError) -> tuple:
@@ -429,6 +452,26 @@ def _failing_documents() -> list[Document]:
     return docs
 
 
+def _church(k: int) -> str:
+    return "[A:tau][s:[A=>A]][z:A]" + "s(" * k + "z" + ")" * k
+
+
+# Church numerals, as a file proves arithmetic by conversion: one true claim,
+# and one off by one. refl copies its argument, the shared left side, twice
+# into its type.
+CHURCH_CLAIMS = f"""\
+def N := [A:tau][[A=>A] => [A=>A]]
+def mul := [m,n:N][A:tau][s:[A=>A]]m(A,n(A,s))
+def succ := [n:N][A:tau][s:[A=>A]][z:A]s(n(A,s,z))
+def eq := [x,y:N][P:[N=>tau]][P(x) => P(y)]
+def refl := [x:N][P:[N=>tau]][h:P(x)]h
+def a := {_church(2)}
+def b := {_church(3)}
+check refl(mul(a,b)) : eq(mul(a,b), mul(b,a))
+check refl(mul(a,b)) : eq(mul(a,b), succ(mul(b,a)))
+"""
+
+
 def test_check_document_reports_what_a_fresh_check_of_each_item_does():
     failing = _failing_documents()
     corpus = [
@@ -436,10 +479,19 @@ def test_check_document_reports_what_a_fresh_check_of_each_item_does():
         for name in corpus_names()
         for gate in (CORPUS_AXIOMS[name], ["all"])
     ]
+    church = parse_document(CHURCH_CLAIMS)
+    shared = len(reduction.reduce_trace(church.checks[0].term.arg))
+    assert shared >= 10
+    runs = [(doc, DIAG_FUELS) for doc in corpus + failing]
+    runs.append((church, (*DIAG_FUELS, shared - 1, shared, shared + 1)))
     errors = 0
-    for doc in corpus + failing:
-        for fuel in DIAG_FUELS:
+    kinds = set()
+    for doc, fuels in runs:
+        for fuel in fuels:
             expected = _item_by_item(doc, fuel)
             assert [_error_record(err) for err in check_document(doc, fuel)] == expected
             errors += len(expected)
+            if doc is church:
+                kinds.update((fuel, kind) for kind, *_ in expected)
     assert errors > 1000
+    assert {(DEFAULT_FUEL, "Mismatch"), (shared - 1, "FuelExhausted")} <= kinds
