@@ -16,13 +16,11 @@ steps and raises FuelExhausted when a further one is available. The traces
 (``reduce_trace``, ``neg_trace``) search each step from the root and are the
 executable specification; ``reduce_nf`` and ``neg_nf`` take the same steps
 in one resuming walk (``_normalize``) that continues where it contracted.
-Given a memo (``reduce_nf``'s and ``conv``'s optional last argument, which
-typecheck.check_document sets), the walk keeps the normal form of each node
-it finishes, with the steps it took, and reuses it where the node comes back
-in the same file: always at a call's root, and inside the walk
-where the node's root never contracted or its parent does not read it. A
-reused normal form is charged its steps, so fuel still counts the trace's
-steps.
+Each node the walk finishes keeps its normal form, with the steps it took,
+which is reused where the node comes back, in the same call or a later one:
+always at a call's root, and inside the walk where the node's root never
+contracted or its parent does not read it. A reused normal form is
+charged its steps, so fuel still counts the trace's steps.
 ``semantics.beta_nf`` is the same walk over a one-rule table of its own.
 Whether a term is normal is decided by the same redex search: ``classify_nf``
 calls a term with no redex a dead end when it is stuck on a variable.
@@ -79,9 +77,16 @@ Binders = list["ExprS | None"]
 Fires = Callable[[ExprS, Binders], "Hit | None"]
 
 
+# FuelExhausted prints at most this many characters of its term.
+_SHOWN_CHARS = 1_000
+
+
 class FuelExhausted(Exception):
     def __init__(self, e, fuel: int):
-        super().__init__(f"no normal form within {fuel} steps: {to_text(e)}")
+        text = to_text(e)
+        if len(text) > _SHOWN_CHARS:
+            text = f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
+        super().__init__(f"no normal form within {fuel} steps: {text}")
         self.expr = e
         self.fuel = fuel
 
@@ -180,11 +185,9 @@ def _plugged(find: Callable[[ExprS], Step | None]) -> Callable[[ExprS], Step | N
     return step
 
 
-# What _normalize found, by node identity. A node found normal is its own
-# entry; any other node whose normalization finished maps to (node, its
-# normal form, the steps taken, whether its root contracted on the way).
-# Holding the node keeps its id from reuse.
-NormalForms = dict[int, "ExprS | tuple[ExprS, ExprS, int, bool]"]
+# A node's entry when _normalize found it normal. A normal node is not its
+# own entry: that would be a reference cycle.
+_NORMAL = object()
 
 
 def _reads(e: ExprS, i: int) -> bool:
@@ -199,9 +202,7 @@ def _reads(e: ExprS, i: int) -> bool:
     return t is ProjL or t is ProjR or t is Neg
 
 
-def _normalize(
-    e: ExprS, rules, positions, fuel: int | None, memo: NormalForms | None = None
-) -> ExprS:
+def _normalize(e: ExprS, rules, positions, fuel: int | None, slot: str) -> ExprS:
     """The normal form of e, reached by the steps the trace of rules takes.
 
     positions is as for _first_hit. A node fires its rule, or else normalizes
@@ -212,21 +213,18 @@ def _normalize(
     before it in leftmost-outermost order is already normal, so the steps are
     exactly the trace's. Fuel counts steps, as _drive does.
 
-    What a walk finds is kept by node identity, so a node shared by several
-    components is walked once. Without a memo, the call keeps the nodes it
-    found normal, for itself. With one (check_document's, under RULES) it
-    keeps in the memo, for later calls too, every node whose normalization
-    finished, with its steps. The call's root always reuses its entry. A
-    component reuses it when its root never contracted, or when its parent
-    does not read it (_reads): either way the walk would take the same steps
-    with no say from the parent. A reused entry is charged its steps, and
-    FuelExhausted (naming e) is raised if they pass the fuel, so fuel=N
-    still means the N steps of the trace.
+    What a walk finds stays on each compound node, under the attribute slot
+    (one per rule table), as syntax._loose keeps its bound: _NORMAL for a
+    node found normal, else (normal form, steps taken, whether its root
+    contracted) once its normalization finished. So a node shared by several
+    components, or met again by a later call, is walked once. The call's
+    root always reuses its entry. A component reuses it when its root never
+    contracted, or when its parent does not read it (_reads): either way the
+    walk would take the same steps with no say from the parent. A reused
+    entry is charged its steps, and FuelExhausted (naming e) is raised if
+    they pass the fuel, so fuel=N still means the N steps of the trace.
     """
     taken = 0
-    record = memo is not None
-    if memo is None:
-        memo = {}
 
     def charge(steps: int) -> None:
         nonlocal taken
@@ -237,25 +235,25 @@ def _normalize(
     def walk(sub: ExprS, read: bool) -> tuple[ExprS, bool]:
         """(normal form of sub, True), or (contractum, False) after a root step.
 
-        read is whether sub's parent reads it (_reads); only a memo asks.
+        read is whether sub's parent reads it (_reads).
         """
         kids = children(sub)
         if not kids:
             return sub, True
-        hit = memo.get(id(sub))
+        hit = getattr(sub, slot, None)
         if hit is not None:
-            if hit is sub:
+            if hit is _NORMAL:
                 return sub, True
-            if not (read and hit[3]):
-                charge(hit[2])
-                return hit[1], True
+            if not (read and hit[2]):
+                charge(hit[1])
+                return hit[0], True
         found = _fire(rules, sub)
         if found is not None:
             charge(1)
             return found[1], False
         node, start = sub, taken
         for i in range(len(kids)) if positions is None else positions(sub):
-            reads = record and _reads(sub, i)
+            reads = _reads(sub, i)
             mark = taken
             kid, done = walk(kids[i], reads)
             if not done:
@@ -266,22 +264,23 @@ def _normalize(
                         charge(1)
                         return found[1], False
                     kid, done = walk(kid, reads)
-                if record:
-                    memo[id(kids[i])] = (kids[i], kid, taken - mark, True)
+                object.__setattr__(kids[i], slot, (kid, taken - mark, True))
             if kid is not kids[i]:
                 sub = replace_child(sub, i, kid)
-        memo[id(sub)] = sub
-        if record and sub is not node:
-            memo[id(node)] = (node, sub, taken - start, False)
+        object.__setattr__(sub, slot, _NORMAL)
+        if sub is not node:
+            object.__setattr__(node, slot, (sub, taken - start, False))
         return sub, True
 
-    cur, done = walk(e, False)
-    if not done:
-        while not done:
-            cur, done = walk(cur, False)
-        if record:
-            memo[id(e)] = (e, cur, taken, True)
-    return cur
+    try:
+        cur, done = walk(e, False)
+        if not done:
+            while not done:
+                cur, done = walk(cur, False)
+            object.__setattr__(e, slot, (cur, taken, True))
+        return cur
+    finally:
+        del walk  # walk calls itself through its closure: a reference cycle
 
 
 def axiom_steps(e: ExprS) -> list[Hit]:
@@ -350,16 +349,13 @@ def reduce_trace(e: ExprS, fuel: int = DEFAULT_FUEL) -> list[Step]:
     return trace
 
 
-def reduce_nf(e: ExprS, fuel: int = DEFAULT_FUEL, memo: NormalForms | None = None) -> ExprS:
-    """The normal form of e; memo is check_document's map of normal forms."""
-    return _normalize(e, RULES, None, fuel, memo)
+def reduce_nf(e: ExprS, fuel: int = DEFAULT_FUEL) -> ExprS:
+    return _normalize(e, RULES, None, fuel, "_reduce_nf")
 
 
-def conv(
-    a: ExprS, b: ExprS, fuel: int = DEFAULT_FUEL, memo: NormalForms | None = None
-) -> bool:
+def conv(a: ExprS, b: ExprS, fuel: int = DEFAULT_FUEL) -> bool:
     """Congruence test: common normal form, valid inputs assumed."""
-    return a == b or reduce_nf(a, fuel, memo) == reduce_nf(b, fuel, memo)
+    return a == b or reduce_nf(a, fuel) == reduce_nf(b, fuel)
 
 
 def render_trace(steps: list[Step]) -> str:
@@ -430,7 +426,7 @@ def neg_trace(e: ExprS) -> list[Step]:
 
 
 def neg_nf(e: ExprS) -> ExprS:
-    return _normalize(e, NEG_RULES, _neg_positions, None)
+    return _normalize(e, NEG_RULES, _neg_positions, None, "_neg_nf")
 
 
 def _weigh(e: ExprS, kids: Sequence[int]) -> int:

@@ -69,7 +69,7 @@ def beta_step(e: LambdaTerm) -> LambdaTerm | None:
 
 def beta_nf(e: LambdaTerm, fuel: int | None = DEFAULT_FUEL) -> LambdaTerm:
     """The normal form of e, reached by the steps beta_step takes."""
-    return _normalize(e, BETA_RULES, None, fuel)
+    return _normalize(e, BETA_RULES, None, fuel, "_beta_nf")
 
 
 def is_beta_normal(e: LambdaTerm) -> bool:

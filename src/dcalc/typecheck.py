@@ -19,23 +19,23 @@ opened every binder with a fresh variable would pick.
 
 A definition is spliced into each use as one shared node, so a document
 can hold a term far larger than its text. check_document types its
-declarations, definitions and checks under one fuel with one memo, by node
-identity. It holds the type of each locally closed compound subterm. The
+declarations, definitions and checks under one fuel with one memo: the
+type of each locally closed compound subterm, by node identity. The
 declarations come first, each under the ones before it, and a type found
 under a context holds under every longer one. Only successes go in, so
-every error is raised afresh, with its own path and text. It also holds
-each normal form a reduce_nf or conv reached, with the steps it took
-(reduce_nf's memo), so a shared subterm is reduced once per file. A
-reused normal form is charged those steps, so each call runs out of fuel
-where a fresh one would. A bare synth, check or check_context takes no memo.
+every error is raised afresh, with its own path and text. A bare synth,
+check or check_context takes no memo. Normal forms need none: each node
+keeps its own (reduction._normalize), so a shared subterm is reduced once,
+and a reused normal form is charged its steps, so each call runs out of
+fuel where a fresh one would.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
-from .reduction import DEFAULT_FUEL, FuelExhausted, NormalForms, conv, reduce_nf
+from .reduction import DEFAULT_FUEL, FuelExhausted, conv, reduce_nf
 from .syntax import (
     TAU,
     Appl,
@@ -99,16 +99,9 @@ class TypingError(Exception):
         return "; ".join(parts)
 
 
-class Memo(NamedTuple):
-    """What check_document has found, by node identity.
-
-    types maps a node's id to the node (which keeps the id from being
-    reused) and its type; normal is the memo of reduce_nf and conv.
-    """
-
-    types: dict[int, tuple[Expr, Expr]]
-    normal: NormalForms
-
+# The types check_document has synthesized: a node's id, to the node (which
+# keeps the id from being reused) and its type.
+Memo = dict[int, tuple[Expr, Expr]]
 
 # A binder _synth is inside: the type of its variable (an abstraction's
 # domain, a protected definition's witness type), its hint, and the
@@ -176,13 +169,11 @@ def _synth(
     compound e that is locally closed is typed once: its type does not
     depend on the binders around it, so a shared node is looked up by id.
     """
-    key = normal = None
-    if memo is not None:
-        normal = memo.normal
-        if type(e) is not Var and type(e) is not Prim and _loose(e) == 0:
-            key = id(e)
-            if key in memo.types:
-                return memo.types[key][1]
+    key = None
+    if memo is not None and type(e) is not Var and type(e) is not Prim and _loose(e) == 0:
+        key = id(e)
+        if key in memo:
+            return memo[key][1]
     match e:
         case Prim():
             return TAU
@@ -208,7 +199,7 @@ def _synth(
         case Appl(fun, arg):
             tf = _synth(ctx, binders, fun, path + (0,), fuel, memo)
             ta = _synth(ctx, binders, arg, path + (1,), fuel, memo)
-            nf_tf = reduce_nf(tf, fuel, normal)
+            nf_tf = reduce_nf(tf, fuel)
             if not isinstance(nf_tf, UnivAbs):
                 raise TypingError(
                     "NotAFunction",
@@ -216,7 +207,7 @@ def _synth(
                     path,
                     found=nf_tf,
                 )
-            if reduce_nf(ta, fuel, normal) != nf_tf.dom:
+            if reduce_nf(ta, fuel) != nf_tf.dom:
                 raise TypingError(
                     "DomainMismatch",
                     "argument type does not match the domain",
@@ -241,7 +232,7 @@ def _synth(
                 ) from err
             binders.pop()
             claimed = open_binder(tag, witness)
-            if not conv(tp, claimed, fuel, normal):
+            if not conv(tp, claimed, fuel):
                 raise TypingError(
                     "InvalidTag",
                     "proof does not establish the tag at the witness",
@@ -251,7 +242,7 @@ def _synth(
                 )
             ty = ExistAbs(tw, tag, hint)
         case ProjL(operand):
-            t = reduce_nf(_synth(ctx, binders, operand, path + (0,), fuel, memo), fuel, normal)
+            t = reduce_nf(_synth(ctx, binders, operand, path + (0,), fuel, memo), fuel)
             match t:
                 case ExistAbs(dom, _):
                     ty = dom
@@ -265,7 +256,7 @@ def _synth(
                         found=t,
                     )
         case ProjR(operand):
-            t = reduce_nf(_synth(ctx, binders, operand, path + (0,), fuel, memo), fuel, normal)
+            t = reduce_nf(_synth(ctx, binders, operand, path + (0,), fuel, memo), fuel)
             match t:
                 case ExistAbs(_, body):
                     ty = open_binder(body, ProjL(operand))
@@ -290,8 +281,8 @@ def _synth(
             _synth(ctx, binders, ltag, path + (0,), fuel, memo)
             ty = Sum(ltag, _synth(ctx, binders, val, path + (1,), fuel, memo))
         case Case(left, right):
-            tl = reduce_nf(_synth(ctx, binders, left, path + (0,), fuel, memo), fuel, normal)
-            tr = reduce_nf(_synth(ctx, binders, right, path + (1,), fuel, memo), fuel, normal)
+            tl = reduce_nf(_synth(ctx, binders, left, path + (0,), fuel, memo), fuel)
+            tr = reduce_nf(_synth(ctx, binders, right, path + (1,), fuel, memo), fuel)
             if not isinstance(tl, UnivAbs) or not isinstance(tr, UnivAbs):
                 raise TypingError(
                     "BranchTypeMismatch",
@@ -325,7 +316,7 @@ def _synth(
         case _:
             raise ValueError(f"unrecognized term: {e!r}")
     if key is not None:
-        memo.types[key] = (e, ty)
+        memo[key] = (e, ty)
     return ty
 
 
@@ -337,7 +328,7 @@ def check(ctx: Context, e: Expr, ty: Expr, fuel: int = DEFAULT_FUEL) -> None:
 def _check(ctx: Context, e: Expr, ty: Expr, fuel: int, memo: Memo | None) -> None:
     _synth_root(ctx, ty, fuel, memo)
     found = _synth_root(ctx, e, fuel, memo)
-    if not conv(found, ty, fuel, None if memo is None else memo.normal):
+    if not conv(found, ty, fuel):
         raise TypingError(
             "Mismatch",
             "term does not have the claimed type",
@@ -381,7 +372,7 @@ def _typing_error(prefix: str, run) -> TypingError | None:
 
 def check_document(doc: Document, fuel: int = DEFAULT_FUEL) -> list[TypingError]:
     """All typing errors in a parsed file: context, definitions, then checks."""
-    ctx, memo = doc.context, Memo({}, {})
+    ctx, memo = doc.context, {}
     err = _typing_error("", lambda: _check_context(ctx, fuel, memo))
     if err is not None:
         return [err]

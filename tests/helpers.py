@@ -12,9 +12,10 @@ import dataclasses
 import functools
 import random
 import sys
+from collections import Counter
 from typing import Callable, Iterator
 
-from dcalc import syntax
+from dcalc import reduction, syntax
 from dcalc.axioms import resolve_axiom_gate
 from dcalc.corpus import corpus_names, load_corpus
 from dcalc.explicit import Env, mu_trace
@@ -65,6 +66,39 @@ def calls_during(run: Callable[[], object]) -> int:
     finally:
         sys.setprofile(None)
     return calls
+
+
+def shared_conversion(n: int, use: str = "{}") -> str:
+    """check p(d(n)) : P(([x:tau]x d(n))), where d0 := tau, d(i) := f(d(i-1), d(i-1)).
+
+    Conversion normalizes d(n), a normal term of n+1 shared nodes that
+    spells out 2^n uses of f, on both sides. With use "g({})", each d(i)
+    applies g := [x:tau]x to both uses of d(i-1), so d(n) must be reduced.
+    """
+    return (
+        "context C { f : [tau => [tau => tau]]; P : [tau => tau]; p : [x:tau]P(x) }\n"
+        + "def g := [x:tau]x\ndef d0 := tau\n"
+        + "".join(
+            "def d{i} := f({u}, {u})\n".format(i=i, u=use.format(f"d{i - 1}"))
+            for i in range(1, n + 1)
+        )
+        + f"check p(d{n}) : P(([x:tau]x d{n}))\n"
+    )
+
+
+def count_fire(monkeypatch) -> Counter:
+    """Counts of reduction._fire's calls ("visits") and of its hits ("contractions")."""
+    fire = reduction._fire
+    counts: Counter = Counter()
+
+    def counted(*args):
+        found = fire(*args)
+        counts["visits"] += 1
+        counts["contractions"] += found is not None
+        return found
+
+    monkeypatch.setattr(reduction, "_fire", counted)
+    return counts
 
 
 def report(tag: str, ok: bool, detail: str = "") -> None:

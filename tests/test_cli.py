@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import shared_conversion
 from dcalc import cli
 from dcalc.cli import main
 from dcalc.corpus import CORPUS_AXIOMS, corpus_text
@@ -168,6 +169,17 @@ def test_norm_command(tmp_path, capsys):
 def test_fuel_flag_bounds_reduction(capsys):
     assert main(["nf", "--fuel", "20", OMEGA]) == 1
     assert "FuelExhausted" in capsys.readouterr().err
+
+
+def test_fuel_exhausted_shows_a_bounded_prefix_of_its_term(tmp_path, capsys):
+    """d12 spells out 2^12 uses of f: the diagnostic prints 1,000 characters
+    of the term and its full length, not all 131,047 characters."""
+    p = tmp_path / "chain.dc"
+    p.write_text(shared_conversion(12, "g({})"))
+    assert main(["check", "--fuel", "100", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FuelExhausted @ root: line 16: no normal form within 100 steps: (P ")
+    assert err.endswith("... (131047 characters)\n") and len(err) < 2000
 
 
 def test_fuel_environment_fallback(monkeypatch, capsys):

@@ -1,15 +1,16 @@
 """Rewrite axioms, strategies, normal-form classification, and negation."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
-from helpers import gen_neg_heavy, gen_typed_term, sample_contexts
+from helpers import count_fire, gen_neg_heavy, gen_typed_term, sample_contexts
 from dcalc.parser import parse_term
 from dcalc.reduction import (
     FuelExhausted,
     NormalClass,
-    NormalForms,
     axiom_steps,
     classify_nf,
     conv,
@@ -38,6 +39,8 @@ from dcalc.syntax import (
     Sum,
     UnivAbs,
     Var,
+    _rebuild,
+    children,
     walk,
 )
 
@@ -155,7 +158,7 @@ def _sharing(e):
 
 
 def test_a_warm_memo_still_takes_the_steps_of_the_trace():
-    """A memo that holds every subterm's normal form charges their steps, so
+    """Nodes that hold their components' normal forms charge their steps, so
     fuel=N raises exactly when the trace takes more than N steps."""
     rng = random.Random(14)
     ctxs = sample_contexts()
@@ -164,26 +167,54 @@ def test_a_warm_memo_still_takes_the_steps_of_the_trace():
         e = gen_typed_term(rng, rng.choice(ctxs), rng.randint(1, 4))
         for t in _sharing(e):
             try:
-                steps = len(reduce_trace(t, fuel=500))
+                trace = reduce_trace(t, fuel=500)
             except FuelExhausted:
                 continue
-            nf = reduce_nf(t)
-            warm: NormalForms = {}
+            steps, nf = len(trace), trace[-1][2] if trace else t
             for sub, _ in walk(t):
                 if sub is not t:
-                    reduce_nf(sub, memo=warm)
-            reused += any(type(entry) is tuple for entry in warm.values())
-            rooted = dict(warm)
-            reduce_nf(t, memo=rooted)  # t's own entry, too
+                    reduce_nf(sub)
+            reused += any(type(getattr(sub, "_reduce_nf", None)) is tuple for sub, _ in walk(t))
             for fuel in range(max(steps - 1, 0), steps + 2):
-                for memo in (dict(warm), rooted):
+                # a fresh root over the warm components, then t, which keeps
+                # its own entry once a fuel reaches its normal form
+                for root in (_rebuild(t, children(t)), t):
                     try:
-                        got = reduce_nf(t, fuel, memo)
+                        got = reduce_nf(root, fuel)
                     except FuelExhausted as err:
-                        assert err.expr is t and fuel < steps
+                        assert err.expr is root and fuel < steps
                     else:
                         assert fuel >= steps and got == nf
     assert reused > 200
+
+
+def test_a_normalized_node_is_not_walked_again(monkeypatch):
+    t = parse_term("[x:tau]((([f:[a=>a]]f g) ([y:a]y c)) [u,v])")
+    steps = len(reduce_trace(t))
+    nf = reduce_nf(t)
+    counts = count_fire(monkeypatch)
+    assert reduce_nf(t) is nf
+    assert counts["visits"] == 0
+    # a new root over the normalized body fires nothing at the body
+    fresh = _rebuild(t, children(t))
+    with pytest.raises(FuelExhausted):
+        reduce_nf(fresh, steps - 1)
+    assert reduce_nf(fresh, steps).body is nf.body
+    assert counts["visits"] == 2  # the root's, once per call
+
+
+def test_normalizing_leaves_no_reference_cycle():
+    """A term, its subterms and its normal form die with their last reference."""
+    gc.disable()
+    try:
+        t = parse_term("[x:tau]((([f:[a=>a]]f g) ([y:a]y c)) [u,v])")
+        sub = t.body.fun
+        nf = reduce_nf(t)
+        refs = [weakref.ref(x) for x in (t, sub, nf)]
+        del t, sub, nf
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_conv():

@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import DIAG_FUELS, calls_during, diag_contexts, diag_record, term_from_json
+from helpers import (
+    DIAG_FUELS,
+    calls_during,
+    count_fire,
+    diag_contexts,
+    diag_record,
+    shared_conversion,
+    term_from_json,
+)
 
 from dcalc import reduction, typecheck
 from dcalc.axioms import resolve_axiom_gate
@@ -346,45 +354,12 @@ def test_a_doubling_chain_of_definitions_checks_in_linear_work(n):
     assert calls <= bound
 
 
-def _shared_conversion(n: int, use: str = "{}") -> str:
-    """check p(d(n)) : P(([x:tau]x d(n))), d as in _doubling_chain.
-
-    Conversion normalizes d(n), a normal term of n+1 shared nodes that
-    spells out 2^n uses of f, on both sides. With use "g({})", each d(i)
-    applies g := [x:tau]x to both uses of d(i-1), so d(n) must be reduced.
-    """
-    return (
-        "context C { f : [tau => [tau => tau]]; P : [tau => tau]; p : [x:tau]P(x) }\n"
-        + "def g := [x:tau]x\ndef d0 := tau\n"
-        + "".join(
-            "def d{i} := f({u}, {u})\n".format(i=i, u=use.format(f"d{i - 1}"))
-            for i in range(1, n + 1)
-        )
-        + f"check p(d{n}) : P(([x:tau]x d{n}))\n"
-    )
-
-
-def _count_fire(monkeypatch) -> Counter:
-    """Counts of reduction._fire's calls ("visits") and of its hits ("contractions")."""
-    fire = reduction._fire
-    counts: Counter = Counter()
-
-    def counted(*args):
-        found = fire(*args)
-        counts["visits"] += 1
-        counts["contractions"] += found is not None
-        return found
-
-    monkeypatch.setattr(reduction, "_fire", counted)
-    return counts
-
-
 def test_conversion_of_a_doubling_chain_takes_linear_work(monkeypatch):
     """reduce_nf walks a normal node that several components share once."""
-    counts = _count_fire(monkeypatch)
+    counts = count_fire(monkeypatch)
     visits = {}
     for n in (8, 16):
-        doc = parse_document(_shared_conversion(n))
+        doc = parse_document(shared_conversion(n))
         counts.clear()
         assert check_document(doc) == []
         visits[n] = counts["visits"]
@@ -392,11 +367,11 @@ def test_conversion_of_a_doubling_chain_takes_linear_work(monkeypatch):
 
 
 def test_a_shared_redex_is_reduced_once_per_file(monkeypatch):
-    """check_document keeps each normal form it reached, with its steps."""
-    counts = _count_fire(monkeypatch)
+    """Each node keeps the normal form it reached, with its steps."""
+    counts = count_fire(monkeypatch)
     contractions = {}
     for n in (6, 12):
-        doc = parse_document(_shared_conversion(n, "g({})"))
+        doc = parse_document(shared_conversion(n, "g({})"))
         counts.clear()
         assert check_document(doc) == []
         contractions[n] = counts["contractions"]
@@ -488,7 +463,10 @@ def test_check_document_reports_what_a_fresh_check_of_each_item_does():
     kinds = set()
     for doc, fuels in runs:
         for fuel in fuels:
-            expected = _item_by_item(doc, fuel)
+            # church's nodes keep the normal forms of earlier fuels; a new
+            # parse of its text holds none
+            fresh = parse_document(CHURCH_CLAIMS) if doc is church else doc
+            expected = _item_by_item(fresh, fuel)
             assert [_error_record(err) for err in check_document(doc, fuel)] == expected
             errors += len(expected)
             if doc is church:
