@@ -18,16 +18,16 @@ it was raised under, and synth opens them with the names a checker that
 opened every binder with a fresh variable would pick.
 
 A definition is spliced into each use as one shared node, so a document
-can hold a term far larger than its text. check_document types its
-declarations, definitions and checks under one fuel with one memo: the
-type of each locally closed compound subterm, by node identity. The
-declarations come first, each under the ones before it, and a type found
-under a context holds under every longer one. Only successes go in, so
-every error is raised afresh, with its own path and text. A bare synth,
-check or check_context takes no memo. Normal forms need none: each node
-keeps its own (reduction._normalize), so a shared subterm is reduced once,
-and a reused normal form is charged its steps, so each call runs out of
-fuel where a fresh one would.
+can hold a term far larger than its text. A term has one type, so each
+locally closed compound node keeps the type it was found to have, and a
+shared subterm is typed once, in bare calls too. A type found under a
+context holds under every longer one cut from the same declarations, so
+check_document's declarations, each typed under the ones before it, its
+definitions and its checks reuse one another's types. A type found at fuel
+F is reused only at a fuel of F or more, and only successes are kept, so
+every error is raised afresh, with its own path and text. Normal forms are
+kept on the node too (reduction._normalize), and a reused one is charged
+its steps, so each call runs out of fuel where a fresh one would.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .syntax import (
     Sum,
     UnivAbs,
     Var,
+    _LEAVES,
     _loose,
     _names_free_in,
     binder_used,
@@ -99,25 +100,20 @@ class TypingError(Exception):
         return "; ".join(parts)
 
 
-# The types check_document has synthesized: a node's id, to the node (which
-# keeps the id from being reused) and its type.
-Memo = dict[int, tuple[Expr, Expr]]
-
 # A binder _synth is inside: the type of its variable (an abstraction's
 # domain, a protected definition's witness type), its hint, and the
 # component it scopes over.
 Binder = tuple[Expr, str, Expr]
 
+# The _type entry of a node not typed yet: no context's name index is None.
+_UNTYPED = (None, 0, 0, None)
+
 
 def synth(ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
     """The type of e under ctx, or raise TypingError."""
-    return _synth_root(ctx, e, fuel, None)
-
-
-def _synth_root(ctx: Context, e: Expr, fuel: int, memo: Memo | None) -> Expr:
     binders: list[Binder] = []
     try:
-        return _synth(ctx, binders, e, (), fuel, memo)
+        return _synth(ctx, binders, e, (), fuel)
     except (TypingError, FuelExhausted) as err:
         if not binders:
             raise
@@ -158,22 +154,23 @@ def _named(ctx: Context, binders: list[Binder], err: Exception) -> Exception:
     return TypingError(err.kind, err.message, err.path, opened(err.expected), opened(err.found))
 
 
-def _synth(
-    ctx: Context, binders: list[Binder], e: Expr, path: Path, fuel: int, memo: Memo | None
-) -> Expr:
+def _synth(ctx: Context, binders: list[Binder], e: Expr, path: Path, fuel: int) -> Expr:
     """The type of e under ctx, where e's dangling indices point into binders.
 
     binders lists the enclosing binders, innermost last, and the result's
     dangling indices point into them too. On success binders is as it was;
-    an error leaves the binders it was raised under on it. With a memo, a
-    compound e that is locally closed is typed once: its type does not
-    depend on the binders around it, so a shared node is looked up by id.
+    an error leaves the binders it was raised under on it. A locally closed
+    compound e keeps its type as ``_type``, with the context's name index,
+    its length and the fuel, and the type is reused under a context that
+    shares the index (a Context.prefix does) and is no shorter, at a fuel no
+    smaller. The entry holds the index, not the declarations: their types
+    would point back at their own nodes.
     """
-    key = None
-    if memo is not None and type(e) is not Var and type(e) is not Prim and _loose(e) == 0:
-        key = id(e)
-        if key in memo:
-            return memo[key][1]
+    closed = type(e) not in _LEAVES and _loose(e) == 0
+    if closed:
+        index, length, typed_at, ty = getattr(e, "_type", _UNTYPED)
+        if index is ctx._index and length <= len(ctx) and typed_at <= fuel:
+            return ty
     match e:
         case Prim():
             return TAU
@@ -191,14 +188,14 @@ def _synth(
                 raise TypingError("UnboundVariable", f"{name} is not declared", path)
             return ty
         case UnivAbs(dom, body, hint) | ExistAbs(dom, body, hint):
-            _synth(ctx, binders, dom, path + (0,), fuel, memo)
+            _synth(ctx, binders, dom, path + (0,), fuel)
             binders.append((dom, hint, body))
-            tb = _synth(ctx, binders, body, path + (1,), fuel, memo)
+            tb = _synth(ctx, binders, body, path + (1,), fuel)
             binders.pop()
             ty = UnivAbs(dom, tb, hint)
         case Appl(fun, arg):
-            tf = _synth(ctx, binders, fun, path + (0,), fuel, memo)
-            ta = _synth(ctx, binders, arg, path + (1,), fuel, memo)
+            tf = _synth(ctx, binders, fun, path + (0,), fuel)
+            ta = _synth(ctx, binders, arg, path + (1,), fuel)
             nf_tf = reduce_nf(tf, fuel)
             if not isinstance(nf_tf, UnivAbs):
                 raise TypingError(
@@ -217,12 +214,12 @@ def _synth(
                 )
             ty = open_binder(nf_tf.body, arg)
         case ProtDef(witness, proof, tag, hint):
-            tw = _synth(ctx, binders, witness, path + (0,), fuel, memo)
-            tp = _synth(ctx, binders, proof, path + (1,), fuel, memo)
+            tw = _synth(ctx, binders, witness, path + (0,), fuel)
+            tp = _synth(ctx, binders, proof, path + (1,), fuel)
             depth = len(binders)
             binders.append((tw, hint, tag))
             try:
-                _synth(ctx, binders, tag, path + (2,), fuel, memo)
+                _synth(ctx, binders, tag, path + (2,), fuel)
             except TypingError as err:
                 del binders[depth:]
                 raise TypingError(
@@ -242,7 +239,7 @@ def _synth(
                 )
             ty = ExistAbs(tw, tag, hint)
         case ProjL(operand):
-            t = reduce_nf(_synth(ctx, binders, operand, path + (0,), fuel, memo), fuel)
+            t = reduce_nf(_synth(ctx, binders, operand, path + (0,), fuel), fuel)
             match t:
                 case ExistAbs(dom, _):
                     ty = dom
@@ -256,7 +253,7 @@ def _synth(
                         found=t,
                     )
         case ProjR(operand):
-            t = reduce_nf(_synth(ctx, binders, operand, path + (0,), fuel, memo), fuel)
+            t = reduce_nf(_synth(ctx, binders, operand, path + (0,), fuel), fuel)
             match t:
                 case ExistAbs(_, body):
                     ty = open_binder(body, ProjL(operand))
@@ -271,18 +268,18 @@ def _synth(
                     )
         case Product(l, r) | Sum(l, r):
             ty = Product(
-                _synth(ctx, binders, l, path + (0,), fuel, memo),
-                _synth(ctx, binders, r, path + (1,), fuel, memo),
+                _synth(ctx, binders, l, path + (0,), fuel),
+                _synth(ctx, binders, r, path + (1,), fuel),
             )
         case InjL(val, rtag):
-            _synth(ctx, binders, rtag, path + (1,), fuel, memo)
-            ty = Sum(_synth(ctx, binders, val, path + (0,), fuel, memo), rtag)
+            _synth(ctx, binders, rtag, path + (1,), fuel)
+            ty = Sum(_synth(ctx, binders, val, path + (0,), fuel), rtag)
         case InjR(ltag, val):
-            _synth(ctx, binders, ltag, path + (0,), fuel, memo)
-            ty = Sum(ltag, _synth(ctx, binders, val, path + (1,), fuel, memo))
+            _synth(ctx, binders, ltag, path + (0,), fuel)
+            ty = Sum(ltag, _synth(ctx, binders, val, path + (1,), fuel))
         case Case(left, right):
-            tl = reduce_nf(_synth(ctx, binders, left, path + (0,), fuel, memo), fuel)
-            tr = reduce_nf(_synth(ctx, binders, right, path + (1,), fuel, memo), fuel)
+            tl = reduce_nf(_synth(ctx, binders, left, path + (0,), fuel), fuel)
+            tr = reduce_nf(_synth(ctx, binders, right, path + (1,), fuel), fuel)
             if not isinstance(tl, UnivAbs) or not isinstance(tr, UnivAbs):
                 raise TypingError(
                     "BranchTypeMismatch",
@@ -305,29 +302,25 @@ def _synth(
                     expected=shift(tl.body, -1),
                     found=shift(tr.body, -1),
                 )
-            _synth(ctx, binders, shift(tl.body, -1), path, fuel, memo)
+            _synth(ctx, binders, shift(tl.body, -1), path, fuel)
             ty = UnivAbs(Sum(tl.dom, tr.dom), tl.body, "z")
         case Neg(operand):
-            ty = _synth(ctx, binders, operand, path + (0,), fuel, memo)
+            ty = _synth(ctx, binders, operand, path + (0,), fuel)
         case InternalSubst():
             raise TypingError(
                 "PendingSubstitution", "pending substitutions are not typeable terms", path
             )
         case _:
             raise ValueError(f"unrecognized term: {e!r}")
-    if key is not None:
-        memo[key] = (e, ty)
+    if closed:
+        object.__setattr__(e, "_type", (ctx._index, len(ctx), fuel, ty))
     return ty
 
 
 def check(ctx: Context, e: Expr, ty: Expr, fuel: int = DEFAULT_FUEL) -> None:
     """Verify e has type ty under ctx; raise TypingError if not."""
-    _check(ctx, e, ty, fuel, None)
-
-
-def _check(ctx: Context, e: Expr, ty: Expr, fuel: int, memo: Memo | None) -> None:
-    _synth_root(ctx, ty, fuel, memo)
-    found = _synth_root(ctx, e, fuel, memo)
+    synth(ctx, ty, fuel)
+    found = synth(ctx, e, fuel)
     if not conv(found, ty, fuel):
         raise TypingError(
             "Mismatch",
@@ -340,15 +333,9 @@ def _check(ctx: Context, e: Expr, ty: Expr, fuel: int, memo: Memo | None) -> Non
 
 def check_context(ctx: Context, fuel: int = DEFAULT_FUEL) -> None:
     """Verify each declared type is typeable under the declarations before it."""
-    _check_context(ctx, fuel, None)
-
-
-def _check_context(ctx: Context, fuel: int, memo: Memo | None) -> None:
-    # A type found under a prefix holds under every longer one, so the
-    # declarations, typed in order, can share one memo.
     for name, ty in ctx.entries:
         try:
-            _synth_root(ctx.prefix(name), ty, fuel, memo)
+            synth(ctx.prefix(name), ty, fuel)
         except TypingError as err:
             raise TypingError(
                 "ContextError",
@@ -372,15 +359,15 @@ def _typing_error(prefix: str, run) -> TypingError | None:
 
 def check_document(doc: Document, fuel: int = DEFAULT_FUEL) -> list[TypingError]:
     """All typing errors in a parsed file: context, definitions, then checks."""
-    ctx, memo = doc.context, {}
-    err = _typing_error("", lambda: _check_context(ctx, fuel, memo))
+    ctx = doc.context
+    err = _typing_error("", lambda: check_context(ctx, fuel))
     if err is not None:
         return [err]
     found = [
-        _typing_error(f"definition {name}: ", lambda: _synth_root(ctx, body, fuel, memo))
+        _typing_error(f"definition {name}: ", lambda: synth(ctx, body, fuel))
         for name, body in doc.defs.items()
     ] + [
-        _typing_error(f"line {item.line}: ", lambda: _check(ctx, item.term, item.ty, fuel, memo))
+        _typing_error(f"line {item.line}: ", lambda: check(ctx, item.term, item.ty, fuel))
         for item in doc.checks
     ]
     return [error for error in found if error is not None]

@@ -1,7 +1,9 @@
 """Type synthesis, checking, and every diagnostic kind."""
 
+import gc
 import json
 import sys
+import weakref
 from collections import Counter, defaultdict
 from functools import partial
 from pathlib import Path
@@ -255,6 +257,39 @@ def test_check_context_takes_work_linear_in_its_length(monkeypatch):
     assert per_declaration[4000] <= per_declaration[1000] <= 2
 
 
+def test_a_kept_type_is_reused_only_where_a_fresh_one_would_be_found():
+    """A node keeps its type for the same declarations, a context at least as
+    long and a fuel at least as large."""
+    ty = parse_term("[x:b]x")
+    ctx = Context((("a", ty), ("b", TAU)))
+    assert synth(ctx, ty) == parse_term("[x:b]b")
+    with pytest.raises(TypingError) as err:
+        synth(Context((("a", TAU), ("c", TAU))), ty)  # other declarations
+    assert str(err.value) == "UnboundVariable @ 0: b is not declared"
+    with pytest.raises(TypingError) as err:
+        check_context(ctx)  # a's type under the prefix before a
+    assert str(err.value) == "ContextError @ 0: declaration a: UnboundVariable: b is not declared"
+    applied = parse_term("([y:~tau]y tau)")
+    assert synth(EMPTY, applied) == TAU
+    with pytest.raises(FuelExhausted):
+        synth(EMPTY, applied, fuel=0)
+
+
+def test_typing_leaves_no_reference_cycle():
+    """A declaration's type keeps its own type and still dies with its last reference."""
+    gc.disable()
+    try:
+        ty = parse_term("[x:tau][y:x]y")
+        ctx = Context((("a", TAU), ("b", ty)))
+        check_context(ctx)
+        assert hasattr(ty, "_type")
+        ref = weakref.ref(ty)
+        del ty, ctx
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_valid_is_the_boolean_view():
     assert valid(EMPTY, parse_term("[x:tau]x"))
     assert not valid(EMPTY, Var("x"))
@@ -332,9 +367,8 @@ def _doubling_chain(n: int) -> str:
 
 @pytest.mark.parametrize("n", [20, 40])
 def test_a_doubling_chain_of_definitions_checks_in_linear_work(n):
-    """A definition's body is shared at each use, and check_document types it once."""
-    doc = parse_document(_doubling_chain(n))
-    assert len(doc.checks) == 2
+    """A definition's body is shared at each use and typed once, by
+    check_document and by a bare synth or check alike."""
     bound = 10 * (n + 1)
     calls = 0
 
@@ -345,13 +379,22 @@ def test_a_doubling_chain_of_definitions_checks_in_linear_work(n):
             if calls > bound:
                 raise _WorkBoundExceeded  # an exponential walk stops here, not after 2^n
 
-    sys.setprofile(count)
-    try:
-        errors = check_document(doc)
-    finally:
-        sys.setprofile(None)
-    assert errors == []
-    assert calls <= bound
+    runs = (
+        (check_document, []),
+        (lambda doc: synth(doc.context, doc.defs[f"d{n}"]), TAU),
+        (lambda doc: check(doc.context, doc.checks[1].term, doc.checks[1].ty), None),
+    )
+    for run, expected in runs:
+        doc = parse_document(_doubling_chain(n))  # nodes that keep no types yet
+        assert len(doc.checks) == 2
+        calls = 0
+        sys.setprofile(count)
+        try:
+            result = run(doc)
+        finally:
+            sys.setprofile(None)
+        assert result == expected
+        assert calls <= bound
 
 
 def test_conversion_of_a_doubling_chain_takes_linear_work(monkeypatch):
@@ -384,12 +427,20 @@ def _error_record(err: TypingError) -> tuple:
 
 
 def _item_by_item(doc: Document, fuel: int) -> list[tuple]:
-    """check_document's errors, from a fresh synth or check of each item."""
-    runs = [("", partial(check_context, doc.context, fuel))]
+    """check_document's errors, from a fresh synth or check of each item.
+
+    Each item runs under its own copy of the context, which shares no name
+    index with another, so it reuses no type that another item found.
+    """
+
+    def own() -> Context:
+        return Context(doc.context.entries)
+
+    runs = [("", partial(check_context, own(), fuel))]
     runs += [
-        (f"definition {name}: ", partial(synth, doc.context, body, fuel))
+        (f"definition {name}: ", partial(synth, own(), body, fuel))
         for name, body in doc.defs.items()
-    ] + [(f"line {c.line}: ", partial(check, doc.context, c.term, c.ty, fuel)) for c in doc.checks]
+    ] + [(f"line {c.line}: ", partial(check, own(), c.term, c.ty, fuel)) for c in doc.checks]
     out = []
     for prefix, run in runs:
         try:
@@ -416,7 +467,7 @@ def _failing_documents() -> list[Document]:
         es = terms[name]
         defs = {f"t{i}": e for i, e in enumerate(es)}
         checks = []
-        here = Bound(0)  # one node under binders of many types, so no memo may take it
+        here = Bound(0)  # one node under binders of many types, so it keeps no type
         for i, (e, f) in enumerate(zip(es, es[1:] + es[:1])):
             checks += (
                 CheckItem(e, TAU, 3 * i),
@@ -447,29 +498,39 @@ check refl(mul(a,b)) : eq(mul(a,b), succ(mul(b,a)))
 """
 
 
-def test_check_document_reports_what_a_fresh_check_of_each_item_does():
-    failing = _failing_documents()
+def _documents() -> list[Document]:
+    """The corpus under its gates and under every axiom, then _failing_documents()."""
     corpus = [
         parse_document(corpus_text(name), resolve_axiom_gate(gate))
         for name in corpus_names()
         for gate in (CORPUS_AXIOMS[name], ["all"])
     ]
-    church = parse_document(CHURCH_CLAIMS)
-    shared = len(reduction.reduce_trace(church.checks[0].term.arg))
+    return corpus + _failing_documents()
+
+
+def _church_documents() -> list[Document]:
+    return [parse_document(CHURCH_CLAIMS)]
+
+
+def test_check_document_reports_what_a_fresh_check_of_each_item_does():
+    shared = len(reduction.reduce_trace(_church_documents()[0].checks[0].term.arg))
     assert shared >= 10
-    runs = [(doc, DIAG_FUELS) for doc in corpus + failing]
-    runs.append((church, (*DIAG_FUELS, shared - 1, shared, shared + 1)))
+    runs = (
+        (_documents, DIAG_FUELS),
+        (_church_documents, (*DIAG_FUELS, shared - 1, shared, shared + 1)),
+    )
     errors = 0
     kinds = set()
-    for doc, fuels in runs:
+    for build, fuels in runs:
+        docs = build()
         for fuel in fuels:
-            # church's nodes keep the normal forms of earlier fuels; a new
-            # parse of its text holds none
-            fresh = parse_document(CHURCH_CLAIMS) if doc is church else doc
-            expected = _item_by_item(fresh, fuel)
-            assert [_error_record(err) for err in check_document(doc, fuel)] == expected
-            errors += len(expected)
-            if doc is church:
-                kinds.update((fuel, kind) for kind, *_ in expected)
+            # docs keep the types and normal forms of earlier fuels; a new
+            # build holds none
+            for doc, fresh in zip(docs, build(), strict=True):
+                expected = _item_by_item(fresh, fuel)
+                assert [_error_record(err) for err in check_document(doc, fuel)] == expected
+                errors += len(expected)
+                if build is _church_documents:
+                    kinds.update((fuel, kind) for kind, *_ in expected)
     assert errors > 1000
     assert {(DEFAULT_FUEL, "Mismatch"), (shared - 1, "FuelExhausted")} <= kinds
