@@ -23,8 +23,10 @@ opened or closed. ``use`` fires on a variable defined in the environment and
 on ``Bound(k)`` whose binder is a pending substitution, giving its
 definition shifted past the k+1 binders in between; ``rem`` lowers the
 indices of its body that point past the spent binder. A step probes a node
-for a negation step only where no ancestor's probe covered it. Each step
-searches from the root, so ``mu_trace`` is the step sequence of ``mu_nf``.
+for negation by asking for its negation normal form (``reduction.neg_nf``),
+which the node keeps once found, so probing a node already found normal
+costs one lookup. Each step searches from the root, so ``mu_trace`` is the
+step sequence of ``mu_nf``.
 """
 
 from __future__ import annotations
@@ -40,10 +42,8 @@ from .reduction import (
     _every_hit,
     _fire,
     _first_hit,
-    _neg_positions,
     neg_nf,
     neg_redexes,
-    neg_step,
 )
 from .syntax import (
     Appl,
@@ -128,19 +128,13 @@ def mu_redexes(env: Env, e: ExprS) -> list[tuple[Path, str, ExprS]]:
 
 def mu_step(env: Env, e: ExprS) -> Hit | None:
     """Deterministic single step: root rules, aggregated negation, then children."""
-    # Ids of the components at the negation positions of a node with no
-    # negation step, which have none either; the term keeps them alive.
-    neg_normal: set[int] = set()
 
     def fires(sub: ExprS, binders: Binders) -> Hit | None:
         found = _def_rule(env, binders, sub) or _fire(MU_RULES, sub)
         if found is not None:
             return found
-        if id(sub) not in neg_normal and neg_step(sub) is not None:
-            return "nu", neg_nf(sub)
-        for i in _neg_positions(sub):
-            neg_normal.add(id(children(sub)[i]))
-        return None
+        nf = neg_nf(sub)
+        return None if nf is sub else ("nu", nf)
 
     found = _first_hit(e, fires)
     return None if found is None else (found[1], plug(e, found[0], found[2]))

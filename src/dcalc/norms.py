@@ -29,6 +29,7 @@ from .syntax import (
     Sum,
     UnivAbs,
     Var,
+    _loose,
 )
 
 
@@ -48,76 +49,82 @@ Norm = Leaf | Pair
 LEAF = Leaf()
 
 
-def norm(
-    ctx: Context,
-    e: ExprS,
-    *,
-    env: tuple[Norm, ...] = (),
-    memo: dict[str, Norm | None] | None = None,
-) -> Norm | None:
+def norm(ctx: Context, e: ExprS) -> Norm | None:
     """The norm of e under ctx, or None where it has none.
 
-    env and memo belong to the recursion, and callers leave them out. env
-    holds the norms of the binders e sits under, innermost first. memo keeps
-    the norm of each declaration of the top-level ctx once evaluated, so one
-    call evaluates every declaration at most once; a declaration's norm is
-    taken under the declarations before it, where later names are unknown.
-    A memo is only valid for the ctx it was filled under.
+    One call evaluates each declaration of ctx at most once, and each node
+    of a definition spliced into many uses once.
     """
-    if memo is None:
-        memo = {}
+    return _norm(ctx, e, (), {}, {})
+
+
+def _norm(ctx: Context, e: ExprS, env: tuple[Norm, ...], decls: dict, closed: dict) -> Norm | None:
+    """norm's recursion. env holds the norms of the binders e sits under,
+    innermost first. decls keeps each declaration's norm, taken under the
+    declarations before it, by name; closed keeps by id the norm under ctx of
+    each locally closed compound node (env cannot change it), one table per ctx."""
     match e:
         case Prim():
             return LEAF
         case Var(name):
             if name not in ctx:
                 return None
-            if name not in memo:
-                memo[name] = norm(ctx.prefix(name), ctx.lookup(name), memo=memo)
-            return memo[name]
+            if name not in decls:
+                decls[name] = _norm(ctx.prefix(name), ctx.lookup(name), (), decls, {})
+            return decls[name]
         case Bound(index):
             return env[index] if index < len(env) else None
+    n = closed.get(id(e), closed)
+    if n is closed:
+        n = _compound_norm(ctx, e, env, decls, closed)
+        if not _loose(e):
+            closed[id(e)] = n
+    return n
+
+
+def _compound_norm(ctx: Context, e: ExprS, env, decls, closed) -> Norm | None:
+    match e:
         case UnivAbs(dom, body) | ExistAbs(dom, body):
-            nd = norm(ctx, dom, env=env, memo=memo)
+            nd = _norm(ctx, dom, env, decls, closed)
             if nd is None:
                 return None
-            nb = norm(ctx, body, env=(nd,) + env, memo=memo)
+            nb = _norm(ctx, body, (nd,) + env, decls, closed)
             return None if nb is None else Pair(nd, nb)
         case Appl(fun, arg):
-            nf = norm(ctx, fun, env=env, memo=memo)
+            nf = _norm(ctx, fun, env, decls, closed)
             if not isinstance(nf, Pair):
                 return None
-            if norm(ctx, arg, env=env, memo=memo) != nf.left:
+            if _norm(ctx, arg, env, decls, closed) != nf.left:
                 return None
             return nf.right
         case ProtDef(witness, proof, tag):
-            nw = norm(ctx, witness, env=env, memo=memo)
-            np = norm(ctx, proof, env=env, memo=memo)
+            nw = _norm(ctx, witness, env, decls, closed)
+            np = _norm(ctx, proof, env, decls, closed)
             if nw is None or np is None:
                 return None
-            if norm(ctx, tag, env=(nw,) + env, memo=memo) != np:
+            if _norm(ctx, tag, (nw,) + env, decls, closed) != np:
                 return None
             return Pair(nw, np)
         case ProjL(operand):
-            n = norm(ctx, operand, env=env, memo=memo)
+            n = _norm(ctx, operand, env, decls, closed)
             return n.left if isinstance(n, Pair) else None
         case ProjR(operand):
-            n = norm(ctx, operand, env=env, memo=memo)
+            n = _norm(ctx, operand, env, decls, closed)
             return n.right if isinstance(n, Pair) else None
         case Product(a, b) | Sum(a, b) | InjL(a, b) | InjR(a, b):
-            na = norm(ctx, a, env=env, memo=memo)
-            nb = norm(ctx, b, env=env, memo=memo)
+            na = _norm(ctx, a, env, decls, closed)
+            nb = _norm(ctx, b, env, decls, closed)
             if na is None or nb is None:
                 return None
             return Pair(na, nb)
         case Case(left, right):
-            nl = norm(ctx, left, env=env, memo=memo)
-            match nl, norm(ctx, right, env=env, memo=memo):
+            nl = _norm(ctx, left, env, decls, closed)
+            match nl, _norm(ctx, right, env, decls, closed):
                 case Pair(a, c1), Pair(b, c2) if c1 == c2:
                     return Pair(Pair(a, b), c1)
             return None
         case Neg(operand):
-            return norm(ctx, operand, env=env, memo=memo)
+            return _norm(ctx, operand, env, decls, closed)
         case InternalSubst():
             return None
     return None

@@ -1,7 +1,8 @@
 """The rewrite rules, the redex searches, the fuel-bounded driver and negation.
 
 The rewrite axioms come in three groups: beta (application meets abstraction
-or case meets injection), pi (projections meet introduction forms), and nu
+or case meets injection, and the untyped beta of the lambda terms that
+``semantics`` builds), pi (projections meet introduction forms), and nu
 (negation pushed through or absorbed by every constructor). ``RULES`` states
 each of them once, keyed by the type of the redex and of its head component;
 the negation engine here and the explicit-substitution engine select their
@@ -21,7 +22,7 @@ which is reused where the node comes back, in the same call or a later one:
 always at a call's root, and inside the walk where the node's root never
 contracted or its parent does not read it. A reused normal form is
 charged its steps, so fuel still counts the trace's steps.
-``semantics.beta_nf`` is the same walk over a one-rule table of its own.
+``semantics.beta_nf`` is ``reduce_nf`` on a lambda term.
 Whether a term is normal is decided by the same redex search: ``classify_nf``
 calls a term with no redex a dead end when it is stuck on a variable.
 
@@ -45,6 +46,7 @@ from .syntax import (
     InjL,
     InjR,
     InternalSubst,
+    Lam,
     Neg,
     Prim,
     Product,
@@ -107,6 +109,7 @@ RULES: dict[tuple[type, type], Rule] = {
     (Appl, UnivAbs): lambda e, f: ("beta1", open_binder(f.body, e.arg)),
     (Appl, ExistAbs): lambda e, f: ("beta2", open_binder(f.body, e.arg)),
     (Appl, Case): _beta_case,
+    (Appl, Lam): lambda e, f: ("beta", open_binder(f.body, e.arg)),
     (ProjL, ProtDef): lambda _, p: ("pi1", p.witness),
     (ProjR, ProtDef): lambda _, p: ("pi2", p.proof),
     (ProjL, Product): lambda _, p: ("pi3", p.l),
@@ -214,16 +217,20 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None, slot: str) -> ExprS
     exactly the trace's. Fuel counts steps, as _drive does.
 
     What a walk finds stays on each compound node, under the attribute slot
-    (one per rule table), as syntax._loose keeps its bound: _NORMAL for a
-    node found normal, else (normal form, steps taken, whether its root
-    contracted) once its normalization finished. So a node shared by several
-    components, or met again by a later call, is walked once. The call's
-    root always reuses its entry. A component reuses it when its root never
-    contracted, or when its parent does not read it (_reads): either way the
-    walk would take the same steps with no say from the parent. A reused
-    entry is charged its steps, and FuelExhausted (naming e) is raised if
-    they pass the fuel, so fuel=N still means the N steps of the trace.
+    (one per rule table), as syntax._loose keeps its bound: _NORMAL for a node
+    found normal, else (normal form, steps taken, whether its root contracted)
+    once its normalization finished. So a node shared by several components, or
+    met again by a later call, is walked once. The call's root always reuses
+    its entry, and a normal root is returned before the walk is built, so a
+    probe of a kept normal form is one getattr. A component reuses its entry
+    when its root never contracted, or when its parent does not read it
+    (_reads): either way the walk would take the same steps with no say from
+    the parent. A reused entry is charged its steps, and FuelExhausted (naming
+    e) is raised if they pass the fuel, so fuel=N still means the N steps of
+    the trace.
     """
+    if getattr(e, slot, None) is _NORMAL:
+        return e
     taken = 0
 
     def charge(steps: int) -> None:

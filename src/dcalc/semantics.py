@@ -12,19 +12,17 @@ abstraction's lambda at once, from the lambda depth at which each enclosing
 abstraction's image sits, so no binder is opened and no lambda closed.
 
 Lambda terms are the kernel's own nodes: Var, Bound, Appl and syntax.Lam, so
-syntax shifts, opens and prints them as it does any term, and the one rule
-beta is a table in reduction.RULES's form. beta_step, the normal-order step
-and the executable specification, is reduction's leftmost-outermost search
-over that table; beta_nf is reduction._normalize over it, the walk behind
+syntax shifts, opens and prints them as it does any term, and their one rule,
+beta, is the row (Appl, Lam) of reduction.RULES. beta_step, the normal-order
+step and the executable specification, is first_redex plugged in; beta_nf is
 reduce_nf, and takes the same steps.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import partial
 
-from .reduction import DEFAULT_FUEL, _fire, _first_hit, _normalize
+from .reduction import first_redex, reduce_nf
 from .syntax import (
     Appl,
     Bound,
@@ -46,7 +44,6 @@ from .syntax import (
     Var,
     free_vars,
     fresh_name,
-    open_binder,
     plug,
 )
 
@@ -56,24 +53,19 @@ LApp, LVar, LBound = Appl, Var, Bound
 LambdaTerm = Var | Bound | Lam | Appl
 PI = Var("pi^")
 
-# The one rule of the untyped lambda calculus, in reduction.RULES's form.
-BETA_RULES = {(Appl, Lam): lambda e, f: ("beta", open_binder(f.body, e.arg))}
-_BETA_FIRE = partial(_fire, BETA_RULES)
-
 
 def beta_step(e: LambdaTerm) -> LambdaTerm | None:
     """One normal-order step: leftmost-outermost, including under lambdas."""
-    found = _first_hit(e, _BETA_FIRE)
+    found = first_redex(e)
     return None if found is None else plug(e, found[0], found[2])
 
 
-def beta_nf(e: LambdaTerm, fuel: int | None = DEFAULT_FUEL) -> LambdaTerm:
-    """The normal form of e, reached by the steps beta_step takes."""
-    return _normalize(e, BETA_RULES, None, fuel, "_beta_nf")
+# The normal form of a lambda term, reached by the steps beta_step takes.
+beta_nf = reduce_nf
 
 
 def is_beta_normal(e: LambdaTerm) -> bool:
-    return _first_hit(e, _BETA_FIRE) is None
+    return first_redex(e) is None
 
 
 def _lam2(body: LambdaTerm, x: str = "x", y: str = "y") -> Lam:

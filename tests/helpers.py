@@ -86,6 +86,22 @@ def shared_conversion(n: int, use: str = "{}") -> str:
     )
 
 
+def doubling_chain(n: int) -> str:
+    """def d(i) := f(d(i-1), d(i-1)): d(n) spells out 2^n uses of f, sharing them.
+
+    d(n) is a check's term, and a declaration's type too.
+    """
+    return (
+        "context C { f : [tau => [tau => tau]] }\ndef d0 := tau\n"
+        + "".join(f"def d{i} := f(d{i - 1}, d{i - 1})\n" for i in range(1, n + 1))
+        + f"context D {{ q : d{n} }}\ncheck d{n} : tau\ncheck q : d{n}\n"
+    )
+
+
+class WorkBoundExceeded(Exception):
+    """Raised by a work-count guard, so an exponential walk stops at its bound."""
+
+
 def count_fire(monkeypatch) -> Counter:
     """Counts of reduction._fire's calls ("visits") and of its hits ("contractions")."""
     fire = reduction._fire

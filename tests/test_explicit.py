@@ -5,6 +5,7 @@ import random
 import pytest
 
 from helpers import gen_typed_term, sample_contexts
+from dcalc import reduction
 from dcalc.explicit import (
     Env,
     def_eval_nf,
@@ -85,6 +86,38 @@ def test_negation_steps_are_aggregated():
     assert parse_term("~[~a+~b]") in at_root
     # a nonempty chain of negation steps is a single aggregated step
     assert mu_step(Env(), parse_term("~~~~a")) == ("nu", a)
+
+
+def _negations_beside_redexes(pairings: int):
+    """[L, R]: L is ~a paired with itself pairings times, with no negation step;
+    R is twenty nested ([x:tau]x ...) around tau, some sixty mu steps."""
+    left = "~a"
+    for _ in range(pairings):
+        left = f"[{left}, {left}]"
+    return parse_term(f"[{left}, {'([x:tau]x ' * 20}tau{')' * 20}]")
+
+
+def test_the_negation_probe_does_not_rescan_a_normal_term(monkeypatch):
+    """Each of R's steps probes the root for a negation step. L keeps its
+    negation normal form on its nodes, so a probe does not walk L again."""
+    positions = reduction._neg_positions
+    calls = 0
+
+    def counting(e):
+        nonlocal calls
+        calls += 1
+        return positions(e)
+
+    counts = {}
+    for pairings in (6, 8):  # L has 191 and 767 nodes
+        e = _negations_beside_redexes(pairings)
+        expected = reduce_nf(e)
+        monkeypatch.setattr(reduction, "_neg_positions", counting)
+        calls = 0
+        assert mu_nf(Env(), e) == expected
+        counts[pairings] = calls
+        monkeypatch.undo()
+    assert counts[8] - counts[6] <= 2 * (767 - 191)
 
 
 def test_mu_step_prefers_root_axioms_then_negation_then_children():

@@ -204,9 +204,10 @@ def _images(e):
         (reduce_nf, reduce_nf, reduce_trace, _itself),
         (neg_nf, _neg_nf_fuel, _neg_trace_fuel, _itself),
         (beta_nf, beta_nf, _beta_trace, _images),
+        (reduce_nf, reduce_nf, reduce_trace, _images),
         (_mu_nf, _mu_nf, _mu_trace, _itself),
     ],
-    ids=["reduce", "neg", "beta", "mu"],
+    ids=["reduce", "neg", "beta", "beta-in-rules", "mu"],
 )
 def test_normal_form_takes_the_steps_of_the_trace(public, nf, trace, inputs):
     rng = random.Random(47)
@@ -218,6 +219,8 @@ def test_normal_form_takes_the_steps_of_the_trace(public, nf, trace, inputs):
         ):
             for e in inputs(term):
                 steps = trace(e, None)
+                if inputs is _images:  # the one table's beta row takes beta_step's steps
+                    assert [s[-2:] for s in steps] == _beta_trace(e, None)
                 last = steps[-1][-1] if steps else e
                 if steps:  # first, while e keeps no normal form of its own
                     with pytest.raises(FuelExhausted) as spec:

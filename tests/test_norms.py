@@ -1,13 +1,14 @@
 """Norm assignment: the binary-tree measure that reduction preserves."""
 
 import random
+import sys
 
-from helpers import gen_typed_term, sample_contexts
+from helpers import WorkBoundExceeded, doubling_chain, gen_typed_term, sample_contexts
 from dcalc import norms
 from dcalc.norms import LEAF, Leaf, Pair, norm, norm_to_text, normable
-from dcalc.parser import parse_term
+from dcalc.parser import parse_document, parse_term
 from dcalc.reduction import reduce_nf
-from dcalc.syntax import TAU, Appl, Bound, Context, InternalSubst, Product, Var
+from dcalc.syntax import TAU, Appl, Bound, Context, InternalSubst, Product, UnivAbs, Var
 from dcalc.typecheck import synth
 
 a = Var("a")
@@ -32,6 +33,11 @@ def test_variable_lookup_uses_only_the_preceding_context():
     ctx = Context((("x", a), ("a", TAU)))
     assert norm(ctx, Var("x")) is None
     assert norm(ctx, a) == LEAF
+    # so one node in two declarations' types may have a norm in only one
+    shared = Product(a, TAU)
+    ctx = Context((("x", shared), ("a", TAU), ("y", shared)))
+    assert norm(ctx, Var("y")) == Pair(LEAF, LEAF)
+    assert norm(ctx, Product(Var("y"), Var("x"))) is None
 
 
 def test_abstraction_norms():
@@ -39,6 +45,10 @@ def test_abstraction_norms():
     assert norm_to_text(norm(EMPTY, parse_term("[x:tau]x"))) == "[*,*]"
     assert norm(EMPTY, parse_term("[x!tau][y:x]y")) == Pair(LEAF, Pair(LEAF, LEAF))
     assert norm(CTX, parse_term("[z:f]z")) == Pair(Pair(LEAF, LEAF), Pair(LEAF, LEAF))
+    # one node with a loose index, under two binders, takes each binder's norm
+    body, pair = Product(Bound(0), Bound(0)), Pair(LEAF, LEAF)
+    e = Product(UnivAbs(TAU, body), UnivAbs(Product(TAU, TAU), body))
+    assert norm(EMPTY, e) == Pair(Pair(LEAF, pair), Pair(pair, Pair(pair, pair)))
 
 
 def test_application_consumes_the_domain_norm():
@@ -133,12 +143,12 @@ def _complete_depth(n, known: dict[int, int | None]) -> int | None:
 
 
 def test_norm_evaluates_each_declaration_once(monkeypatch):
-    # three norm calls per link: the name, its product, and the second use of
-    # the name before, which the memo answers; re-evaluating declarations
-    # would double the work per link
+    # three calls of the recursion per link: the name, its product, and the
+    # second use of the name before, which the declarations' table answers;
+    # re-evaluating declarations would double the work per link
     bound = 3 * 30 + 2
     calls = 0
-    counted = norms.norm
+    counted = norms._norm
 
     def counting(*args, **kwargs):
         nonlocal calls
@@ -146,7 +156,30 @@ def test_norm_evaluates_each_declaration_once(monkeypatch):
         assert calls <= bound, "norm re-evaluates declarations"
         return counted(*args, **kwargs)
 
-    monkeypatch.setattr(norms, "norm", counting)
+    monkeypatch.setattr(norms, "_norm", counting)
     assert _complete_depth(norms.norm(_chain(30), Var("a30")), {}) == 30
     monkeypatch.undo()
     assert _complete_depth(norm(_chain(60), Var("a60")), {}) == 60
+
+
+def test_a_doubling_chain_of_definitions_takes_linear_work():
+    """norm evaluates a definition's shared body once, not once per use."""
+    n = 40
+    bound = 10 * (n + 1)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == norms.__file__:
+            calls += 1
+            if calls > bound:
+                raise WorkBoundExceeded  # an exponential walk stops here, not after 2^n
+
+    doc = parse_document(doubling_chain(n))
+    sys.setprofile(count)
+    try:
+        result = norm(doc.context, Var("q"))
+    finally:
+        sys.setprofile(None)
+    assert result == LEAF
+    assert calls <= bound

@@ -12,10 +12,12 @@ import pytest
 
 from helpers import (
     DIAG_FUELS,
+    WorkBoundExceeded,
     calls_during,
     count_fire,
     diag_contexts,
     diag_record,
+    doubling_chain,
     shared_conversion,
     term_from_json,
 )
@@ -349,22 +351,6 @@ def test_a_diagnostic_under_binders_takes_linear_work():
     assert calls[800] <= 5 * calls[200]
 
 
-class _WorkBoundExceeded(Exception):
-    pass
-
-
-def _doubling_chain(n: int) -> str:
-    """def d(i) := f(d(i-1), d(i-1)): d(n) spells out 2^n uses of f, sharing them.
-
-    d(n) is a check's term, and a declaration's type too.
-    """
-    return (
-        "context C { f : [tau => [tau => tau]] }\ndef d0 := tau\n"
-        + "".join(f"def d{i} := f(d{i - 1}, d{i - 1})\n" for i in range(1, n + 1))
-        + f"context D {{ q : d{n} }}\ncheck d{n} : tau\ncheck q : d{n}\n"
-    )
-
-
 @pytest.mark.parametrize("n", [20, 40])
 def test_a_doubling_chain_of_definitions_checks_in_linear_work(n):
     """A definition's body is shared at each use and typed once, by
@@ -377,7 +363,7 @@ def test_a_doubling_chain_of_definitions_checks_in_linear_work(n):
         if event == "call" and frame.f_code is typecheck._synth.__code__:
             calls += 1
             if calls > bound:
-                raise _WorkBoundExceeded  # an exponential walk stops here, not after 2^n
+                raise WorkBoundExceeded  # an exponential walk stops here, not after 2^n
 
     runs = (
         (check_document, []),
@@ -385,7 +371,7 @@ def test_a_doubling_chain_of_definitions_checks_in_linear_work(n):
         (lambda doc: check(doc.context, doc.checks[1].term, doc.checks[1].ty), None),
     )
     for run, expected in runs:
-        doc = parse_document(_doubling_chain(n))  # nodes that keep no types yet
+        doc = parse_document(doubling_chain(n))  # nodes that keep no types yet
         assert len(doc.checks) == 2
         calls = 0
         sys.setprofile(count)
