@@ -13,8 +13,7 @@ inserting the cast-family instances it needs as it goes.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .reduction import DEFAULT_FUEL, reduce_nf
 from .syntax import (
@@ -34,6 +33,7 @@ from .syntax import (
     ProjR,
     ProtDef,
     Product,
+    Record,
     Sum,
     UnivAbs,
     Var,
@@ -146,12 +146,13 @@ def instance_name(scheme: str, indices: tuple[Expr, ...]) -> str:
     scheme = normalize_scheme(scheme)
     slug = _SLUGS.get(scheme, scheme)
     payload = scheme + "|" + "|".join(canonical(i) for i in indices)
+    import hashlib  # here, not at import: only instances need it
+
     digest = hashlib.blake2b(payload.encode(), digest_size=5).hexdigest()
     return f"{slug}_{digest}"
 
 
-@dataclass(frozen=True)
-class AxiomScheme:
+class AxiomScheme(NamedTuple):
     """One instantiated axiom: a declaration name plus its template type."""
 
     scheme: str
@@ -276,34 +277,36 @@ def instantiate_axioms(requests: list[tuple[str, list[Expr]]]) -> Context:
     return Context(tuple(entries))
 
 
-@dataclass(frozen=True)
-class Star:
-    pass
+class Star(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PVar:
-    name: str
+class PVar(Record):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Pi:
-    var: str
-    dom: "PtsExpr"
-    cod: "PtsExpr"
+class Pi(Record):
+    __slots__ = __match_args__ = ("var", "dom", "cod")
+
+    def __init__(self, var: str, dom: PtsExpr, cod: PtsExpr):
+        self.var, self.dom, self.cod = var, dom, cod
 
 
-@dataclass(frozen=True)
-class PLam:
-    var: str
-    dom: "PtsExpr"
-    body: "PtsExpr"
+class PLam(Record):
+    __slots__ = __match_args__ = ("var", "dom", "body")
+
+    def __init__(self, var: str, dom: PtsExpr, body: PtsExpr):
+        self.var, self.dom, self.body = var, dom, body
 
 
-@dataclass(frozen=True)
-class PApp:
-    fun: "PtsExpr"
-    arg: "PtsExpr"
+class PApp(Record):
+    __slots__ = __match_args__ = ("fun", "arg")
+
+    def __init__(self, fun: PtsExpr, arg: PtsExpr):
+        self.fun, self.arg = fun, arg
 
 
 PtsExpr = Star | PVar | Pi | PLam | PApp

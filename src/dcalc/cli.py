@@ -10,11 +10,9 @@ the user through one mapping from exception to diagnostic (_diagnostic).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .axioms import resolve_axiom_gate
 from .norms import norm, norm_to_text
@@ -23,15 +21,6 @@ from .reduction import DEFAULT_FUEL, FuelExhausted, reduce_nf, reduce_trace, ren
 from .semantics import encode, strip
 from .syntax import Context, ExprS, path_text, pending_path, to_text
 from .typecheck import TypingError, check_document, synth
-
-
-@dataclass
-class CheckReport:
-    file: str
-    declarations_checked: int = 0
-    deductions_checked: int = 0
-    errors: list[dict] = field(default_factory=list)
-    elapsed: float = 0.0
 
 
 # The failures a command reports as a diagnostic; anything else is a bug.
@@ -62,9 +51,16 @@ def _diagnostic(err: Exception) -> dict:
     return {"kind": "IOError", "path": "root", "message": str(err)}
 
 
+def _dumps(obj: object) -> str:
+    """json.dumps; json is imported on first use, since only --json needs it."""
+    import json
+
+    return json.dumps(obj)
+
+
 def _emit_diag(diag: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(diag), file=sys.stderr)
+        print(_dumps(diag), file=sys.stderr)
         return
     line = f"{diag['kind']} @ {diag['path']}: {diag['message']}"
     print(line, file=sys.stderr)
@@ -78,20 +74,20 @@ def cmd_check(args: argparse.Namespace) -> int:
     failed = False
     for path in args.paths:
         started = time.monotonic()
-        report = CheckReport(file=path)
+        report = {"file": path, "declarations_checked": 0, "deductions_checked": 0, "errors": []}
         try:
             with open(path, encoding="utf-8") as f:
                 text = f.read()
             doc = parse_document(text, args.gate)
-            report.declarations_checked = len(doc.context.entries)
-            report.deductions_checked = len(doc.checks)
-            report.errors = [_diagnostic(e) for e in check_document(doc, args.fuel)]
+            report["declarations_checked"] = len(doc.context.entries)
+            report["deductions_checked"] = len(doc.checks)
+            report["errors"] = [_diagnostic(e) for e in check_document(doc, args.fuel)]
         except FAILURES as err:
             # the file's own failure; the next file is still checked
-            report.errors.append(_diagnostic(err))
-        failed = failed or bool(report.errors)
+            report["errors"].append(_diagnostic(err))
+        failed = failed or bool(report["errors"])
         _finish_report(report, started, args.json)
-        if args.trace and not report.errors:
+        if args.trace and not report["errors"]:
             for item in doc.checks:
                 try:
                     steps = reduce_trace(item.term, args.fuel)
@@ -102,28 +98,20 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _finish_report(report: CheckReport, started: float, as_json: bool) -> None:
-    report.elapsed = time.monotonic() - started
+def _finish_report(report: dict, started: float, as_json: bool) -> None:
+    """Print check's report on one file, as a JSON line or as a status line."""
+    elapsed = time.monotonic() - started
     if as_json:
-        print(
-            json.dumps(
-                {
-                    "file": report.file,
-                    "declarations_checked": report.declarations_checked,
-                    "deductions_checked": report.deductions_checked,
-                    "errors": report.errors,
-                    "elapsed": round(report.elapsed, 6),
-                }
-            )
-        )
+        print(_dumps({**report, "elapsed": round(elapsed, 6)}))
         return
-    status = "ok" if not report.errors else f"{len(report.errors)} error(s)"
+    errors = report["errors"]
+    status = "ok" if not errors else f"{len(errors)} error(s)"
     print(
-        f"{report.file}: {status} "
-        f"({report.declarations_checked} declarations, "
-        f"{report.deductions_checked} deductions, {report.elapsed:.3f}s)"
+        f"{report['file']}: {status} "
+        f"({report['declarations_checked']} declarations, "
+        f"{report['deductions_checked']} deductions, {elapsed:.3f}s)"
     )
-    for diag in report.errors:
+    for diag in errors:
         _emit_diag(diag, as_json=False)
 
 
@@ -170,8 +158,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     final = e if not steps else steps[-1][2]
     if args.json:
         for at, name, term in steps:
-            print(json.dumps({"axiom": name, "path": path_text(at), "term": to_text(term)}))
-        print(json.dumps({"nf": to_text(final)}))
+            print(_dumps({"axiom": name, "path": path_text(at), "term": to_text(term)}))
+        print(_dumps({"nf": to_text(final)}))
     else:
         if steps:
             print(render_trace(steps))

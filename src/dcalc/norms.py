@@ -8,8 +8,6 @@ declarations accounted for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
     Appl,
     Bound,
@@ -26,6 +24,7 @@ from .syntax import (
     ProjR,
     ProtDef,
     Product,
+    Record,
     Sum,
     UnivAbs,
     Var,
@@ -33,15 +32,18 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class Leaf:
-    pass
+class Leaf(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pair:
-    left: "Norm"
-    right: "Norm"
+class Pair(Record):
+    """Two norms. One norm call builds each pair once (_pair), so equal norms
+    from one call are one object, and == tests identity first."""
+
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Norm, right: Norm):
+        self.left, self.right = left, right
 
 
 Norm = Leaf | Pair
@@ -53,78 +55,89 @@ def norm(ctx: Context, e: ExprS) -> Norm | None:
     """The norm of e under ctx, or None where it has none.
 
     One call evaluates each declaration of ctx at most once, and each node
-    of a definition spliced into many uses once.
+    of a definition spliced into many uses once. It builds each pair once,
+    so the equal norms it meets are one object and compare by identity.
     """
     return _norm(ctx, e, (), {}, {})
 
 
-def _norm(ctx: Context, e: ExprS, env: tuple[Norm, ...], decls: dict, closed: dict) -> Norm | None:
+def _norm(ctx: Context, e: ExprS, env: tuple[Norm, ...], seen: dict, closed: dict) -> Norm | None:
     """norm's recursion. env holds the norms of the binders e sits under,
-    innermost first. decls keeps each declaration's norm, taken under the
-    declarations before it, by name; closed keeps by id the norm under ctx of
-    each locally closed compound node (env cannot change it), one table per ctx."""
+    innermost first. seen keeps each declaration's norm, taken under the
+    declarations before it, by name, and each pair, by the ids of its parts
+    (_pair); closed keeps by id the norm under ctx of each locally closed
+    compound node (env cannot change it), one table per ctx."""
     match e:
         case Prim():
             return LEAF
         case Var(name):
             if name not in ctx:
                 return None
-            if name not in decls:
-                decls[name] = _norm(ctx.prefix(name), ctx.lookup(name), (), decls, {})
-            return decls[name]
+            if name not in seen:
+                seen[name] = _norm(ctx.prefix(name), ctx.lookup(name), (), seen, {})
+            return seen[name]
         case Bound(index):
             return env[index] if index < len(env) else None
     n = closed.get(id(e), closed)
     if n is closed:
-        n = _compound_norm(ctx, e, env, decls, closed)
+        n = _compound_norm(ctx, e, env, seen, closed)
         if not _loose(e):
             closed[id(e)] = n
     return n
 
 
-def _compound_norm(ctx: Context, e: ExprS, env, decls, closed) -> Norm | None:
+def _pair(left: Norm, right: Norm, seen: dict) -> Pair:
+    """The one Pair(left, right) of a norm call; seen keeps it, and so its parts."""
+    key = (id(left), id(right))
+    p = seen.get(key)
+    if p is None:
+        p = seen[key] = Pair(left, right)
+    return p
+
+
+def _compound_norm(ctx: Context, e: ExprS, env, seen, closed) -> Norm | None:
     match e:
         case UnivAbs(dom, body) | ExistAbs(dom, body):
-            nd = _norm(ctx, dom, env, decls, closed)
+            nd = _norm(ctx, dom, env, seen, closed)
             if nd is None:
                 return None
-            nb = _norm(ctx, body, (nd,) + env, decls, closed)
-            return None if nb is None else Pair(nd, nb)
+            nb = _norm(ctx, body, (nd,) + env, seen, closed)
+            return None if nb is None else _pair(nd, nb, seen)
         case Appl(fun, arg):
-            nf = _norm(ctx, fun, env, decls, closed)
+            nf = _norm(ctx, fun, env, seen, closed)
             if not isinstance(nf, Pair):
                 return None
-            if _norm(ctx, arg, env, decls, closed) != nf.left:
+            if _norm(ctx, arg, env, seen, closed) is not nf.left:
                 return None
             return nf.right
         case ProtDef(witness, proof, tag):
-            nw = _norm(ctx, witness, env, decls, closed)
-            np = _norm(ctx, proof, env, decls, closed)
+            nw = _norm(ctx, witness, env, seen, closed)
+            np = _norm(ctx, proof, env, seen, closed)
             if nw is None or np is None:
                 return None
-            if _norm(ctx, tag, (nw,) + env, decls, closed) != np:
+            if _norm(ctx, tag, (nw,) + env, seen, closed) is not np:
                 return None
-            return Pair(nw, np)
+            return _pair(nw, np, seen)
         case ProjL(operand):
-            n = _norm(ctx, operand, env, decls, closed)
+            n = _norm(ctx, operand, env, seen, closed)
             return n.left if isinstance(n, Pair) else None
         case ProjR(operand):
-            n = _norm(ctx, operand, env, decls, closed)
+            n = _norm(ctx, operand, env, seen, closed)
             return n.right if isinstance(n, Pair) else None
         case Product(a, b) | Sum(a, b) | InjL(a, b) | InjR(a, b):
-            na = _norm(ctx, a, env, decls, closed)
-            nb = _norm(ctx, b, env, decls, closed)
+            na = _norm(ctx, a, env, seen, closed)
+            nb = _norm(ctx, b, env, seen, closed)
             if na is None or nb is None:
                 return None
-            return Pair(na, nb)
+            return _pair(na, nb, seen)
         case Case(left, right):
-            nl = _norm(ctx, left, env, decls, closed)
-            match nl, _norm(ctx, right, env, decls, closed):
-                case Pair(a, c1), Pair(b, c2) if c1 == c2:
-                    return Pair(Pair(a, b), c1)
+            nl = _norm(ctx, left, env, seen, closed)
+            match nl, _norm(ctx, right, env, seen, closed):
+                case Pair(a, c1), Pair(b, c2) if c1 is c2:
+                    return _pair(_pair(a, b, seen), c1, seen)
             return None
         case Neg(operand):
-            return _norm(ctx, operand, env, decls, closed)
+            return _norm(ctx, operand, env, seen, closed)
         case InternalSubst():
             return None
     return None

@@ -39,7 +39,6 @@ Files hold directives: `context NAME { decls }`, `def NAME := expr`,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from typing import Callable, NamedTuple
 
@@ -118,18 +117,16 @@ def tokenize(text: str) -> list[Token]:
     return toks
 
 
-@dataclass
-class CheckItem:
+class CheckItem(NamedTuple):
     term: Expr
     ty: Expr
     line: int
 
 
-@dataclass
-class Document:
+class Document(NamedTuple):
     context: Context
-    defs: dict[str, Expr] = field(default_factory=dict)
-    checks: list[CheckItem] = field(default_factory=list)
+    defs: dict[str, Expr]
+    checks: list[CheckItem]
 
 
 def _is_scheme(name: str) -> bool:

@@ -205,7 +205,7 @@ def _reads(e: ExprS, i: int) -> bool:
     return t is ProjL or t is ProjR or t is Neg
 
 
-def _normalize(e: ExprS, rules, positions, fuel: int | None, slot: str) -> ExprS:
+def _normalize(e: ExprS, rules, positions, fuel: int | None, attr: str) -> ExprS:
     """The normal form of e, reached by the steps the trace of rules takes.
 
     positions is as for _first_hit. A node fires its rule, or else normalizes
@@ -216,7 +216,7 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None, slot: str) -> ExprS
     before it in leftmost-outermost order is already normal, so the steps are
     exactly the trace's. Fuel counts steps, as _drive does.
 
-    What a walk finds stays on each compound node, under the attribute slot
+    What a walk finds stays on each compound node, under the attribute attr
     (one per rule table), as syntax._loose keeps its bound: _NORMAL for a node
     found normal, else (normal form, steps taken, whether its root contracted)
     once its normalization finished. So a node shared by several components, or
@@ -229,7 +229,7 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None, slot: str) -> ExprS
     e) is raised if they pass the fuel, so fuel=N still means the N steps of
     the trace.
     """
-    if getattr(e, slot, None) is _NORMAL:
+    if getattr(e, attr, None) is _NORMAL:
         return e
     taken = 0
 
@@ -247,7 +247,7 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None, slot: str) -> ExprS
         kids = children(sub)
         if not kids:
             return sub, True
-        hit = getattr(sub, slot, None)
+        hit = getattr(sub, attr, None)
         if hit is not None:
             if hit is _NORMAL:
                 return sub, True
@@ -271,12 +271,12 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None, slot: str) -> ExprS
                         charge(1)
                         return found[1], False
                     kid, done = walk(kid, reads)
-                object.__setattr__(kids[i], slot, (kid, taken - mark, True))
+                setattr(kids[i], attr, (kid, taken - mark, True))
             if kid is not kids[i]:
                 sub = replace_child(sub, i, kid)
-        object.__setattr__(sub, slot, _NORMAL)
+        setattr(sub, attr, _NORMAL)
         if sub is not node:
-            object.__setattr__(node, slot, (sub, taken - start, False))
+            setattr(node, attr, (sub, taken - start, False))
         return sub, True
 
     try:
@@ -284,7 +284,7 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None, slot: str) -> ExprS
         if not done:
             while not done:
                 cur, done = walk(cur, False)
-            object.__setattr__(e, slot, (cur, taken, True))
+            setattr(e, attr, (cur, taken, True))
         return cur
     finally:
         del walk  # walk calls itself through its closure: a reference cycle

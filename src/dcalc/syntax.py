@@ -25,137 +25,212 @@ index that dangles out of it, or 0 when it is locally closed (the
 indices that dangle, so a subterm whose bound is within their depth comes
 back as it is, unwalked. close_binder rewrites names, so it walks the whole
 term.
+
+Nodes are plain classes with their fields in ``__slots__``; ``Node`` gives
+them the ``==``, ``hash`` and ``repr`` that frozen dataclasses did, without
+the dataclass import or its constructors, which set each field through
+object.__setattr__. Nodes are immutable by convention only, since a guard
+against assignment would slow every constructor. The caches the kernel
+keeps on a node (``_loose_bound`` here, normal forms in reduction, types in
+typecheck) live in the instance ``__dict__``: a getattr that misses a key
+there is cheap, where one that misses an unset slot raises and catches an
+AttributeError.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Container, Iterator, Sequence, Set as AbstractSet
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TypeVar
 
 
-@dataclass(frozen=True)
-class Prim:
+class Record:
+    """Fields in ``__slots__``, with the ``==`` (same class, equal fields), hash
+    and repr of a frozen dataclass."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, f) for f in self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Node(Record):
+    """A term node: ``==`` compares the class and the components, ignoring a
+    binder's hint, and ``hash`` hashes the tuple of the components. The
+    leaves Var and Bound compare their own value."""
+
+    __slots__ = ("__dict__", "__weakref__")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = _CHILDREN[self.__class__]
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(_CHILDREN[self.__class__](self))
+
+
+class Prim(Node):
     """The primitive constant, written ``tau``. It is its own type."""
 
-
-@dataclass(frozen=True)
-class Var:
-    name: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Bound:
-    index: int
+class Var(Node):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other: object) -> bool:
+        return self.name == other.name if other.__class__ is Var else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class UnivAbs:
+class Bound(Node):
+    __slots__ = __match_args__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __eq__(self, other: object) -> bool:
+        return self.index == other.index if other.__class__ is Bound else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
+
+
+class UnivAbs(Node):
     """Universal abstraction ``[x:a]b``; both function and dependent product."""
 
-    dom: "Expr"
-    body: "Expr"
-    hint: str = field(default="x", compare=False)
+    __slots__ = __match_args__ = ("dom", "body", "hint")
+
+    def __init__(self, dom: Expr, body: Expr, hint: str = "x"):
+        self.dom, self.body, self.hint = dom, body, hint
 
 
-@dataclass(frozen=True)
-class ExistAbs:
+class ExistAbs(Node):
     """Existential abstraction ``[x!a]b``."""
 
-    dom: "Expr"
-    body: "Expr"
-    hint: str = field(default="x", compare=False)
+    __slots__ = __match_args__ = ("dom", "body", "hint")
+
+    def __init__(self, dom: Expr, body: Expr, hint: str = "x"):
+        self.dom, self.body, self.hint = dom, body, hint
 
 
-@dataclass(frozen=True)
-class Appl:
-    fun: "Expr"
-    arg: "Expr"
+class Appl(Node):
+    __slots__ = __match_args__ = ("fun", "arg")
+
+    def __init__(self, fun: Expr, arg: Expr):
+        self.fun, self.arg = fun, arg
 
 
-@dataclass(frozen=True)
-class ProtDef:
+class ProtDef(Node):
     """Protected definition ``<x:=a, b : c>``; the binder scopes over c only."""
 
-    witness: "Expr"
-    proof: "Expr"
-    tag: "Expr"
-    hint: str = field(default="x", compare=False)
+    __slots__ = __match_args__ = ("witness", "proof", "tag", "hint")
+
+    def __init__(self, witness: Expr, proof: Expr, tag: Expr, hint: str = "x"):
+        self.witness, self.proof, self.tag, self.hint = witness, proof, tag, hint
 
 
-@dataclass(frozen=True)
-class ProjL:
-    e: "Expr"
+class ProjL(Node):
+    __slots__ = __match_args__ = ("e",)
+
+    def __init__(self, e: Expr):
+        self.e = e
 
 
-@dataclass(frozen=True)
-class ProjR:
-    e: "Expr"
+class ProjR(Node):
+    __slots__ = __match_args__ = ("e",)
+
+    def __init__(self, e: Expr):
+        self.e = e
 
 
-@dataclass(frozen=True)
-class Product:
-    l: "Expr"
-    r: "Expr"
+class Product(Node):
+    __slots__ = __match_args__ = ("l", "r")
+
+    def __init__(self, l: Expr, r: Expr):
+        self.l, self.r = l, r
 
 
-@dataclass(frozen=True)
-class Sum:
-    l: "Expr"
-    r: "Expr"
+class Sum(Node):
+    __slots__ = __match_args__ = ("l", "r")
+
+    def __init__(self, l: Expr, r: Expr):
+        self.l, self.r = l, r
 
 
-@dataclass(frozen=True)
-class InjL:
+class InjL(Node):
     """Left injection ``inl(a,b)``: value a, with b the absent right tag."""
 
-    val: "Expr"
-    rtag: "Expr"
+    __slots__ = __match_args__ = ("val", "rtag")
+
+    def __init__(self, val: Expr, rtag: Expr):
+        self.val, self.rtag = val, rtag
 
 
-@dataclass(frozen=True)
-class InjR:
+class InjR(Node):
     """Right injection ``inr(a,b)``: a the absent left tag, value b."""
 
-    ltag: "Expr"
-    val: "Expr"
+    __slots__ = __match_args__ = ("ltag", "val")
+
+    def __init__(self, ltag: Expr, val: Expr):
+        self.ltag, self.val = ltag, val
 
 
-@dataclass(frozen=True)
-class Case:
-    left: "Expr"
-    right: "Expr"
+class Case(Node):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left, self.right = left, right
 
 
-@dataclass(frozen=True)
-class Neg:
-    e: "Expr"
+class Neg(Node):
+    __slots__ = __match_args__ = ("e",)
+
+    def __init__(self, e: Expr):
+        self.e = e
 
 
-@dataclass(frozen=True)
-class InternalSubst:
+class InternalSubst(Node):
     """Pending substitution ``[x:=a]b``; binds in the body only.
 
     Not part of the surface calculus; produced by the explicit-substitution
     reduction engine's beta steps.
     """
 
-    defn: "Expr"
-    body: "Expr"
-    hint: str = field(default="x", compare=False)
+    __slots__ = __match_args__ = ("defn", "body", "hint")
+
+    def __init__(self, defn: Expr, body: Expr, hint: str = "x"):
+        self.defn, self.body, self.hint = defn, body, hint
 
 
-@dataclass(frozen=True)
-class Lam:
+class Lam(Node):
     """Untyped lambda ``\\x.body``, for the images of semantics.strip/encode.
 
     Not part of the calculus: lambda terms are built from Var, Bound, Appl
     and Lam, so the binder handling and the printer here serve both.
     """
 
-    body: "Var | Bound | Appl | Lam"
-    hint: str = field(default="x", compare=False)
+    __slots__ = __match_args__ = ("body", "hint")
+
+    def __init__(self, body: Var | Bound | Appl | Lam, hint: str = "x"):
+        self.body, self.hint = body, hint
 
 
 Expr = (
@@ -360,7 +435,7 @@ def _loose(e: ExprS) -> int:
             k = _loose(c) - (i == scoped)
             if k > n:
                 n = k
-        object.__setattr__(e, "_loose_bound", n)
+        e._loose_bound = n
     return n
 
 

@@ -313,7 +313,7 @@ def _synth(ctx: Context, binders: list[Binder], e: Expr, path: Path, fuel: int) 
         case _:
             raise ValueError(f"unrecognized term: {e!r}")
     if closed:
-        object.__setattr__(e, "_type", (ctx._index, len(ctx), fuel, ty))
+        e._type = (ctx._index, len(ctx), fuel, ty)
     return ty
 
 

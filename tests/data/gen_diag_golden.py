@@ -23,7 +23,6 @@ line.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import random
 
@@ -76,7 +75,7 @@ def one_hint(e, hint: str):
     """e with every binder hint set to hint."""
     for i, c in enumerate(children(e)):
         e = replace_child(e, i, one_hint(c, hint))
-    return dataclasses.replace(e, hint=hint) if hasattr(e, "hint") else e
+    return type(e)(*children(e), hint) if scoped_index(e) is not None else e
 
 
 def mutants(rng: random.Random, e, count: int):

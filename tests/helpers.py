@@ -8,7 +8,6 @@ pairs and for the consistency sweep.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 import sys
@@ -459,10 +458,12 @@ def sem_record(text: str) -> dict:
 
 
 def term_to_json(e: ExprS) -> list:
-    """e as nested lists: the class name, then each field, terms nested the same way."""
+    """e as nested lists: the class name, then each field in constructor order
+    (its __match_args__: the components, a binder's hint, a leaf's value),
+    terms nested the same way."""
     return [type(e).__name__] + [
-        term_to_json(v) if dataclasses.is_dataclass(v) else v
-        for v in (getattr(e, f.name) for f in dataclasses.fields(e))
+        term_to_json(v) if isinstance(v, syntax.Node) else v
+        for v in (getattr(e, name) for name in e.__match_args__)
     ]
 
 

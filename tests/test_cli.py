@@ -339,6 +339,33 @@ def test_the_cli_loads_neither_the_corpus_nor_the_explicit_engine():
     assert out.stdout == "[]\n"
 
 
+def test_the_cli_imports_json_and_hashlib_only_when_asked():
+    """Importing the cli leaves dataclasses (and inspect with it), json and hashlib
+    unloaded; check --json and an axiom instance load them as they need them."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import dcalc.cli\n"
+        "late = ('dataclasses', 'inspect', 'json', 'hashlib')\n"
+        "print([m for m in late if m in sys.modules and m not in before])\n"
+        "code = dcalc.cli.main(sys.argv[1:])\n"
+        "print(code, [m for m in late[2:] if m in sys.modules])\n"
+    )
+    corpus = SRC / "dcalc" / "corpus"
+    paths = [str(corpus / "minimal.dc"), str(corpus / "classical.dc")]
+    out = subprocess.run(
+        [sys.executable, "-c", script, "check", "--json", "--axioms", "neg", *paths],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    first, *reports, last = out.stdout.splitlines()
+    assert first == "[]"
+    assert [json.loads(r)["errors"] for r in reports] == [[], []]
+    assert last == "0 ['json', 'hashlib']"
+
+
 def test_the_corpus_checks_on_python_3_10():
     """pyproject.toml promises 3.10; PYENV_VERSION picks it where a pyenv shim stands in."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYENV_VERSION="3.10.13")

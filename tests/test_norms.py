@@ -183,3 +183,33 @@ def test_a_doubling_chain_of_definitions_takes_linear_work():
         sys.setprofile(None)
     assert result == LEAF
     assert calls <= bound
+
+
+def test_equal_norms_built_under_different_declarations_compare_in_linear_work():
+    """a's type and f's domain are one shared d(n), evaluated once under each
+    declaration's prefix; applying f to a compares the two norms of 2^n leaves.
+    Each pair is built once per norm call, so they are one object."""
+    n = 40
+    bound = 20 * (n + 1)  # some 13 calls per level
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+            if calls > bound:
+                raise WorkBoundExceeded  # an exponential comparison stops here
+
+    doc = parse_document(
+        "def d0 := tau\n"
+        + "".join(f"def d{i} := [d{i - 1}, d{i - 1}]\n" for i in range(1, n + 1))
+        + f"context C {{ a : d{n}; f : [x:d{n}]tau }}\n"
+    )
+    goal = parse_term("f(a)")
+    sys.setprofile(count)
+    try:
+        result = norm(doc.context, goal)
+    finally:
+        sys.setprofile(None)
+    assert result == LEAF
+    assert calls <= bound

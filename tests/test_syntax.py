@@ -1,7 +1,12 @@
 """Structural operations on the locally nameless term representation."""
 
+import os
 import random
+import subprocess
+import sys
+import weakref
 from functools import partial
+from pathlib import Path
 
 import pytest
 import hypothesis as hyp
@@ -9,6 +14,7 @@ import hypothesis.strategies as st
 
 from helpers import calls_during, gen_typed_term, sample_contexts
 
+from dcalc import syntax
 from dcalc.parser import parse_term
 from dcalc.syntax import (
     _loose,
@@ -315,3 +321,90 @@ def test_printing_a_binder_chain_takes_linear_work():
     for body in (Bound(0), Var("x1")):
         calls = {n: calls_during(partial(to_text, chain(n, body))) for n in (200, 400, 800)}
         assert calls[800] <= 5 * calls[200]
+
+
+# One node of each class, from distinct components, so that classes of one
+# arity get the same ones; binders get hint "p".
+_PARTS = (TAU, Var("a"), Bound(0))
+_LEAF_NODES = {syntax.Prim: TAU, Var: Var("a"), Bound: Bound(3)}
+
+
+def _node(cls, hint="p"):
+    if cls in _LEAF_NODES:
+        return _LEAF_NODES[cls]
+    parts = _PARTS[: len(syntax._COMPONENTS[cls])]
+    return cls(*parts, hint) if cls in syntax._SCOPED_INDEX else cls(*parts)
+
+
+def _matched(node):
+    """The components a positional class pattern of node's arity binds."""
+    cls = type(node)
+    match len(syntax._COMPONENTS[cls]), node:
+        case 1, cls(a):
+            return (a,)
+        case 2, cls(a, b):
+            return (a, b)
+        case 3, cls(a, b, c):
+            return (a, b, c)
+    return ()
+
+
+@pytest.mark.parametrize("cls", list(syntax._COMPONENTS), ids=lambda c: c.__name__)
+def test_node_contract(cls):
+    """==, hash, match and weakref behave as they did on frozen dataclasses."""
+    node = _node(cls)
+    assert node == _node(cls, hint="q") and not node != _node(cls, hint="q")
+    assert hash(node) == hash(_node(cls, hint="q"))
+    fields = {Var: ("a",), Bound: (3,), syntax.Prim: ()}.get(cls, children(node))
+    assert hash(node) == hash(fields)
+    assert _matched(node) == children(node)
+    assert weakref.ref(node)() is node
+    assert node.__eq__(object()) is NotImplemented and node != object()
+    for other in syntax._COMPONENTS:
+        if other is not cls:
+            assert node != _node(other) and not node == _node(other)
+
+
+def test_positional_patterns_bind_leaf_values_and_hints():
+    match UnivAbs(TAU, Bound(0), "y"), Var("a"), Bound(2):
+        case UnivAbs(dom, body, hint), Var(name), Bound(index):
+            assert (dom, body, hint, name, index) == (TAU, Bound(0), "y", "a", 2)
+        case _:
+            pytest.fail("the patterns did not match")
+
+
+def test_node_reprs_are_the_dataclass_reprs():
+    assert repr(UnivAbs(TAU, Bound(0), "y")) == "UnivAbs(dom=Prim(), body=Bound(index=0), hint='y')"
+    assert repr(Appl(Var("f"), ProjL(Bound(1)))) == (
+        "Appl(fun=Var(name='f'), arg=ProjL(e=Bound(index=1)))"
+    )
+    assert repr(ProtDef(TAU, Var("p"), Neg(Bound(0)))) == (
+        "ProtDef(witness=Prim(), proof=Var(name='p'), tag=Neg(e=Bound(index=0)), hint='x')"
+    )
+    assert repr(syntax.Lam(InjR(TAU, Bound(0)), "z")) == (
+        "Lam(body=InjR(ltag=Prim(), val=Bound(index=0)), hint='z')"
+    )
+
+
+def test_equality_and_hash_reach_the_depths_they_did():
+    """At the default recursion limit, == of two binder chains built apart reaches
+    depth 331 and hash of one reaches 497, as on the frozen dataclasses."""
+    script = (
+        "from dcalc.syntax import TAU, Bound, UnivAbs\n"
+        "def chain(n):\n"
+        "    e = Bound(0)\n"
+        "    for _ in range(n):\n"
+        "        e = UnivAbs(TAU, e)\n"
+        "    return e\n"
+        "assert chain(331) == chain(331)\n"
+        "assert chain(331) != chain(330)\n"
+        "hash(chain(497))\n"
+        "print('ok')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(Path(syntax.__file__).parents[1])),
+        capture_output=True,
+        text=True,
+    )
+    assert (out.stdout, out.stderr) == ("ok\n", "")
