@@ -238,24 +238,19 @@ def closure_requests(scheme: str, indices: tuple[Expr, ...]) -> list[AxiomScheme
             out.extend(closure_requests("castin", (a,)))
             out.extend(closure_requests("castout", (a,)))
     out.append(instance(scheme, indices))
-    seen: set[str] = set()
-    dedup = []
+    kept: dict[str, AxiomScheme] = {}  # the first instance of each name
     for inst in out:
-        if inst.name not in seen:
-            seen.add(inst.name)
-            dedup.append(inst)
-    return dedup
+        kept.setdefault(inst.name, inst)
+    return list(kept.values())
 
 
 def instantiate_axioms(requests: list[tuple[str, list[Expr]]]) -> Context:
     """A context declaring every requested instance, dependencies ordered first."""
-    pending: list[AxiomScheme] = []
-    seen: set[str] = set()
+    kept: dict[str, AxiomScheme] = {}  # the first instance of each name
     for scheme, indices in requests:
         for inst in closure_requests(scheme, tuple(indices)):
-            if inst.name not in seen:
-                seen.add(inst.name)
-                pending.append(inst)
+            kept.setdefault(inst.name, inst)
+    pending = list(kept.values())
     generated = {inst.name for inst in pending}
     entries: list[tuple[str, Expr]] = []
     placed: set[str] = set()

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from functools import cache
 
 from .axioms import resolve_axiom_gate
 from .norms import norm, norm_to_text
@@ -183,11 +184,34 @@ def cmd_norm(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing keeps no state in it."""
     top = argparse.ArgumentParser(prog="dcalc", description="d-calculus proof checker")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, fn, help: str, *args, **kwargs) -> argparse.ArgumentParser:
+        """The subcommand name, which fn runs, with its first argument."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument(*args, **kwargs)
+        p.set_defaults(fn=fn)
+        return p
+
+    check = command("check", cmd_check, "check proof files", "paths", nargs="+")
+    check.add_argument("--trace", action="store_true", help="print reduction traces")
+    command("type", cmd_type, "synthesize the type of an expression", "expr").add_argument(
+        "--context", help="proof file supplying the context"
+    )
+    command("nf", cmd_nf, "print the normal form", "expr")
+    command("trace", cmd_trace, "print every reduction step", "expr")
+    sem = command("sem", cmd_sem, "translate to untyped lambda calculus", "expr")
+    mode = sem.add_mutually_exclusive_group()
+    mode.add_argument("--strip", action="store_true", help="type-stripping (default)")
+    mode.add_argument("--encode", action="store_true", help="type-encoding")
+    command("norm", cmd_norm, "print the norm of an expression", "expr").add_argument(
+        "--context", help="proof file supplying the context"
+    )
+    for p in sub.choices.values():  # the options every subcommand takes, after its own
         p.add_argument(
             "--fuel",
             type=int,
@@ -200,43 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="comma-separated axiom schemes or families to enable (or 'all')",
         )
         p.add_argument("--json", action="store_true", help="JSON-lines diagnostics")
-
-    p = sub.add_parser("check", help="check proof files")
-    p.add_argument("paths", nargs="+")
-    p.add_argument("--trace", action="store_true", help="print reduction traces")
-    common(p)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("type", help="synthesize the type of an expression")
-    p.add_argument("expr")
-    p.add_argument("--context", help="proof file supplying the context")
-    common(p)
-    p.set_defaults(fn=cmd_type)
-
-    p = sub.add_parser("nf", help="print the normal form")
-    p.add_argument("expr")
-    common(p)
-    p.set_defaults(fn=cmd_nf)
-
-    p = sub.add_parser("trace", help="print every reduction step")
-    p.add_argument("expr")
-    common(p)
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("sem", help="translate to untyped lambda calculus")
-    p.add_argument("expr")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--strip", action="store_true", help="type-stripping (default)")
-    mode.add_argument("--encode", action="store_true", help="type-encoding")
-    common(p)
-    p.set_defaults(fn=cmd_sem)
-
-    p = sub.add_parser("norm", help="print the norm of an expression")
-    p.add_argument("expr")
-    p.add_argument("--context", help="proof file supplying the context")
-    common(p)
-    p.set_defaults(fn=cmd_norm)
-
     return top
 
 

@@ -14,19 +14,19 @@ Definition evaluation is the sub-relation with only use/rem as axioms (all
 structural rules retained); it terminates with a strictly decreasing weight
 and eliminates every pending substitution, so it runs without fuel.
 
-This module states only what fires at a node; reduction's redex search
-walks binders on a stack, as in the locally nameless representation
-(Charguéraud) with de Bruijn-indexed explicit substitutions (Abadi,
-Cardelli, Curien and Lévy), and hands each node one entry per binder above
-it: the definition of a pending substitution, or None. No binder is named,
-opened or closed. ``use`` fires on a variable defined in the environment and
-on ``Bound(k)`` whose binder is a pending substitution, giving its
-definition shifted past the k+1 binders in between; ``rem`` lowers the
-indices of its body that point past the spent binder. A step probes a node
-for negation by asking for its negation normal form (``reduction.neg_nf``),
-which the node keeps once found, so probing a node already found normal
-costs one lookup. Each step searches from the root, so ``mu_trace`` is the
-step sequence of ``mu_nf``.
+This module states only what fires at a node (``_mu_rule``, ``_def_rule``);
+the one redex search, ``syntax._search``, walks binders on a stack, as in
+the locally nameless representation (Charguéraud) with de Bruijn-indexed
+explicit substitutions (Abadi, Cardelli, Curien and Lévy), and hands each
+node one entry per binder above it: a pending substitution's definition, or
+None. No binder is named, opened or closed. ``use`` fires on a variable
+defined in the environment and on ``Bound(k)`` whose binder is a pending
+substitution, giving its definition shifted past the k+1 binders in between;
+``rem`` lowers the indices of its body that point past the spent binder. A
+step probes a node for negation by asking for its negation normal form
+(``reduction.neg_nf``), which the node keeps once found, so probing a node
+already found normal costs one lookup. Each step searches from the root, so
+``mu_trace`` is the step sequence of ``mu_nf``.
 """
 
 from __future__ import annotations
@@ -35,18 +35,17 @@ from .reduction import (
     DEFAULT_FUEL,
     NEG_RULES,
     RULES,
-    Binders,
     Hit,
     Path,
     _drive,
-    _every_hit,
     _fire,
-    _first_hit,
+    _first,
     neg_nf,
     neg_redexes,
 )
 from .syntax import (
     Appl,
+    Binders,
     Bound,
     Context,
     ExistAbs,
@@ -55,6 +54,7 @@ from .syntax import (
     Prim,
     UnivAbs,
     Var,
+    _search,
     binder_used,
     children,
     pending_path,
@@ -91,9 +91,14 @@ def _def_rule(env: Env, binders: Binders, e: ExprS) -> Hit | None:
     return None
 
 
+def _mu_rule(env: Env, binders: Binders, e: ExprS) -> Hit | None:
+    """use, rem or a rule of MU_RULES at the root of e, under binders."""
+    return _def_rule(env, binders, e) or _fire(MU_RULES, e)
+
+
 def mu_axiom_steps(env: Env, e: ExprS) -> list[tuple[str, ExprS]]:
     """The non-structural rules applicable at the root: at most one (rule, result)."""
-    found = _def_rule(env, [], e) or _fire(MU_RULES, e)
+    found = _mu_rule(env, [], e)
     return [] if found is None else [found]
 
 
@@ -120,23 +125,24 @@ def mu_redexes(env: Env, e: ExprS) -> list[tuple[Path, str, ExprS]]:
     """
 
     def hits(sub: ExprS, binders: Binders) -> list[Hit]:
-        found = _def_rule(env, binders, sub) or _fire(MU_RULES, sub)
+        found = _mu_rule(env, binders, sub)
         return ([] if found is None else [found]) + [("nu", t) for t in _neg_reachable_plus(sub)]
 
-    return _every_hit(e, hits)
+    found = _search(e, hits)
+    return [(path, name, plug(e, path, after)) for path, at in found for name, after in at]
 
 
 def mu_step(env: Env, e: ExprS) -> Hit | None:
     """Deterministic single step: root rules, aggregated negation, then children."""
 
     def fires(sub: ExprS, binders: Binders) -> Hit | None:
-        found = _def_rule(env, binders, sub) or _fire(MU_RULES, sub)
+        found = _mu_rule(env, binders, sub)
         if found is not None:
             return found
         nf = neg_nf(sub)
         return None if nf is sub else ("nu", nf)
 
-    found = _first_hit(e, fires)
+    found = _first(e, fires)
     return None if found is None else (found[1], plug(e, found[0], found[2]))
 
 
@@ -153,7 +159,7 @@ def mu_nf(env: Env, e: ExprS, fuel: int = DEFAULT_FUEL) -> ExprS:
 
 def def_eval_step(env: Env, e: ExprS) -> ExprS | None:
     """One use/rem step under full structural congruence, or None."""
-    found = _first_hit(e, lambda sub, binders: _def_rule(env, binders, sub))
+    found = _first(e, lambda sub, binders: _def_rule(env, binders, sub))
     return None if found is None else plug(e, found[0], found[2])
 
 

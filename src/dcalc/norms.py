@@ -38,12 +38,29 @@ class Leaf(Record):
 
 class Pair(Record):
     """Two norms. One norm call builds each pair once (_pair), so equal norms
-    from one call are one object, and == tests identity first."""
+    from one call are one object. == compares on a stack of its own and skips
+    pairs that are one object or that it has compared already, so norms from
+    separate calls compare in time linear in their distinct pairs."""
 
     __slots__ = __match_args__ = ("left", "right")
 
     def __init__(self, left: Norm, right: Norm):
         self.left, self.right = left, right
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Pair:
+            return NotImplemented
+        seen, todo = set(), [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a.__class__ is not b.__class__:
+                return False
+            if a.__class__ is Pair and a is not b and (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                todo += [(a.right, b.right), (a.left, b.left)]
+        return True
+
+    __hash__ = Record.__hash__
 
 
 Norm = Leaf | Pair
@@ -118,12 +135,11 @@ def _compound_norm(ctx: Context, e: ExprS, env, seen, closed) -> Norm | None:
             if _norm(ctx, tag, (nw,) + env, seen, closed) is not np:
                 return None
             return _pair(nw, np, seen)
-        case ProjL(operand):
+        case ProjL(operand) | ProjR(operand):
             n = _norm(ctx, operand, env, seen, closed)
-            return n.left if isinstance(n, Pair) else None
-        case ProjR(operand):
-            n = _norm(ctx, operand, env, seen, closed)
-            return n.right if isinstance(n, Pair) else None
+            if not isinstance(n, Pair):
+                return None
+            return n.left if type(e) is ProjL else n.right
         case Product(a, b) | Sum(a, b) | InjL(a, b) | InjR(a, b):
             na = _norm(ctx, a, env, seen, closed)
             nb = _norm(ctx, b, env, seen, closed)

@@ -8,8 +8,8 @@ each of them once, keyed by the type of the redex and of its head component;
 the negation engine here and the explicit-substitution engine select their
 subsets from it. Structural congruence applies in every component of every
 operator. The deterministic strategy is leftmost-outermost: every engine
-finds its steps with one search (``_first_hit``, ``_every_hit``), which keeps
-a stack of binders and asks the engine only what fires at a node.
+finds its steps with one search (``syntax._search``), which keeps the path
+and binders on its own stack and asks the engine only what fires at a node.
 
 Every engine runs its single steps through one driver, ``_drive``, which
 counts them against an optional fuel budget: ``fuel=N`` allows exactly N
@@ -57,6 +57,8 @@ from .syntax import (
     UnivAbs,
     ExistAbs,
     Var,
+    Binders,
+    _search,
     children,
     fold,
     open_binder,
@@ -73,9 +75,6 @@ Path = tuple[int, ...]
 Step = tuple[Path, str, ExprS]
 Rule = Callable[[ExprS, ExprS], "tuple[str, ExprS] | None"]
 Hit = tuple[str, ExprS]  # a rule's name and the contractum that replaces its node
-# One entry per binder a node is under, innermost last: the definition of a
-# pending substitution, None for any other binder.
-Binders = list["ExprS | None"]
 Fires = Callable[[ExprS, Binders], "Hit | None"]
 
 
@@ -145,11 +144,6 @@ def _fire(rules: dict[tuple[type, type], Rule], e: ExprS, binders=None) -> Hit |
     return None if rule is None else rule(e, head)
 
 
-def _hits(fire: Fires) -> Callable[[ExprS, Binders], list[Hit]]:
-    """fire's hit as a list, for _every_hit."""
-    return lambda sub, binders: [] if (found := fire(sub, binders)) is None else [found]
-
-
 # The Fires of the two tables here; a rule table's Fires ignores binders.
 _RULES_FIRE = partial(_fire, RULES)
 _NEG_FIRE = partial(_fire, NEG_RULES)
@@ -180,10 +174,7 @@ def _plugged(find: Callable[[ExprS], Step | None]) -> Callable[[ExprS], Step | N
 
     def step(cur: ExprS) -> Step | None:
         found = find(cur)
-        if found is None:
-            return None
-        path, name, result = found
-        return path, name, plug(cur, path, result)
+        return None if found is None else (found[0], found[1], plug(cur, found[0], found[2]))
 
     return step
 
@@ -208,7 +199,7 @@ def _reads(e: ExprS, i: int) -> bool:
 def _normalize(e: ExprS, rules, positions, fuel: int | None, attr: str) -> ExprS:
     """The normal form of e, reached by the steps the trace of rules takes.
 
-    positions is as for _first_hit. A node fires its rule, or else normalizes
+    positions is as for syntax._search. A node fires its rule, or else normalizes
     its components left to right. A component hands its root back to the
     node after each root contraction, and the node contracts if it now
     fires: a rule looks only at the root types of its node's components, so
@@ -296,58 +287,27 @@ def axiom_steps(e: ExprS) -> list[Hit]:
     return [] if found is None else [found]
 
 
-def _first_hit(e: ExprS, fires: Fires, positions=None, binders=None) -> Step | None:
-    """(path, name, contractum) at the first node in pre-order where fires(node,
-    binders) hits, descending left to right into the components positions(node)
-    lists (all if None); the recursion shares binders, which callers omit."""
-    binders = [] if binders is None else binders
-    found = fires(e, binders)
-    if found is not None:
-        return (), *found
-    kids = children(e)
-    scoped = scoped_index(e) if kids else None
-    for i in range(len(kids)) if positions is None else positions(e):
-        if i != scoped:
-            deeper = _first_hit(kids[i], fires, positions, binders)
-        else:
-            binders.append(e.defn if type(e) is InternalSubst else None)
-            deeper = _first_hit(kids[i], fires, positions, binders)
-            binders.pop()
-        if deeper is not None:
-            path, name, result = deeper
-            return (i, *path), name, result
+def _first(e: ExprS, fires: Fires, positions=None) -> Step | None:
+    """(path, axiom, contractum at path) at the first hit of fires, or None."""
+    for path, (name, result) in _search(e, fires, positions):
+        return path, name, result
     return None
 
 
-def _every_hit(e: ExprS, hits, positions=None) -> list[Step]:
-    """Every (path, name, whole term after) in _first_hit's order; hits lists a node's."""
-    out: list[Step] = []
-    binders: Binders = []
-
-    def go(sub: ExprS, path: Path) -> None:
-        out.extend((path, name, plug(e, path, result)) for name, result in hits(sub, binders))
-        kids = children(sub)
-        scoped = scoped_index(sub)
-        for i in range(len(kids)) if positions is None else positions(sub):
-            if i != scoped:
-                go(kids[i], (*path, i))
-            else:
-                binders.append(sub.defn if type(sub) is InternalSubst else None)
-                go(kids[i], (*path, i))
-                binders.pop()
-
-    go(e, ())
-    return out
+def _every(e: ExprS, fires: Fires, positions=None) -> list[Step]:
+    """(path, axiom, whole term after) at every hit of fires, in strategy order."""
+    found = _search(e, fires, positions)
+    return [(path, name, plug(e, path, after)) for path, (name, after) in found]
 
 
 def redexes(e: ExprS) -> list[Step]:
     """Every (position, axiom, whole-term-after) triple, in strategy order."""
-    return _every_hit(e, _hits(_RULES_FIRE))
+    return _every(e, _RULES_FIRE)
 
 
 def first_redex(e: ExprS) -> Step | None:
     """Leftmost-outermost redex as (path, axiom, contractum-at-path)."""
-    return _first_hit(e, _RULES_FIRE)
+    return _first(e, _RULES_FIRE)
 
 
 def reduce_trace(e: ExprS, fuel: int = DEFAULT_FUEL) -> list[Step]:
@@ -419,11 +379,11 @@ def _neg_positions(e: ExprS) -> tuple[int, ...]:
 
 
 def neg_redexes(e: ExprS) -> list[Step]:
-    return _every_hit(e, _hits(_NEG_FIRE), _neg_positions)
+    return _every(e, _NEG_FIRE, _neg_positions)
 
 
 def neg_step(e: ExprS) -> Step | None:
-    return _first_hit(e, _NEG_FIRE, _neg_positions)
+    return _first(e, _NEG_FIRE, _neg_positions)
 
 
 def neg_trace(e: ExprS) -> list[Step]:

@@ -12,11 +12,13 @@ their body. Instantiating a binder shifts dangling indices of the replacement
 so that terms plugged in under further binders stay well-formed.
 
 One table states each node type's components, and children, replace_child,
-the depth-tracking maps ``_map_leaves`` and ``_map_indices`` and ``walk``
-read it. ``walk`` is the one pre-order traversal, on a stack of its own, and
-``fold`` folds bottom-up on it; the read-only walks and the printer use them
-and do not recurse. The untyped lambda terms of ``semantics`` are built from
-these nodes too, with ``Lam`` as one more binder, and print through
+the depth-tracking maps ``_map_leaves`` and ``_map_indices``, ``walk`` and
+``_search`` read it. ``walk`` is the read-only pre-order traversal, and
+``fold`` folds bottom-up on it; ``_search``, the one redex search, goes in
+the same order with the path and the binders above each node. Both keep a
+stack of their own, so the read-only walks, the printer and every engine's
+search do not recurse. The untyped lambda terms of ``semantics`` are built
+from these nodes too, with ``Lam`` as one more binder, and print through
 ``to_text`` as well.
 
 Each compound node caches its loose bound, ``_loose``: 1 plus the largest
@@ -326,10 +328,14 @@ def subtree_at(e: ExprS, path: tuple[int, ...]) -> ExprS:
 
 
 def plug(e: ExprS, path: tuple[int, ...], new: ExprS) -> ExprS:
-    if not path:
-        return new
-    i = path[0]
-    return replace_child(e, i, plug(children(e)[i], path[1:], new))
+    """e with the subterm at path replaced by new, rebuilt along the path."""
+    spine = []
+    for i in path:
+        spine.append(e)
+        e = children(e)[i]
+    for i in reversed(path):
+        new = replace_child(spine.pop(), i, new)
+    return new
 
 
 def path_text(path: tuple[int, ...]) -> str:
@@ -374,22 +380,57 @@ def fold(e: ExprS, f: Callable[[ExprS, Sequence], T]) -> T:
     return values[0]
 
 
-def _first_pending(e: ExprS, found: Sequence[tuple | None]) -> tuple | None:
-    """The path to the first pending substitution, nested: () at one, else (i, the
-    nested path in component i) for the first component i that has one, else None.
+# One entry per binder a node is under, innermost last: the definition of a
+# pending substitution, None for any other binder.
+Binders = list["ExprS | None"]
+
+
+def _search(
+    e: ExprS, hit: Callable[[ExprS, Binders], T | None], positions=None
+) -> Iterator[tuple[tuple[int, ...], T]]:
+    """(path, hit(node, binders)) at each node where hit is not None, in pre-order,
+    left to right into the components positions(node) lists (all if None).
+
+    It keeps its own stack, one entry per compound node it is inside, with
+    the path and the binders of the node it is at; hit must not keep binders.
     """
-    if type(e) is InternalSubst:
-        return ()
-    return next(((i, at) for i, at in enumerate(found) if at is not None), None)
+    path: list[int] = []
+    binders: Binders = []
+    stack: list = []  # per open node: components, positions left, scoped index, entry
+    node = e
+    while True:
+        found = hit(node, binders)
+        if found is not None:
+            yield tuple(path), found
+        t = type(node)
+        if t in _LEAVES:  # a leaf is left at once
+            if path and path.pop() == stack[-1][2]:
+                binders.pop()
+        else:
+            kids = _CHILDREN[t](node)
+            rest = iter(range(len(kids)) if positions is None else positions(node))
+            entry = node.defn if t is InternalSubst else None
+            stack.append((kids, rest, _SCOPED_INDEX.get(t), entry))
+        while stack:  # the next position of the innermost open node; leave those done
+            kids, rest, scoped, entry = stack[-1]
+            i = next(rest, None)
+            if i is not None:
+                break
+            stack.pop()
+            if path and path.pop() == stack[-1][2]:
+                binders.pop()
+        else:
+            return
+        path.append(i)
+        if i == scoped:
+            binders.append(entry)
+        node = kids[i]
 
 
 def pending_path(e: ExprS) -> tuple[int, ...] | None:
     """The path of the leftmost-outermost pending substitution in e, or None."""
-    at, path = fold(e, _first_pending), []
-    while at:
-        i, at = at
-        path.append(i)
-    return None if at is None else tuple(path)
+    found = _search(e, lambda node, _: True if type(node) is InternalSubst else None)
+    return next((path for path, _ in found), None)
 
 
 def free_vars(e: ExprS) -> set[str]:
@@ -400,21 +441,29 @@ def _map_leaves(e: ExprS, leaf: Callable[[Var | Bound, int], ExprS], depth: int)
     """Rebuild e with every Var and Bound replaced by ``leaf(node, d)``.
 
     ``d`` is ``depth`` plus the number of binders between e and the node.
-    Unchanged subterms are shared, not copied.
+    Unchanged subterms are shared, not copied, and a subterm shared in e is
+    mapped once per depth it occurs at, so a spliced definition costs its
+    size, not the size of its unfolding. The map keeps its own stack.
     """
-    t = type(e)
-    if t is Var or t is Bound:
-        return leaf(e, depth)
-    scoped = _SCOPED_INDEX.get(t)
-    kids = _CHILDREN[t](e)
-    parts = None
-    for i, c in enumerate(kids):
-        nc = _map_leaves(c, leaf, depth + 1 if i == scoped else depth)
-        if nc is not c:
-            if parts is None:
-                parts = list(kids)
-            parts[i] = nc
-    return e if parts is None else _rebuild(e, parts)
+    done: dict[tuple[int, int], ExprS] = {}  # by (id(node), d)
+    todo: list = [(e, depth, False)]
+    while todo:
+        node, d, ready = todo.pop()
+        t = type(node)
+        if (id(node), d) in done:
+            continue
+        if t is Var or t is Bound:
+            done[id(node), d] = leaf(node, d)
+            continue
+        scoped = _SCOPED_INDEX.get(t)
+        kids = [(kid, d + (i == scoped)) for i, kid in enumerate(_CHILDREN[t](node))]
+        if not ready:
+            todo += [(node, d, True), *((kid, k, False) for kid, k in kids)]
+            continue
+        parts = [done[id(kid), k] for kid, k in kids]
+        same = all(part is kid for part, (kid, _) in zip(parts, kids))
+        done[id(node), d] = node if same else _rebuild(node, parts)
+    return done[id(e), depth]
 
 
 def _loose(e: ExprS) -> int:

@@ -238,34 +238,18 @@ def _synth(ctx: Context, binders: list[Binder], e: Expr, path: Path, fuel: int) 
                     found=tp,
                 )
             ty = ExistAbs(tw, tag, hint)
-        case ProjL(operand):
+        case ProjL(operand) | ProjR(operand):
             t = reduce_nf(_synth(ctx, binders, operand, path + (0,), fuel), fuel)
+            left = type(e) is ProjL
             match t:
-                case ExistAbs(dom, _):
-                    ty = dom
-                case Product(l, _):
-                    ty = l
+                case ExistAbs(dom, body):
+                    ty = dom if left else open_binder(body, ProjL(operand))
+                case Product(l, r):
+                    ty = l if left else r
                 case _:
-                    raise TypingError(
-                        "NotProjectable",
-                        "operand type supports no left projection",
-                        path,
-                        found=t,
-                    )
-        case ProjR(operand):
-            t = reduce_nf(_synth(ctx, binders, operand, path + (0,), fuel), fuel)
-            match t:
-                case ExistAbs(_, body):
-                    ty = open_binder(body, ProjL(operand))
-                case Product(_, r):
-                    ty = r
-                case _:
-                    raise TypingError(
-                        "NotProjectable",
-                        "operand type supports no right projection",
-                        path,
-                        found=t,
-                    )
+                    side = "left" if left else "right"
+                    message = f"operand type supports no {side} projection"
+                    raise TypingError("NotProjectable", message, path, found=t)
         case Product(l, r) | Sum(l, r):
             ty = Product(
                 _synth(ctx, binders, l, path + (0,), fuel),

@@ -393,3 +393,31 @@ def test_the_corpus_checks_on_python_3_10():
         )
         assert (out.returncode, out.stderr) == (0, ""), name
         assert out.stdout.startswith(f"{path}: ok ("), name
+
+
+def test_main_called_twice_in_one_process_prints_what_fresh_runs_do(capsys):
+    """The argument parser is built once per process and reused: calls after
+    the first, with other subcommands and options, print the same bytes as a
+    fresh process does for each."""
+    runs = [
+        ["trace", "--json", "([x:tau]x tau)"],
+        ["sem", "--encode", "[x:tau]x"],
+        ["nf", "--fuel", "3", OMEGA],
+        ["type", "tau"],
+    ]
+    in_process = []
+    for argv in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    fresh = []
+    for argv in runs:
+        out = subprocess.run(
+            [sys.executable, "-m", "dcalc.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+        )
+        fresh.append((out.returncode, out.stdout, out.stderr))
+    assert in_process == fresh
+    assert cli._build_parser() is cli._build_parser()

@@ -533,3 +533,39 @@ print(to_text(lam) == "".join(f"\\\\y{i}." for i in range(n)) + "(y0 pi^)")
 def test_read_only_walks_and_the_printer_take_any_depth():
     lines = _fresh_interpreter(READ_ONLY_DEPTH).split()
     assert lines == ["True"] * 8
+
+
+# The redex searches and plug on a chain of 10^4 binders built without the
+# parser, at the default recursion limit. Below the chain sit a beta redex, a
+# negation redex and a pending substitution; a step found there is plugged
+# back into the whole chain. Only paths, names and strings are compared.
+SEARCH_DEPTH = """
+from dcalc.reduction import (
+    NormalClass, classify_nf, first_redex, neg_redexes, neg_step, redexes,
+)
+from dcalc.syntax import (
+    TAU, Appl, Bound, InternalSubst, Neg, Product, UnivAbs, Var, pending_path, to_text,
+)
+
+n = 10_000
+beta = Appl(UnivAbs(TAU, Bound(0), "y"), Var("a"))
+e = Product(beta, Product(Neg(Neg(Var("a"))), InternalSubst(Var("a"), Bound(0))))
+for i in range(n - 1, -1, -1):
+    e = UnivAbs(TAU, e, f"x{i}")
+chain = (1,) * n
+path, name, result = first_redex(e)
+print(path == chain + (0,), name == "beta1", to_text(result) == "a")
+print([(p, m) for p, m, _ in redexes(e)] == [(chain + (0,), "beta1"), (chain + (1, 0), "nu1")])
+after = redexes(e)[0][2]
+print(first_redex(after)[:2] == (chain + (1, 0), "nu1"))
+path, name, result = neg_step(e)
+print(path == chain + (1, 0), name == "nu1", to_text(result) == "a")
+[(path, name, after)] = neg_redexes(e)
+print(neg_step(after) is None, path == chain + (1, 0))
+print(classify_nf(e) is NormalClass.REDUCIBLE, pending_path(e) == chain + (1, 1))
+"""
+
+
+def test_the_redex_searches_and_plug_take_any_depth():
+    lines = _fresh_interpreter(SEARCH_DEPTH).split()
+    assert lines == ["True"] * 12

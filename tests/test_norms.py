@@ -213,3 +213,53 @@ def test_equal_norms_built_under_different_declarations_compare_in_linear_work()
         sys.setprofile(None)
     assert result == LEAF
     assert calls <= bound
+
+
+def _doubling_norm(n):
+    """The norm of a : d(n), def d(i) := [d(i-1), d(i-1)]: 2^n leaves, n distinct pairs."""
+    doc = parse_document(
+        "def d0 := tau\n"
+        + "".join(f"def d{i} := [d{i - 1}, d{i - 1}]\n" for i in range(1, n + 1))
+        + f"context C {{ a : d{n} }}\n"
+    )
+    return norm(doc.context, Var("a"))
+
+
+def test_norms_from_separate_calls_compare_in_linear_work():
+    """Each call builds its own pairs, so == meets no shared object across the
+    two; it compares each pair of pairs once, not once per path to it."""
+    n = 40
+    first, second, smaller = _doubling_norm(n), _doubling_norm(n), _doubling_norm(n - 1)
+    assert first is not second
+    bound = 30 * (n + 1)  # some 16 traced events per level, both comparisons
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        events += 1
+        if events > bound:
+            raise WorkBoundExceeded  # an exponential comparison stops here
+        return count
+
+    sys.settrace(count)
+    try:
+        same = first == second
+        differ = first == smaller
+    finally:
+        sys.settrace(None)
+    assert same and not differ
+    assert events <= bound
+
+
+def test_norm_equality_reaches_any_depth():
+    """== keeps its own stack: two chains of 2,000 pairs built apart compare."""
+
+    def chain(bottom):
+        n = bottom
+        for _ in range(2_000):
+            n = Pair(n, LEAF)
+        return n
+
+    assert chain(LEAF) == chain(LEAF)
+    assert chain(LEAF) != chain(Pair(LEAF, LEAF))
+    assert Pair(LEAF, LEAF) != LEAF and LEAF != Pair(LEAF, LEAF)

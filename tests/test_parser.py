@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
-from helpers import parse_record
+from helpers import WorkBoundExceeded, parse_record
 
 from dcalc import parser, syntax
 from dcalc.axioms import instance_name, resolve_axiom_gate
@@ -425,3 +425,34 @@ def test_parses_match_the_golden_file():
         r["input"] for r in records if parse_record(r["mode"], r["gate"], r["input"]) != r
     ]
     assert changed == []
+
+
+@pytest.mark.parametrize("leaf", ["a", "z"], ids=["free", "captured"])
+def test_a_definition_used_under_a_binder_is_spliced_in_linear_work(monkeypatch, leaf):
+    """def d(i) := [d(i-1), d(i-1)] spells out 2^n leaves sharing n nodes; under
+    [z:tau] each of them is mapped once, whether z captures the leaf or not,
+    and the splice stays one node per level."""
+    n = 40
+    bound = n + 1  # d0's one leaf takes one call; an unfolding takes 2^n
+    calls = 0
+    capture = parser._capture
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > bound:
+            raise WorkBoundExceeded  # a walk of the unfolded tree stops here
+        return capture(*args)
+
+    monkeypatch.setattr(parser, "_capture", counted)
+    doc = parse_document(
+        f"def d0 := {leaf}\n"
+        + "".join(f"def d{i} := [d{i - 1}, d{i - 1}]\n" for i in range(1, n + 1))
+        + f"check [z:tau]d{n} : tau\n"
+    )
+    assert calls <= bound
+    e = doc.checks[0].term.body
+    for _ in range(n):
+        assert e.l is e.r
+        e = e.l
+    assert e == (Var("a") if leaf == "a" else Bound(0))
