@@ -7,13 +7,21 @@ Each requested instance becomes one context declaration whose name is the
 scheme slug plus a stable hash of the canonically serialized indices, so
 re-instantiation is deterministic.
 
+SCHEMES holds one row per scheme: its slug, its family, its arity, the
+schemes instantiated at its first index that its template names (needs,
+in the order they are declared), and the template. Every other fact about
+a scheme is read from its row. declare adds an instance, after whichever of
+its needs are missing, to an ordered dict of declarations; the parser, the
+translation and instantiate_axioms all add instances through it.
+
 pts_to_dcalc translates a single-sorted pure type system into this calculus,
 inserting the cast-family instances it needs as it goes.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .reduction import DEFAULT_FUEL, reduce_nf
 from .syntax import (
@@ -44,39 +52,85 @@ from .syntax import (
 )
 from .typecheck import TypingError, synth
 
-SCHEME_ARITY = {
-    "negax+": 2,
-    "negax-": 2,
-    "cast": 1,
-    "castin": 1,
-    "castout": 1,
-    "dcastin": 2,
-    "dcastout": 2,
-}
-
-FAMILIES = {
-    "neg": ("negax+", "negax-"),
-    "cast": ("cast", "castin", "castout", "dcastin", "dcastout"),
-}
-
-_SLUGS = {"negax+": "negaxp", "negax-": "negaxn"}
-
-
-class CyclicIndices(Exception):
-    """Axiom requests whose indices reference each other cyclically."""
-
 
 class TranslationError(Exception):
     """A pure-type-system term that the casting translation cannot handle."""
 
 
+def imp(a: Expr, b: Expr) -> Expr:
+    """Implication: a universal abstraction whose body ignores the binder.
+
+    b is read under the binder: its dangling indices count it, and none
+    points at it.
+    """
+    return UnivAbs(a, b, "z")
+
+
+def _univ(tmp: str, hint: str, dom: Expr, body: Expr) -> Expr:
+    return UnivAbs(dom, close_binder(body, tmp), hint)
+
+
+def _app(f: Expr, *args: Expr) -> Expr:
+    for a in args:
+        f = Appl(f, a)
+    return f
+
+
+_X = Var("@1")
+
+
+def _dcast(into: bool, _cast: Expr, ci: Expr, co: Expr, a: Expr, b: Expr) -> Expr:
+    x, y, z = _X, Var("@2"), Var("@3")
+    plain = Appl(y, z)
+    routed = Appl(y, _app(co, x, _app(ci, x, z)))
+    core = imp(plain, routed) if into else imp(routed, plain)
+    return _univ("@1", "x", a, _univ("@2", "y", imp(x, b), _univ("@3", "z", x, core)))
+
+
+class Scheme(NamedTuple):
+    """One axiom scheme. The template takes the names of its needs' instances,
+    as Vars in the order of needs, then the indices."""
+
+    slug: str
+    family: str
+    arity: int
+    needs: tuple[str, ...]
+    template: Callable[..., Expr]
+
+
+_DCAST_NEEDS = ("cast", "castin", "castout")  # castin and castout name cast
+
+SCHEMES = {
+    "negax+": Scheme("negaxp", "neg", 2, (), lambda a, b: imp(Sum(a, b), imp(Neg(a), b))),
+    "negax-": Scheme("negaxn", "neg", 2, (), lambda a, b: imp(imp(Neg(a), b), Sum(a, b))),
+    "cast": Scheme("cast", "cast", 1, (), lambda a: imp(a, TAU)),
+    "castin": Scheme(
+        "castin", "cast", 1, ("cast",),
+        lambda cast, a: _univ("@1", "x", a, imp(_X, Appl(cast, _X))),
+    ),
+    "castout": Scheme(
+        "castout", "cast", 1, ("cast",),
+        lambda cast, a: _univ("@1", "x", a, imp(Appl(cast, _X), _X)),
+    ),
+    "dcastin": Scheme("dcastin", "cast", 2, _DCAST_NEEDS, partial(_dcast, True)),
+    "dcastout": Scheme("dcastout", "cast", 2, _DCAST_NEEDS, partial(_dcast, False)),
+}
+
+# Each scheme under its name and its slug.
+SCHEME_NAMES = {name: s for s, row in SCHEMES.items() for name in (s, row.slug)}
+
+SCHEME_ARITY = {s: row.arity for s, row in SCHEMES.items()}
+
+FAMILIES = {
+    row.family: tuple(s for s, r in SCHEMES.items() if r.family == row.family)
+    for row in SCHEMES.values()
+}
+
+
 def normalize_scheme(name: str) -> str:
-    for canonical, slug in _SLUGS.items():
-        if name in (canonical, slug):
-            return canonical
-    if name in SCHEME_ARITY:
-        return name
-    raise ValueError(f"unknown axiom scheme: {name}")
+    if name not in SCHEME_NAMES:
+        raise ValueError(f"unknown axiom scheme: {name}")
+    return SCHEME_NAMES[name]
 
 
 def resolve_axiom_gate(tokens: list[str]) -> frozenset[str]:
@@ -87,7 +141,7 @@ def resolve_axiom_gate(tokens: list[str]) -> frozenset[str]:
         if not tok:
             continue
         if tok == "all":
-            out.update(SCHEME_ARITY)
+            out.update(SCHEMES)
         elif tok in FAMILIES:
             out.update(FAMILIES[tok])
         else:
@@ -144,12 +198,11 @@ def canonical(e: Expr) -> str:
 
 def instance_name(scheme: str, indices: tuple[Expr, ...]) -> str:
     scheme = normalize_scheme(scheme)
-    slug = _SLUGS.get(scheme, scheme)
     payload = scheme + "|" + "|".join(canonical(i) for i in indices)
     import hashlib  # here, not at import: only instances need it
 
     digest = hashlib.blake2b(payload.encode(), digest_size=5).hexdigest()
-    return f"{slug}_{digest}"
+    return f"{SCHEMES[scheme].slug}_{digest}"
 
 
 class AxiomScheme(NamedTuple):
@@ -161,115 +214,39 @@ class AxiomScheme(NamedTuple):
     ty: Expr
 
 
-def imp(a: Expr, b: Expr) -> Expr:
-    """Implication: a universal abstraction whose body ignores the binder.
-
-    b is read under the binder: its dangling indices count it, and none
-    points at it.
-    """
-    return UnivAbs(a, b, "z")
-
-
-def _univ(tmp: str, hint: str, dom: Expr, body: Expr) -> Expr:
-    return UnivAbs(dom, close_binder(body, tmp), hint)
-
-
-def _app(f: Expr, *args: Expr) -> Expr:
-    for a in args:
-        f = Appl(f, a)
-    return f
-
-
 def instance(scheme: str, indices: tuple[Expr, ...]) -> AxiomScheme:
     """Build one instance; its type may reference dependency instance names."""
     scheme = normalize_scheme(scheme)
-    if len(indices) != SCHEME_ARITY[scheme]:
-        raise ValueError(
-            f"{scheme} takes {SCHEME_ARITY[scheme]} indices, got {len(indices)}"
-        )
+    row = SCHEMES[scheme]
+    if len(indices) != row.arity:
+        raise ValueError(f"{scheme} takes {row.arity} indices, got {len(indices)}")
+    needs = [Var(instance_name(need, indices[:1])) for need in row.needs]
     name = instance_name(scheme, indices)
-    match scheme:
-        case "negax+":
-            a, b = indices
-            ty = imp(Sum(a, b), imp(Neg(a), b))
-        case "negax-":
-            a, b = indices
-            ty = imp(imp(Neg(a), b), Sum(a, b))
-        case "cast":
-            (a,) = indices
-            ty = imp(a, TAU)
-        case "castin":
-            (a,) = indices
-            cast_nm = instance_name("cast", indices)
-            x = Var("@1")
-            ty = _univ("@1", "x", a, imp(x, Appl(Var(cast_nm), x)))
-        case "castout":
-            (a,) = indices
-            cast_nm = instance_name("cast", indices)
-            x = Var("@1")
-            ty = _univ("@1", "x", a, imp(Appl(Var(cast_nm), x), x))
-        case "dcastin" | "dcastout":
-            a, b = indices
-            ci = Var(instance_name("castin", (a,)))
-            co = Var(instance_name("castout", (a,)))
-            x, y, z = Var("@1"), Var("@2"), Var("@3")
-            plain = Appl(y, z)
-            routed = Appl(y, _app(co, x, _app(ci, x, z)))
-            core = imp(plain, routed) if scheme == "dcastin" else imp(routed, plain)
-            ty = _univ(
-                "@1", "x", a,
-                _univ("@2", "y", imp(x, b), _univ("@3", "z", x, core)),
-            )
-        case _:
-            raise ValueError(f"unknown axiom scheme: {scheme}")
-    return AxiomScheme(scheme, indices, name, ty)
+    return AxiomScheme(scheme, indices, name, row.template(*needs, *indices))
 
 
 def closure_requests(scheme: str, indices: tuple[Expr, ...]) -> list[AxiomScheme]:
-    """The instance plus its template dependencies, dependencies first."""
-    scheme = normalize_scheme(scheme)
-    out: list[AxiomScheme] = []
-    match scheme:
-        case "castin" | "castout":
-            out.extend(closure_requests("cast", indices))
-        case "dcastin" | "dcastout":
-            a, _ = indices
-            out.extend(closure_requests("cast", (a,)))
-            out.extend(closure_requests("castin", (a,)))
-            out.extend(closure_requests("castout", (a,)))
-    out.append(instance(scheme, indices))
-    kept: dict[str, AxiomScheme] = {}  # the first instance of each name
-    for inst in out:
-        kept.setdefault(inst.name, inst)
-    return list(kept.values())
+    """The instance after the instances of its needs, in its row's order."""
+    made = instance(scheme, indices)
+    return [*(instance(need, indices[:1]) for need in SCHEMES[made.scheme].needs), made]
+
+
+def declare(entries: dict[str, Expr], scheme: str, indices: tuple[Expr, ...]) -> str:
+    """Add the instance, after whichever of its needs are missing, to entries
+    (declaration names to types, in order); return the instance's name."""
+    name = instance_name(scheme, indices)
+    if name not in entries:  # else its needs are there too: it came after them
+        for inst in closure_requests(scheme, indices):
+            entries.setdefault(inst.name, inst.ty)
+    return name
 
 
 def instantiate_axioms(requests: list[tuple[str, list[Expr]]]) -> Context:
-    """A context declaring every requested instance, dependencies ordered first."""
-    kept: dict[str, AxiomScheme] = {}  # the first instance of each name
+    """A context declaring every requested instance in request order, needs first."""
+    entries: dict[str, Expr] = {}
     for scheme, indices in requests:
-        for inst in closure_requests(scheme, tuple(indices)):
-            kept.setdefault(inst.name, inst)
-    pending = list(kept.values())
-    generated = {inst.name for inst in pending}
-    entries: list[tuple[str, Expr]] = []
-    placed: set[str] = set()
-    while pending:
-        progressed = False
-        rest: list[AxiomScheme] = []
-        for inst in pending:
-            needs = (free_vars(inst.ty) & generated) - placed
-            if needs:
-                rest.append(inst)
-            else:
-                entries.append((inst.name, inst.ty))
-                placed.add(inst.name)
-                progressed = True
-        if not progressed:
-            names = ", ".join(inst.name for inst in rest)
-            raise CyclicIndices(f"no dependency order for: {names}")
-        pending = rest
-    return Context(tuple(entries))
+        declare(entries, scheme, tuple(indices))
+    return Context(tuple(entries.items()))
 
 
 class Star(Record):
@@ -310,29 +287,22 @@ PtsExpr = Star | PVar | Pi | PLam | PApp
 class _Translator:
     def __init__(self, fuel: int):
         self.fuel = fuel
-        self.entries: list[tuple[str, Expr]] = []
-        self.created: dict[str, AxiomScheme] = {}
-
-    def global_names(self) -> set[str]:
-        return {name for name, _ in self.entries}
+        self.entries: dict[str, Expr] = {}
+        self.casts: dict[str, Expr] = {}  # each cast instance's name to its index
 
     def ensure(self, scheme: str, indices: tuple[Expr, ...]) -> str:
-        """Declare an instance (and its dependencies) if not already present."""
-        for inst in closure_requests(scheme, indices):
-            if inst.name in self.created:
-                continue
-            loose = set().union(*(free_vars(i) for i in inst.indices)) - self.global_names()
-            if loose:
-                raise TranslationError(
-                    f"axiom index mentions names not in the translated context: "
-                    f"{', '.join(sorted(loose))}"
-                )
-            self.created[inst.name] = inst
-            self.entries.append((inst.name, inst.ty))
-        return instance_name(scheme, indices)
+        """Declare an instance at one index, after its cast and other needs."""
+        loose = free_vars(indices[0]) - self.entries.keys()
+        if loose:
+            raise TranslationError(
+                f"axiom index mentions names not in the translated context: "
+                f"{', '.join(sorted(loose))}"
+            )
+        self.casts[declare(self.entries, "cast", indices)] = indices[0]
+        return declare(self.entries, scheme, indices)
 
     def ctx(self, locals_: list[tuple[str, Expr]]) -> Context:
-        return Context(tuple(self.entries) + tuple(locals_))
+        return Context(tuple(self.entries.items()) + tuple(locals_))
 
     def translate(
         self,
@@ -346,7 +316,7 @@ class _Translator:
             case PVar(name):
                 if name in scope:
                     return Var(scope[name])
-                if any(name == n for n, _ in self.entries):
+                if name in self.entries:
                     return Var(name)
                 raise TranslationError(f"unbound variable: {name}")
             case Pi(var, dom, cod):
@@ -376,10 +346,8 @@ class _Translator:
                 tx = self.translate(arg, scope, locals_)
                 ty = reduce_nf(self._synth(tf, locals_), self.fuel)
                 match ty:
-                    case Appl(Var(nm), c) if (
-                        nm in self.created and self.created[nm].scheme == "cast"
-                    ):
-                        (d,) = self.created[nm].indices
+                    case Appl(Var(nm), c) if nm in self.casts:
+                        d = self.casts[nm]
                     case _:
                         raise TranslationError(
                             "operator does not translate to a cast application"
@@ -389,7 +357,7 @@ class _Translator:
         raise ValueError(f"unrecognized term: {pe!r}")
 
     def _pick(self, hint: str, locals_: list[tuple[str, Expr]]) -> str:
-        return fresh_name(hint, self.global_names(), {n for n, _ in locals_})
+        return fresh_name(hint, self.entries, {n for n, _ in locals_})
 
     def _synth(self, e: Expr, locals_: list[tuple[str, Expr]]) -> Expr:
         try:
@@ -411,8 +379,8 @@ def pts_to_dcalc(
     tr = _Translator(fuel)
     for name, pty in pctx:
         ty = tr.translate(pty, {}, [])
-        if any(name == n for n, _ in tr.entries):
+        if name in tr.entries:
             raise TranslationError(f"duplicate declaration: {name}")
-        tr.entries.append((name, ty))
+        tr.entries[name] = ty
     term = tr.translate(pe, {}, [])
-    return Context(tuple(tr.entries)), term
+    return Context(tuple(tr.entries.items())), term

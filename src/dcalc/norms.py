@@ -40,12 +40,15 @@ class Pair(Record):
     """Two norms. One norm call builds each pair once (_pair), so equal norms
     from one call are one object. == compares on a stack of its own and skips
     pairs that are one object or that it has compared already, so norms from
-    separate calls compare in time linear in their distinct pairs."""
+    separate calls compare in time linear in their distinct pairs. The hash
+    is made once, from the parts' kept hashes."""
 
-    __slots__ = __match_args__ = ("left", "right")
+    __slots__ = ("left", "right", "_hash")
+    __match_args__ = ("left", "right")
 
     def __init__(self, left: Norm, right: Norm):
         self.left, self.right = left, right
+        self._hash = hash((left, right))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Pair:
@@ -60,7 +63,8 @@ class Pair(Record):
                 todo += [(a.right, b.right), (a.left, b.left)]
         return True
 
-    __hash__ = Record.__hash__
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Norm = Leaf | Pair

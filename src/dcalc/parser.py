@@ -42,13 +42,7 @@ import re
 from functools import partial, reduce
 from typing import Callable, NamedTuple
 
-from .axioms import (
-    SCHEME_ARITY,
-    closure_requests,
-    imp,
-    instance_name,
-    normalize_scheme,
-)
+from .axioms import SCHEME_ARITY, SCHEME_NAMES, declare, imp, instance_name
 from .syntax import (
     TAU,
     Appl,
@@ -129,14 +123,6 @@ class Document(NamedTuple):
     checks: list[CheckItem]
 
 
-def _is_scheme(name: str) -> bool:
-    try:
-        normalize_scheme(name)
-        return True
-    except ValueError:
-        return False
-
-
 # Parsing yields builders: functions from the names bound where a term lands,
 # innermost first, to the term. What a name means (a binder's index, a def or
 # an axiom instance) depends on that scope, and a '(e1 e2)' group learns it
@@ -186,8 +172,7 @@ class _Parser:
         self.tok = toks[0]
         self.allowed = allowed
         self.document = document
-        self.entries: list[tuple[str, Expr]] = []
-        self.entry_names: set[str] = set()
+        self.entries: dict[str, Expr] = {}  # the context's declarations, in order
         self.defs: dict[str, Expr] = {}
         self.checks: list[CheckItem] = []
         # A '(e1 e2)' group read after an operand; until an atom takes it,
@@ -281,7 +266,7 @@ class _Parser:
                 second = self.expr()
                 self.expect(")")
                 return _node(_INJECTIONS[tok.text], first, second)
-            indices = self._indices(tok) if _is_scheme(tok.text) and self.at("{") else None
+            indices = self._indices(tok) if tok.text in SCHEME_NAMES and self.at("{") else None
             return partial(self._ref, tok, indices)
         if tok.text == "[":
             return self._bracket()
@@ -383,7 +368,7 @@ class _Parser:
 
     def _indices(self, tok: Token) -> list[_Build]:
         """The indices of the axiom scheme reference that tok starts."""
-        scheme = normalize_scheme(tok.text)
+        scheme = SCHEME_NAMES[tok.text]
         if scheme not in self.allowed:
             raise ParseError(
                 f"axiom scheme {scheme!r} is not enabled here", tok.line, tok.col
@@ -407,23 +392,19 @@ class _Parser:
 
         A bound name in an index stays a name, as the declaration reads it.
         """
-        scheme = normalize_scheme(tok.text)
         made = tuple(_map_leaves(idx(bound), partial(_release, bound), 0) for idx in indices)
-        if self.document:
-            for idx in made:
-                loose = free_vars(idx) - self.entry_names
-                if loose:
-                    raise ParseError(
-                        "axiom index uses names not declared in the context: "
-                        + ", ".join(sorted(loose)),
-                        tok.line,
-                        tok.col,
-                    )
-            for inst in closure_requests(scheme, made):
-                if inst.name not in self.entry_names:
-                    self.entries.append((inst.name, inst.ty))
-                    self.entry_names.add(inst.name)
-        return Var(instance_name(scheme, made))
+        if not self.document:
+            return Var(instance_name(tok.text, made))
+        for idx in made:
+            loose = free_vars(idx) - self.entries.keys()
+            if loose:
+                raise ParseError(
+                    "axiom index uses names not declared in the context: "
+                    + ", ".join(sorted(loose)),
+                    tok.line,
+                    tok.col,
+                )
+        return Var(declare(self.entries, tok.text, made))
 
     # directives
 
@@ -446,7 +427,7 @@ class _Parser:
                     self.checks.append(CheckItem(term, ty, tok.line))
                 case "axiom":
                     ref = self.expect_name()
-                    if not _is_scheme(ref.text):
+                    if ref.text not in SCHEME_NAMES:
                         raise ParseError(
                             f"unknown axiom scheme: {ref.text}", ref.line, ref.col
                         )
@@ -458,7 +439,7 @@ class _Parser:
                         tok.line,
                         tok.col,
                     )
-        return Document(Context(tuple(self.entries)), self.defs, self.checks)
+        return Document(Context(tuple(self.entries.items())), self.defs, self.checks)
 
     def _context_block(self) -> None:
         self.expect_name()
@@ -472,15 +453,14 @@ class _Parser:
             ty = self.term()
             for tok in names:
                 self._fresh(tok)
-                self.entries.append((tok.text, ty))
-                self.entry_names.add(tok.text)
+                self.entries[tok.text] = ty
             if not self.at(";"):
                 break
             self.take()
         self.expect("}")
 
     def _fresh(self, tok: Token) -> None:
-        if tok.text in self.entry_names or tok.text in self.defs:
+        if tok.text in self.entries or tok.text in self.defs:
             raise ParseError(f"duplicate name: {tok.text}", tok.line, tok.col)
 
 

@@ -47,8 +47,8 @@ from typing import TypeVar
 
 
 class Record:
-    """Fields in ``__slots__``, with the ``==`` (same class, equal fields), hash
-    and repr of a frozen dataclass."""
+    """Fields in ``__match_args__`` (and in ``__slots__``), with the ``==``
+    (same class, equal fields), hash and repr of a frozen dataclass."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -56,13 +56,15 @@ class Record:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+        return self is other or all(
+            getattr(self, f) == getattr(other, f) for f in self.__match_args__
+        )
 
     def __hash__(self) -> int:
-        return hash(tuple(getattr(self, f) for f in self.__slots__))
+        return hash(tuple(getattr(self, f) for f in self.__match_args__))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{self.__class__.__name__}({fields})"
 
 
@@ -488,24 +490,32 @@ def _loose(e: ExprS) -> int:
     return n
 
 
-def _map_indices(e: ExprS, leaf: Callable[[Bound, int], ExprS], depth: int) -> ExprS:
+def _map_indices(
+    e: ExprS, leaf: Callable[[Bound, int], ExprS], depth: int, done: dict | None = None
+) -> ExprS:
     """Rebuild e with every Bound that dangles out of it replaced by ``leaf(node, d)``.
 
     A Bound dangles when its index is at least ``d``, which is ``depth`` plus
     the number of binders between e and the node. A subterm from which no
-    index dangles comes back as it is, unwalked.
+    index dangles comes back as it is, unwalked. A subterm shared in e is
+    mapped once per depth it occurs at (``done``, by (id(node), d)).
     """
     t = type(e)
     if t is Bound:
         return leaf(e, depth) if e.index >= depth else e
     if t in _LEAVES or _loose(e) <= depth:
         return e
-    scoped = _SCOPED_INDEX.get(t)
-    kids = _CHILDREN[t](e)
-    parts = list(kids)
-    for i, c in enumerate(kids):
-        parts[i] = _map_indices(c, leaf, depth + 1 if i == scoped else depth)
-    return _rebuild(e, parts)
+    if done is None:
+        done = {}
+    out = done.get((id(e), depth))
+    if out is None:
+        scoped = _SCOPED_INDEX.get(t)
+        kids = _CHILDREN[t](e)
+        parts = list(kids)
+        for i, c in enumerate(kids):
+            parts[i] = _map_indices(c, leaf, depth + 1 if i == scoped else depth, done)
+        out = done[id(e), depth] = _rebuild(e, parts)
+    return out
 
 
 def shift(e: ExprS, by: int, depth: int = 0) -> ExprS:

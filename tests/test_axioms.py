@@ -11,6 +11,7 @@ from helpers import GATES, enumerate_subst_terms, gen_typed_term, sample_context
 from dcalc.axioms import (
     FAMILIES,
     SCHEME_ARITY,
+    SCHEMES,
     PApp,
     Pi,
     PLam,
@@ -178,6 +179,40 @@ def test_instantiate_axioms_orders_and_deduplicates():
         instance_name("castout", (a,)),
         instance_name("dcastin", (a, b)),
     ]
+
+
+def test_instance_names_are_pinned():
+    """The names every file and golden holds, at indices (a,) or (a, b)."""
+    names = {s: instance_name(s, (a, b)[:n]) for s, n in SCHEME_ARITY.items()}
+    assert names == {
+        "negax+": "negaxp_6e826b019c",
+        "negax-": "negaxn_8ee7f1eb69",
+        "cast": "cast_bc93f07f49",
+        "castin": "castin_f445b55546",
+        "castout": "castout_a68efa81f3",
+        "dcastin": "dcastin_758addce20",
+        "dcastout": "dcastout_b76fa0ce3a",
+    }
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_closure_requests_put_each_rows_needs_first_in_its_order(scheme):
+    row = SCHEMES[scheme]
+    indices = (a, b)[: row.arity]
+    made = closure_requests(scheme, indices)
+    assert [i.scheme for i in made] == [*row.needs, scheme]
+    assert [i.indices for i in made] == [(a,)] * len(row.needs) + [indices]
+
+
+def test_a_document_declares_the_instances_instantiate_axioms_does():
+    doc = parse_document(
+        "context C { a, b : tau }\naxiom dcastin{a,b}\naxiom cast{a}\n",
+        resolve_axiom_gate(["all"]),
+    )
+    ctx = instantiate_axioms([("dcastin", [a, b]), ("cast", [a])])
+    assert doc.context.entries[:2] == (("a", TAU), ("b", TAU))
+    assert doc.context.entries[2:] == ctx.entries
+    assert len(ctx.entries) == 4
 
 
 def test_instantiated_axioms_typecheck_over_their_indices():

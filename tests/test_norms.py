@@ -263,3 +263,36 @@ def test_norm_equality_reaches_any_depth():
     assert chain(LEAF) == chain(LEAF)
     assert chain(LEAF) != chain(Pair(LEAF, LEAF))
     assert Pair(LEAF, LEAF) != LEAF and LEAF != Pair(LEAF, LEAF)
+
+
+def test_a_norm_hashes_in_linear_work():
+    """Each pair keeps the hash it made from its parts' kept hashes, so a
+    norm of 2^n leaves hashes without walking them."""
+    n = 40
+    first, second = _doubling_norm(n), _doubling_norm(n)
+    bound = n + 1
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+            if calls > bound:
+                raise WorkBoundExceeded  # a walk of the 2^n paths stops here
+
+    sys.setprofile(count)
+    try:
+        same = hash(first) == hash(second)
+    finally:
+        sys.setprofile(None)
+    assert same
+    assert calls <= bound
+
+
+def test_norm_hash_reaches_any_depth():
+    """A chain of 2,000 pairs built by a loop hashes and keys a set."""
+    chain = LEAF
+    for _ in range(2_000):
+        chain = Pair(chain, LEAF)
+    assert hash(chain) == hash(Pair(chain.left, LEAF))
+    assert chain in {chain, LEAF}

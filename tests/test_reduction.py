@@ -2,12 +2,20 @@
 
 import gc
 import random
+import sys
 import weakref
 
 import pytest
 
-from helpers import count_fire, gen_neg_heavy, gen_typed_term, sample_contexts
-from dcalc.parser import parse_term
+from helpers import (
+    WorkBoundExceeded,
+    count_fire,
+    gen_neg_heavy,
+    gen_typed_term,
+    sample_contexts,
+)
+from dcalc import syntax
+from dcalc.parser import parse_document, parse_term
 from dcalc.reduction import (
     FuelExhausted,
     NormalClass,
@@ -288,3 +296,35 @@ def test_neg_nf_joins_the_full_reducer():
     for _ in range(200):
         e = gen_neg_heavy(rng, rng.randint(0, 6))
         assert reduce_nf(e) == reduce_nf(neg_nf(e))
+
+
+def test_a_shared_body_with_a_dangling_index_is_opened_in_linear_work():
+    """([z:tau]d(n) tau), def d0 := z, def d(i) := [d(i-1), d(i-1)]: the body
+    spells out 2^n uses of z over n + 1 shared nodes, and the beta step maps
+    each node once, not once per path to it."""
+    n = 40
+    doc = parse_document(
+        "def d0 := z\n"
+        + "".join(f"def d{i} := [d{i - 1}, d{i - 1}]\n" for i in range(1, n + 1))
+        + f"check ([z:tau]d{n} tau) : tau\n"
+    )
+    bound = 20 * (n + 1)  # some 10 calls into syntax per level
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == syntax.__file__:
+            calls += 1
+            if calls > bound:
+                raise WorkBoundExceeded  # a walk of the 2^n paths stops here
+
+    sys.setprofile(count)
+    try:
+        e = reduce_nf(doc.checks[0].term)
+    finally:
+        sys.setprofile(None)
+    assert calls <= bound
+    for _ in range(n):
+        assert e.l is e.r
+        e = e.l
+    assert e == TAU
