@@ -196,9 +196,10 @@ def canonical(e: Expr) -> str:
     return "".join(out)
 
 
-def instance_name(scheme: str, indices: tuple[Expr, ...]) -> str:
+def instance_name(scheme: str, indices: tuple[Expr, ...], texts: list[str] | None = None) -> str:
+    """texts, if given, are the indices as canonical writes them."""
     scheme = normalize_scheme(scheme)
-    payload = scheme + "|" + "|".join(canonical(i) for i in indices)
+    payload = scheme + "|" + "|".join(texts or map(canonical, indices))
     import hashlib  # here, not at import: only instances need it
 
     digest = hashlib.blake2b(payload.encode(), digest_size=5).hexdigest()
@@ -214,29 +215,38 @@ class AxiomScheme(NamedTuple):
     ty: Expr
 
 
-def instance(scheme: str, indices: tuple[Expr, ...]) -> AxiomScheme:
+def instance(
+    scheme: str, indices: tuple[Expr, ...], texts: list[str] | None = None
+) -> AxiomScheme:
     """Build one instance; its type may reference dependency instance names."""
     scheme = normalize_scheme(scheme)
     row = SCHEMES[scheme]
     if len(indices) != row.arity:
         raise ValueError(f"{scheme} takes {row.arity} indices, got {len(indices)}")
-    needs = [Var(instance_name(need, indices[:1])) for need in row.needs]
-    name = instance_name(scheme, indices)
+    texts = texts or [canonical(i) for i in indices]
+    needs = [Var(instance_name(need, indices[:1], texts[:1])) for need in row.needs]
+    name = instance_name(scheme, indices, texts)
     return AxiomScheme(scheme, indices, name, row.template(*needs, *indices))
 
 
-def closure_requests(scheme: str, indices: tuple[Expr, ...]) -> list[AxiomScheme]:
+def closure_requests(
+    scheme: str, indices: tuple[Expr, ...], texts: list[str] | None = None
+) -> list[AxiomScheme]:
     """The instance after the instances of its needs, in its row's order."""
-    made = instance(scheme, indices)
-    return [*(instance(need, indices[:1]) for need in SCHEMES[made.scheme].needs), made]
+    texts = texts or [canonical(i) for i in indices]
+    made = instance(scheme, indices, texts)
+    needs = SCHEMES[made.scheme].needs
+    return [*(instance(need, indices[:1], texts[:1]) for need in needs), made]
 
 
 def declare(entries: dict[str, Expr], scheme: str, indices: tuple[Expr, ...]) -> str:
     """Add the instance, after whichever of its needs are missing, to entries
-    (declaration names to types, in order); return the instance's name."""
-    name = instance_name(scheme, indices)
+    (declaration names to types, in order); return the instance's name.
+    Each index is serialized once, for every name."""
+    texts = [canonical(i) for i in indices]
+    name = instance_name(scheme, indices, texts)
     if name not in entries:  # else its needs are there too: it came after them
-        for inst in closure_requests(scheme, indices):
+        for inst in closure_requests(scheme, indices, texts):
             entries.setdefault(inst.name, inst.ty)
     return name
 

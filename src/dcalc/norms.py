@@ -4,6 +4,12 @@ A norm is a leaf or a pair of norms. Not every term has one; norm returns
 None for undefined. Norms are invariant under reduction and connect a term
 to its type: a typeable term's norm equals its type's norm with ambient
 declarations accounted for.
+
+A name and a locally closed compound node keep their norm under a context,
+as a node keeps its type, so a declaration or a shared definition is
+evaluated once. Norms are compared with ==, which is structural and linear
+in their distinct pairs: equal norms are often one object, but nothing
+relies on it.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from .syntax import (
     ExprS,
     InjL,
     InjR,
-    InternalSubst,
     Neg,
     Prim,
     ProjL,
@@ -37,11 +42,11 @@ class Leaf(Record):
 
 
 class Pair(Record):
-    """Two norms. One norm call builds each pair once (_pair), so equal norms
-    from one call are one object. == compares on a stack of its own and skips
-    pairs that are one object or that it has compared already, so norms from
-    separate calls compare in time linear in their distinct pairs. The hash
-    is made once, from the parts' kept hashes."""
+    """Two norms. Equal norms are often one object, since a node keeps its
+    norm, but need not be. == compares on a stack of its own and skips pairs
+    that are one object or that it has compared already, so norms compare in
+    time linear in their distinct pairs. The hash is made once, from the
+    parts' kept hashes."""
 
     __slots__ = ("left", "right", "_hash")
     __match_args__ = ("left", "right")
@@ -75,92 +80,63 @@ LEAF = Leaf()
 def norm(ctx: Context, e: ExprS) -> Norm | None:
     """The norm of e under ctx, or None where it has none.
 
-    One call evaluates each declaration of ctx at most once, and each node
-    of a definition spliced into many uses once. It builds each pair once,
-    so the equal norms it meets are one object and compare by identity.
-    """
-    return _norm(ctx, e, (), {}, {})
+    A name and a locally closed compound node keep their norm as ``_norm``,
+    with the context's name index and length. As ``_synth`` does with a type,
+    each reuses it under a context that shares the index and is no shorter.
+    None is never kept."""
+    return _norm(ctx, e, ())
 
 
-def _norm(ctx: Context, e: ExprS, env: tuple[Norm, ...], seen: dict, closed: dict) -> Norm | None:
-    """norm's recursion. env holds the norms of the binders e sits under,
-    innermost first. seen keeps each declaration's norm, taken under the
-    declarations before it, by name, and each pair, by the ids of its parts
-    (_pair); closed keeps by id the norm under ctx of each locally closed
-    compound node (env cannot change it), one table per ctx."""
-    match e:
-        case Prim():
-            return LEAF
-        case Var(name):
-            if name not in ctx:
-                return None
-            if name not in seen:
-                seen[name] = _norm(ctx.prefix(name), ctx.lookup(name), (), seen, {})
-            return seen[name]
-        case Bound(index):
-            return env[index] if index < len(env) else None
-    n = closed.get(id(e), closed)
-    if n is closed:
-        n = _compound_norm(ctx, e, env, seen, closed)
-        if not _loose(e):
-            closed[id(e)] = n
+def _norm(ctx: Context, e: ExprS, env: tuple[Norm, ...]) -> Norm | None:
+    """norm's recursion. env holds the norms of the binders e sits under, innermost first."""
+    t = type(e)
+    if t is Prim:
+        return LEAF
+    if t is Bound:
+        return env[e.index] if e.index < len(env) else None
+    kept = getattr(e, "_norm", None)
+    if kept and kept[0] is ctx._index and kept[1] <= ctx._len:
+        return kept[2]
+    if t is Var:  # its declared type's norm, under the declarations before it
+        n = _norm(ctx.prefix(e.name), ctx.lookup(e.name), ()) if e.name in ctx else None
+    else:
+        n = _compound_norm(ctx, e, env)
+    if n is not None and (t is Var or not _loose(e)):
+        e._norm = (ctx._index, ctx._len, n)
     return n
 
 
-def _pair(left: Norm, right: Norm, seen: dict) -> Pair:
-    """The one Pair(left, right) of a norm call; seen keeps it, and so its parts."""
-    key = (id(left), id(right))
-    p = seen.get(key)
-    if p is None:
-        p = seen[key] = Pair(left, right)
-    return p
-
-
-def _compound_norm(ctx: Context, e: ExprS, env, seen, closed) -> Norm | None:
+def _compound_norm(ctx: Context, e: ExprS, env) -> Norm | None:
     match e:
         case UnivAbs(dom, body) | ExistAbs(dom, body):
-            nd = _norm(ctx, dom, env, seen, closed)
-            if nd is None:
-                return None
-            nb = _norm(ctx, body, (nd,) + env, seen, closed)
-            return None if nb is None else _pair(nd, nb, seen)
+            nd = _norm(ctx, dom, env)
+            nb = None if nd is None else _norm(ctx, body, (nd,) + env)
+            return None if nb is None else Pair(nd, nb)
         case Appl(fun, arg):
-            nf = _norm(ctx, fun, env, seen, closed)
-            if not isinstance(nf, Pair):
-                return None
-            if _norm(ctx, arg, env, seen, closed) is not nf.left:
+            nf = _norm(ctx, fun, env)
+            if not isinstance(nf, Pair) or _norm(ctx, arg, env) != nf.left:
                 return None
             return nf.right
         case ProtDef(witness, proof, tag):
-            nw = _norm(ctx, witness, env, seen, closed)
-            np = _norm(ctx, proof, env, seen, closed)
-            if nw is None or np is None:
+            nw, np = _norm(ctx, witness, env), _norm(ctx, proof, env)
+            if nw is None or np is None or _norm(ctx, tag, (nw,) + env) != np:
                 return None
-            if _norm(ctx, tag, (nw,) + env, seen, closed) is not np:
-                return None
-            return _pair(nw, np, seen)
+            return Pair(nw, np)
         case ProjL(operand) | ProjR(operand):
-            n = _norm(ctx, operand, env, seen, closed)
+            n = _norm(ctx, operand, env)
             if not isinstance(n, Pair):
                 return None
             return n.left if type(e) is ProjL else n.right
         case Product(a, b) | Sum(a, b) | InjL(a, b) | InjR(a, b):
-            na = _norm(ctx, a, env, seen, closed)
-            nb = _norm(ctx, b, env, seen, closed)
-            if na is None or nb is None:
-                return None
-            return _pair(na, nb, seen)
+            na, nb = _norm(ctx, a, env), _norm(ctx, b, env)
+            return None if na is None or nb is None else Pair(na, nb)
         case Case(left, right):
-            nl = _norm(ctx, left, env, seen, closed)
-            match nl, _norm(ctx, right, env, seen, closed):
-                case Pair(a, c1), Pair(b, c2) if c1 is c2:
-                    return _pair(_pair(a, b, seen), c1, seen)
-            return None
+            match _norm(ctx, left, env), _norm(ctx, right, env):
+                case Pair(a, c1), Pair(b, c2) if c1 == c2:
+                    return Pair(Pair(a, b), c1)
         case Neg(operand):
-            return _norm(ctx, operand, env, seen, closed)
-        case InternalSubst():
-            return None
-    return None
+            return _norm(ctx, operand, env)
+    return None  # a pending substitution has no norm
 
 
 def normable(ctx: Context, e: ExprS) -> bool:

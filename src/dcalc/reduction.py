@@ -35,7 +35,7 @@ strictly decreasing weight and is confluent, so it runs without fuel.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from functools import partial
 
 from .syntax import (
@@ -396,7 +396,7 @@ def neg_nf(e: ExprS) -> ExprS:
     return _normalize(e, NEG_RULES, _neg_positions, None, "_neg_nf")
 
 
-def _weigh(e: ExprS, kids: Sequence[int]) -> int:
+def _weigh(e: ExprS, depth: int, kids: list[int]) -> int:
     if type(e) is Neg:
         return (kids[0] + 1) ** 2
     return 1 + sum(kids)

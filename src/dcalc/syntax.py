@@ -12,11 +12,16 @@ their body. Instantiating a binder shifts dangling indices of the replacement
 so that terms plugged in under further binders stay well-formed.
 
 One table states each node type's components, and children, replace_child,
-the depth-tracking maps ``_map_leaves`` and ``_map_indices``, ``walk`` and
-``_search`` read it. ``walk`` is the read-only pre-order traversal, and
-``fold`` folds bottom-up on it; ``_search``, the one redex search, goes in
-the same order with the path and the binders above each node. Both keep a
-stack of their own, so the read-only walks, the printer and every engine's
+``walk``, ``fold``, ``_map_indices`` and ``_search`` read it. ``walk`` is
+the read-only pre-order traversal and ``fold`` the one post-order pass:
+``_map_leaves``, ``size`` and the sets of free names are folds. Both meet a
+shared node once per depth, by ``(id(node), depth)``, so a definition
+spliced into many uses costs its size, not its unfolding. ``_map_indices``,
+behind shift and open_binder, stays recursive and apart: it returns,
+unwalked, a subterm from which no index dangles, where a fold would visit
+each of its nodes. ``_search``, the one redex search, goes in pre-order with
+the path and the binders above each node. walk, fold and the search keep
+stacks of their own, so the read-only walks, the printer and every engine's
 search do not recurse. The untyped lambda terms of ``semantics`` are built
 from these nodes too, with ``Lam`` as one more binder, and print through
 ``to_text`` as well.
@@ -32,17 +37,17 @@ Nodes are plain classes with their fields in ``__slots__``; ``Node`` gives
 them the ``==``, ``hash`` and ``repr`` that frozen dataclasses did, without
 the dataclass import or its constructors, which set each field through
 object.__setattr__. Nodes are immutable by convention only, since a guard
-against assignment would slow every constructor. The caches the kernel
-keeps on a node (``_loose_bound`` here, normal forms in reduction, types in
-typecheck) live in the instance ``__dict__``: a getattr that misses a key
-there is cheap, where one that misses an unset slot raises and catches an
-AttributeError.
+against assignment would slow every constructor. The caches the kernel keeps
+on a node (``_loose_bound`` here, normal forms in reduction, types in
+typecheck, norms in norms) live in the instance ``__dict__``: a getattr that
+misses a key there is cheap, where one that misses an unset slot raises and
+catches an AttributeError.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Container, Iterator, Sequence, Set as AbstractSet
-from operator import attrgetter
+from collections.abc import Callable, Container, Iterator, Set as AbstractSet
+from operator import attrgetter, is_
 from typing import TypeVar
 
 
@@ -64,8 +69,19 @@ class Record:
         return hash(tuple(getattr(self, f) for f in self.__match_args__))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{self.__class__.__name__}({fields})"
+        """Written on a stack of its own, so a deep record prints too."""
+        out, todo = [], [self]  # the text, and what is left to print, last first
+        while todo:
+            item = todo.pop()
+            if not isinstance(item, Record):
+                out.append(item)
+                continue
+            todo.append(")")
+            for i, f in reversed(list(enumerate(item.__match_args__))):
+                v = getattr(item, f)
+                todo += v if isinstance(v, Record) else repr(v), f"{', ' if i else ''}{f}="
+            todo.append(f"{item.__class__.__name__}(")
+        return "".join(out)
 
 
 class Node(Record):
@@ -298,8 +314,7 @@ def _getter(names: tuple[str, ...]) -> Callable[[ExprS], tuple[ExprS, ...]]:
 
 
 _CHILDREN = {t: _getter(names) for t, names in _COMPONENTS.items()}
-_ARITY = {t: len(names) for t, names in _COMPONENTS.items()}
-_LEAVES = {t for t, k in _ARITY.items() if k == 0}
+_LEAVES = {t for t, names in _COMPONENTS.items() if not names}
 
 
 def children(e: ExprS) -> tuple[ExprS, ...]:
@@ -348,38 +363,48 @@ def path_text(path: tuple[int, ...]) -> str:
 def walk(e: ExprS) -> Iterator[tuple[ExprS, int]]:
     """Every node of e in pre-order, with the number of binders whose scope it is in.
 
-    The walk keeps its own stack, so it goes as deep as the term does.
+    A compound node met again at a depth it was yielded at is skipped, with
+    all below it. The walk keeps its own stack, so it goes as deep as e does.
     """
+    seen: set[tuple[int, int]] = set()
     todo = [(e, 0)]
     pop, push = todo.pop, todo.append
     while todo:
-        item = pop()
-        yield item
-        node, depth = item
+        node, depth = item = pop()
         t = type(node)
-        if t in _LEAVES:
-            continue
-        scoped = _SCOPED_INDEX.get(t)
-        kids = _CHILDREN[t](node)
-        i = len(kids)
-        for kid in reversed(kids):
-            i -= 1
-            push((kid, depth + 1 if i == scoped else depth))
+        if t not in _LEAVES:
+            if (id(node), depth) in seen:
+                continue
+            seen.add((id(node), depth))
+            scoped = _SCOPED_INDEX.get(t)
+            kids = _CHILDREN[t](node)
+            i = len(kids)
+            for kid in reversed(kids):
+                i -= 1
+                push((kid, depth + 1 if i == scoped else depth))
+        yield item
 
 
-def fold(e: ExprS, f: Callable[[ExprS, Sequence], T]) -> T:
-    """f(node, the values of its components in order), bottom-up; e's value.
+def fold(e: ExprS, f: Callable[[ExprS, int, list], T], depth: int = 0) -> T:
+    """f(node, d, the values of its components in order), bottom-up; e's value.
 
-    Walks the pre-order backwards, so a node comes after its components,
-    whose values then sit on top of one stack, the first component's last.
+    d is depth plus the number of binders between e and the node. A node met
+    again at a depth it was folded at takes the value it got there. The fold
+    goes left to right, on a stack of its own.
     """
-    values: list = []
-    for node, _ in reversed(list(walk(e))):
-        k = len(values) - _ARITY[type(node)]
-        kids = values[k:][::-1]
-        del values[k:]
-        values.append(f(node, kids))
-    return values[0]
+    done: dict[tuple[int, int], T] = {}  # by (id(node), d)
+    todo: list = [(e, depth, None)]
+    while todo:
+        node, d, kids = todo.pop()
+        if kids is not None:  # its components are done
+            done[id(node), d] = f(node, d, [done[id(kid), k] for kid, k in kids])
+        elif (id(node), d) not in done:
+            t = type(node)
+            scoped = _SCOPED_INDEX.get(t)
+            kids = [(kid, d + (i == scoped)) for i, kid in enumerate(_CHILDREN[t](node))]
+            todo.append((node, d, kids))
+            todo += [(kid, k, None) for kid, k in reversed(kids)]
+    return done[id(e), depth]
 
 
 # One entry per binder a node is under, innermost last: the definition of a
@@ -440,32 +465,18 @@ def free_vars(e: ExprS) -> set[str]:
 
 
 def _map_leaves(e: ExprS, leaf: Callable[[Var | Bound, int], ExprS], depth: int) -> ExprS:
-    """Rebuild e with every Var and Bound replaced by ``leaf(node, d)``.
+    """Rebuild e with every Var and Bound replaced by ``leaf(node, d)``, by a fold
+    from ``depth``; unchanged subterms are shared, not copied."""
 
-    ``d`` is ``depth`` plus the number of binders between e and the node.
-    Unchanged subterms are shared, not copied, and a subterm shared in e is
-    mapped once per depth it occurs at, so a spliced definition costs its
-    size, not the size of its unfolding. The map keeps its own stack.
-    """
-    done: dict[tuple[int, int], ExprS] = {}  # by (id(node), d)
-    todo: list = [(e, depth, False)]
-    while todo:
-        node, d, ready = todo.pop()
+    def rebuild(node: ExprS, d: int, parts: list[ExprS]) -> ExprS:
         t = type(node)
-        if (id(node), d) in done:
-            continue
         if t is Var or t is Bound:
-            done[id(node), d] = leaf(node, d)
-            continue
-        scoped = _SCOPED_INDEX.get(t)
-        kids = [(kid, d + (i == scoped)) for i, kid in enumerate(_CHILDREN[t](node))]
-        if not ready:
-            todo += [(node, d, True), *((kid, k, False) for kid, k in kids)]
-            continue
-        parts = [done[id(kid), k] for kid, k in kids]
-        same = all(part is kid for part, (kid, _) in zip(parts, kids))
-        done[id(node), d] = node if same else _rebuild(node, parts)
-    return done[id(e), depth]
+            return leaf(node, d)
+        if all(map(is_, parts, _CHILDREN[t](node))):
+            return node
+        return _rebuild(node, parts)
+
+    return fold(e, rebuild, depth)
 
 
 def _loose(e: ExprS) -> int:
@@ -570,7 +581,8 @@ def binder_used(scoped: ExprS) -> bool:
 
 
 def size(e: ExprS) -> int:
-    return sum(1 for _ in walk(e))
+    """The number of nodes of e as a tree, each path to a shared node counted."""
+    return fold(e, lambda node, d, kids: 1 + sum(kids))
 
 
 def fresh_name(hint: str, *avoid: Container[str]) -> str:
@@ -698,7 +710,7 @@ def _names_free_in(e: ExprS) -> dict[int, AbstractSet[str]]:
     """The names free in each node of e, keyed by the node's id."""
     free: dict[int, AbstractSet[str]] = {}
 
-    def names(node: ExprS, kids: Sequence[AbstractSet[str]]) -> AbstractSet[str]:
+    def names(node: ExprS, d: int, kids: list[AbstractSet[str]]) -> AbstractSet[str]:
         if type(node) is Var:
             out: AbstractSet[str] = {node.name}
         else:

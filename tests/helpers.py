@@ -51,13 +51,19 @@ from dcalc.typecheck import TypingError, synth
 ACCEPTANCE_LINES: list[str] = []
 
 
-def calls_during(run: Callable[[], object]) -> int:
-    """The Python calls run() makes, as sys.setprofile sees them: a work count."""
+def calls_during(run: Callable[[], object], bound: int | None = None) -> int:
+    """The Python calls run() makes, as sys.setprofile sees them: a work count.
+
+    Past a bound, if one is given, the next call raises WorkBoundExceeded, so
+    an exponential walk stops there.
+    """
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
         calls += event == "call"
+        if bound is not None and calls > bound:
+            raise WorkBoundExceeded
 
     sys.setprofile(count)
     try:

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import GATES, enumerate_subst_terms, gen_typed_term, sample_contexts
 
+from dcalc import axioms
 from dcalc.axioms import (
     FAMILIES,
     SCHEME_ARITY,
@@ -20,6 +21,7 @@ from dcalc.axioms import (
     TranslationError,
     canonical,
     closure_requests,
+    declare,
     instance,
     instance_name,
     instantiate_axioms,
@@ -89,7 +91,7 @@ _TAG_OF = {
 def _canonical_by_fold(e):
     """canonical as a fold that builds each node's string from its parts' strings."""
 
-    def serialize(node, parts):
+    def serialize(node, depth, parts):
         t = type(node)
         if t is Prim:
             return "tau"
@@ -290,3 +292,26 @@ def test_pts_reports_failed_side_conditions():
     with pytest.raises(TranslationError) as err:
         pts_to_dcalc(pctx, pe)
     assert "side condition failed" in str(err.value)
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_declare_serializes_each_index_once(monkeypatch, scheme):
+    """Every name declare makes, the instance's and its needs', comes from one
+    canonical text per index."""
+    indices = (parse_term("[x:a]x"), parse_term("[y:b](y a)"))[: SCHEMES[scheme].arity]
+    calls = 0
+
+    def counted(e):
+        nonlocal calls
+        calls += 1
+        return canonical(e)
+
+    monkeypatch.setattr(axioms, "canonical", counted)
+    entries: dict = {}
+    name = declare(entries, scheme, indices)
+    assert calls == len(indices)
+    assert list(entries) == [
+        *(instance_name(need, indices[:1]) for need in SCHEMES[scheme].needs),
+        name,
+    ]
+    assert name == instance_name(scheme, indices)

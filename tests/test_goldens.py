@@ -11,7 +11,7 @@ DATA = Path(__file__).parent / "data"
 ROOT = DATA.parent.parent
 
 
-@pytest.mark.parametrize("name", ["parse", "diag", "sem"])
+@pytest.mark.parametrize("name", ["parse", "diag", "sem", "cli"])
 def test_the_golden_file_regenerates_byte_for_byte(name):
     out = subprocess.run(
         [sys.executable, str(DATA / f"gen_{name}_golden.py"), "--seed", "20261018"],

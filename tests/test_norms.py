@@ -3,7 +3,13 @@
 import random
 import sys
 
-from helpers import WorkBoundExceeded, doubling_chain, gen_typed_term, sample_contexts
+from helpers import (
+    WorkBoundExceeded,
+    calls_during,
+    doubling_chain,
+    gen_typed_term,
+    sample_contexts,
+)
 from dcalc import norms
 from dcalc.norms import LEAF, Leaf, Pair, norm, norm_to_text, normable
 from dcalc.parser import parse_document, parse_term
@@ -144,7 +150,7 @@ def _complete_depth(n, known: dict[int, int | None]) -> int | None:
 
 def test_norm_evaluates_each_declaration_once(monkeypatch):
     # three calls of the recursion per link: the name, its product, and the
-    # second use of the name before, which the declarations' table answers;
+    # second use of the name before, which that name's kept norm answers;
     # re-evaluating declarations would double the work per link
     bound = 3 * 30 + 2
     calls = 0
@@ -186,9 +192,10 @@ def test_a_doubling_chain_of_definitions_takes_linear_work():
 
 
 def test_equal_norms_built_under_different_declarations_compare_in_linear_work():
-    """a's type and f's domain are one shared d(n), evaluated once under each
-    declaration's prefix; applying f to a compares the two norms of 2^n leaves.
-    Each pair is built once per norm call, so they are one object."""
+    """a's type and f's domain are one shared d(n); applying f to a compares
+    the two norms of 2^n leaves. d(n) is evaluated under f's prefix first, and
+    that kept norm does not serve a's shorter prefix, so the two are built
+    apart and == compares them, once per distinct pair."""
     n = 40
     bound = 20 * (n + 1)  # some 13 calls per level
     calls = 0
@@ -296,3 +303,41 @@ def test_norm_hash_reaches_any_depth():
         chain = Pair(chain, LEAF)
     assert hash(chain) == hash(Pair(chain.left, LEAF))
     assert chain in {chain, LEAF}
+
+
+def test_a_kept_norm_is_not_reused_under_a_prefix_that_lacks_a_name_it_needs():
+    """[a,tau] keeps its norm under (x, a); under the prefix before a, a is
+    not declared, so there it has none."""
+    ctx, e = Context((("x", TAU), ("a", TAU))), Product(a, TAU)
+    assert norm(ctx, e) == Pair(LEAF, LEAF)
+    assert norm(ctx.prefix("a"), e) is None
+
+
+def test_no_norm_is_kept_where_there_is_none():
+    """[a,tau] has no norm under the prefix before a, and keeps nothing there,
+    so the whole context still gives its norm."""
+    ctx, e = Context((("x", TAU), ("a", TAU))), Product(a, TAU)
+    assert norm(ctx.prefix("a"), e) is None
+    assert norm(ctx, e) == Pair(LEAF, LEAF)
+
+
+def _balanced(leaves):
+    """A balanced tree of pairs over leaves, in order."""
+    if len(leaves) == 1:
+        return leaves[0]
+    half = len(leaves) // 2
+    return Product(_balanced(leaves[:half]), _balanced(leaves[half:]))
+
+
+def test_a_chain_of_names_declared_by_names_takes_linear_work():
+    """a0 : tau and a_i : a_(i-1); a term that names every a_i, the last
+    first, resolves each declaration once, not once per use down the chain."""
+    k = 200
+    names = [f"a{i}" for i in range(k)]
+    ctx = Context((("a0", TAU), *((names[i], Var(names[i - 1])) for i in range(1, k))))
+    e = _balanced([Var(x) for x in reversed(names)])
+    bound = 40 * k  # some 20 calls per name
+    out = []
+    calls = calls_during(lambda: out.append(norm(ctx, e)), bound)
+    assert out[0] == norm(EMPTY, _balanced([TAU] * k))
+    assert calls <= bound

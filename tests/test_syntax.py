@@ -12,13 +12,16 @@ import pytest
 import hypothesis as hyp
 import hypothesis.strategies as st
 
-from helpers import calls_during, gen_typed_term, sample_contexts
+from helpers import calls_during, doubling_chain, gen_typed_term, sample_contexts
 
 from dcalc import syntax
-from dcalc.parser import parse_term
+from dcalc.norms import LEAF, Pair, norm
+from dcalc.parser import parse_document, parse_term
+from dcalc.reduction import neg_weight
 from dcalc.syntax import (
     _loose,
     _map_leaves,
+    _names_free_in,
     TAU,
     Appl,
     Bound,
@@ -408,3 +411,46 @@ def test_equality_and_hash_reach_the_depths_they_did():
         text=True,
     )
     assert (out.stdout, out.stderr) == ("ok\n", "")
+
+
+def test_repr_reaches_any_depth():
+    """repr keeps its own stack: chains of 2,000 pairs and of 2,000 binders
+    print the text a recursive repr would."""
+    n = 2_000
+    pairs, binders = LEAF, TAU
+    for _ in range(n):
+        pairs, binders = Pair(pairs, LEAF), UnivAbs(TAU, binders, "x")
+    assert repr(pairs) == "Pair(left=" * n + "Leaf()" + ", right=Leaf())" * n
+    assert repr(binders) == "UnivAbs(dom=Prim(), body=" * n + "Prim()" + ", hint='x')" * n
+
+
+# Each pass on d(n) of helpers.doubling_chain, which is n + 1 shared nodes
+# that spell out 2^n uses of f, and what it gives.
+_DOUBLING_PASSES = {
+    "free_vars": (lambda doc, d: free_vars(d), lambda out, n: out == {"f"}),
+    "size": (lambda doc, d: size(d), lambda out, n: out == 4 * 2**n - 3),
+    "neg_weight": (lambda doc, d: neg_weight(d), lambda out, n: out == 4 * 2**n - 3),
+    "binder_used": (lambda doc, d: binder_used(d), lambda out, n: out is False),
+    "_names_free_in": (
+        lambda doc, d: _names_free_in(d)[id(d)],
+        lambda out, n: out == {"f"},
+    ),
+    "close_binder": (
+        lambda doc, d: close_binder(d, "f"),
+        lambda out, n: out.arg is out.fun.arg and out.fun.fun == Bound(0),
+    ),
+    "norm": (lambda doc, d: norm(doc.context, Var("q")), lambda out, n: out == LEAF),
+}
+
+
+@pytest.mark.parametrize("name", list(_DOUBLING_PASSES))
+def test_a_pass_over_a_doubling_chain_takes_linear_work(name):
+    """walk and fold visit a shared node once per depth, not once per path."""
+    n = 40
+    bound = 25 * (n + 1)  # some 3 to 19 calls per level
+    doc = parse_document(doubling_chain(n))
+    run, check = _DOUBLING_PASSES[name]
+    out = []
+    calls = calls_during(lambda: out.append(run(doc, doc.defs[f"d{n}"])), bound)
+    assert check(out[0], n)
+    assert calls <= bound
