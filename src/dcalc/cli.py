@@ -77,7 +77,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         started = time.monotonic()
         report = {"file": path, "declarations_checked": 0, "deductions_checked": 0, "errors": []}
         try:
-            with open(path, encoding="utf-8") as f:
+            # utf-8-sig drops a leading byte-order mark, as some editors write one
+            with open(path, encoding="utf-8-sig") as f:
                 text = f.read()
             doc = parse_document(text, args.gate)
             report["declarations_checked"] = len(doc.context.entries)
@@ -120,7 +121,7 @@ def _load_context(args: argparse.Namespace) -> Context | None:
     """Parse and check the optional --context file; None if it does not check."""
     if not args.context:
         return Context()
-    with open(args.context, encoding="utf-8") as f:
+    with open(args.context, encoding="utf-8-sig") as f:
         text = f.read()
     doc = parse_document(text, args.gate)
     errors = check_document(doc, args.fuel)

@@ -3,8 +3,7 @@
 Grammar sketch (predictive recursive descent: every choice is made from the
 next tokens, and no token is read twice):
 
-    expr     := '~' expr | postfix
-    postfix  := atom ('.' ('1'|'2') | '(' expr (',' expr)* ')')*
+    expr     := '~' expr | atom ('.' ('1'|'2') | '(' expr (',' expr)* ')')*
     atom     := 'tau' | name | scheme '{' expr (',' expr)* '}' | bracket
               | '(' expr expr? ')' | ('inl'|'inr'|'case') '(' expr ',' expr ')'
               | '<' name ':=' expr ',' expr ':' expr '>'
@@ -29,8 +28,14 @@ name stands for its expansion, whose free names the binders there capture;
 and a scheme reference such as negax-{a,~a} for an axiom instance, named
 over its indices with bound names kept as names, whose declarations
 (dependencies first) a document splices into the context right before the
-enclosing item. One regular expression scans the text; '--' starts a line
-comment.
+enclosing item.
+
+One findall of a regular expression scans the text: each match is a gap
+(blanks, newlines and '--' line comments) and the token after it, and the
+parser reads the token texts by index. No token carries a position: a
+ParseError or a check's line finds it from the index, through the lengths
+and newline counts of the matches summed once per text. A comment takes no
+columns, so end of input after one stands where it starts.
 
 Files hold directives: `context NAME { decls }`, `def NAME := expr`,
 `check expr : expr`, and `axiom scheme{indices}`.
@@ -40,6 +45,8 @@ from __future__ import annotations
 
 import re
 from functools import partial, reduce
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .axioms import SCHEME_ARITY, SCHEME_NAMES, declare, imp, instance_name
@@ -85,30 +92,48 @@ class Token(NamedTuple):
     col: int
 
 
-# One alternative per token class; "bad" takes any character no other does,
-# so the matches tile the text.
-_SCAN = re.compile(
-    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>--.*)"
-    r"|(?P<NAME>negax[+-]|\w+)|(?P<PUNCT>:=|=>|[][(){}<>,;:!~+.])|(?P<bad>.)"
-)
+# One match per token: the gap before it (blanks, newlines and comments), then
+# the token, EOF's "" at the end of the text, or in the third group a character
+# that no token takes. Every match succeeds without backtracking, and findall
+# may add one more empty match after EOF's.
+_SCAN = re.compile(r"((?:[ \t\r\n]+|--.*)*)(?:(negax[+-]|\w+|:=|=>|[][(){}<>,;:!~+.]|\Z)|(.))")
+# The punctuation tokens and EOF's "": every other token is a name.
+_PUNCT = frozenset(["", ":=", "=>", *"[](){}<>,;:!~+."])
+
+
+class _Scan:
+    """The token texts of a text, EOF's "" last; positions are found on demand."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.matches = _SCAN.findall(text)
+        self.toks = list(map(itemgetter(1), self.matches))
+        self.starts: list[int] = []
+        if any(map(itemgetter(2), self.matches)):
+            i = next(i for i, m in enumerate(self.matches) if m[2])
+            raise ParseError(f"unexpected character {self.matches[i][2]!r}", *self.where(i))
+
+    def where(self, i: int) -> tuple[int, int]:
+        """The line and column of token i; EOF stands where a comment before it starts."""
+        if not self.starts:
+            # summed once per text: offsets, and newlines, up to each token
+            fields = list(chain.from_iterable(self.matches))
+            self.starts = list(accumulate(map(len, fields)))[::3]
+            self.lines = list(accumulate(map(str.count, fields[::3], repeat("\n")), initial=1))
+        start = self.starts[i]
+        if not self.toks[i]:  # a comment on EOF's line ends it
+            gap = self.matches[i][0]
+            tail = gap[gap.rfind("\n") + 1 :]
+            start -= len(tail) - len(tail.partition("--")[0])
+        return self.lines[i + 1], start - self.text.rfind("\n", 0, start)
 
 
 def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    line, col = 1, 1
-    for m in _SCAN.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line, col = line + 1, 1
-            continue
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m[0]!r}", line, col)
-        if kind == "NAME" or kind == "PUNCT":
-            toks.append(Token(kind, m[0], line, col))
-        if kind != "comment":
-            col += len(m[0])
-    toks.append(Token("EOF", "", line, col))
-    return toks
+    """The tokens of text, EOF last, each with its kind, line and column."""
+    scan = _Scan(text)
+    toks = scan.toks[: scan.toks.index("")]
+    out = [Token("PUNCT" if t in _PUNCT else "NAME", t, *scan.where(i)) for i, t in enumerate(toks)]
+    return out + [Token("EOF", "", *scan.where(len(toks)))]
 
 
 class CheckItem(NamedTuple):
@@ -166,46 +191,44 @@ def _fold_right(make: Callable[[ExprS, ExprS], ExprS], *items: ExprS) -> ExprS:
 
 
 class _Parser:
-    def __init__(self, toks: list[Token], allowed: frozenset[str], document: bool):
-        self.toks = toks
+    def __init__(self, text: str, allowed: frozenset[str], document: bool):
+        self.scan = _Scan(text)
+        self.toks = self.scan.toks
         self.pos = 0
-        self.tok = toks[0]
+        self.tok = self.toks[0]
         self.allowed = allowed
         self.document = document
         self.entries: dict[str, Expr] = {}  # the context's declarations, in order
         self.defs: dict[str, Expr] = {}
         self.checks: list[CheckItem] = []
-        # A '(e1 e2)' group read after an operand; until an atom takes it,
-        # self.tok is the group's '('.
-        self.pushed: _Build | None = None
+        # A '(e1 e2)' group read after an operand, and the position after it;
+        # until an atom takes it, the parser stands at the group's '('.
+        self.pushed: tuple[_Build, int] | None = None
 
-    def at(self, text: str) -> bool:
-        return self.tok.text == text  # EOF's text is "", which no caller asks for
-
-    def take(self) -> Token:
+    def take(self) -> str:
+        """The token here; the parser moves past it. No caller takes EOF."""
         tok = self.tok
-        if tok.kind != "EOF":
-            self.pos += 1
-            self.tok = self.toks[self.pos]
+        self.pos += 1
+        self.tok = self.toks[self.pos]
         return tok
 
-    def expect(self, text: str) -> Token:
-        tok = self.tok
-        if tok.text != text:
-            got = tok.text if tok.kind != "EOF" else "end of input"
-            raise ParseError(f"expected {text!r}, got {got!r}", tok.line, tok.col)
-        return self.take()
+    def expect(self, text: str) -> None:
+        if self.tok != text:
+            raise self.error(f"expected {text!r}, got {self.tok or 'end of input'!r}")
+        self.pos += 1
+        self.tok = self.toks[self.pos]
 
-    def expect_name(self) -> Token:
-        tok = self.tok
-        if tok.kind != "NAME":
-            got = tok.text if tok.kind != "EOF" else "end of input"
-            raise ParseError(f"expected a name, got {got!r}", tok.line, tok.col)
-        return self.take()
+    def expect_name(self) -> int:
+        """The position of the name here; the parser moves past it."""
+        if self.tok in _PUNCT:
+            raise self.error(f"expected a name, got {self.tok or 'end of input'!r}")
+        self.pos += 1
+        self.tok = self.toks[self.pos]
+        return self.pos - 1
 
-    def error(self, message: str) -> ParseError:
-        tok = self.tok
-        return ParseError(message, tok.line, tok.col)
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """A ParseError at token `at`, by default the one here."""
+        return ParseError(message, *self.scan.where(self.pos if at is None else at))
 
     def term(self) -> ExprS:
         """An expression, built where no binder is in scope."""
@@ -214,33 +237,34 @@ class _Parser:
     # expressions
 
     def expr(self) -> _Build:
-        if self.at("~"):
+        if self.tok == "~":
             self.take()
             inner = self.expr()  # called directly: one frame for each '~'
             return lambda bound: Neg(inner(bound))
-        return self.postfix()
-
-    def postfix(self) -> _Build:
         head = self.atom()
+        if self.tok != "." and self.tok != "(" or self.pushed is not None:
+            return head
         steps: list[Callable[..., ExprS]] = []
         args: list[_Build] = []
         while self.pushed is None:
-            if self.at("."):
+            if self.tok == ".":
                 self.take()
-                tok = self.expect_name()
-                if tok.text not in ("1", "2"):
-                    raise ParseError("expected 1 or 2 after '.'", tok.line, tok.col)
-                steps.append(ProjL if tok.text == "1" else ProjR)
-            elif self.at("("):
+                at = self.expect_name()
+                if self.toks[at] not in ("1", "2"):
+                    raise self.error("expected 1 or 2 after '.'", at)
+                steps.append(ProjL if self.toks[at] == "1" else ProjR)
+            elif self.tok == "(":
                 # '(e)' and '(e, ...)' are calls; '(e1 e2)' starts the next operand
-                paren = self.take()
+                paren = self.pos
+                self.take()
                 call_args = [self.expr()]
-                if not (self.at(")") or self.at(",")):
+                if self.tok != ")" and self.tok != ",":
                     second = self.expr()
                     self.expect(")")
-                    self.pushed, self.tok = _node(Appl, call_args[0], second), paren
+                    self.pushed = (_node(Appl, call_args[0], second), self.pos)
+                    self.pos, self.tok = paren, "("
                     break
-                while self.at(","):
+                while self.tok == ",":
                     self.take()
                     call_args.append(self.expr())
                 self.expect(")")
@@ -252,33 +276,35 @@ class _Parser:
 
     def atom(self) -> _Build:
         if self.pushed is not None:
-            e, self.pushed, self.tok = self.pushed, None, self.toks[self.pos]
+            e, self.pos = self.pushed
+            self.pushed, self.tok = None, self.toks[self.pos]
             return e
         tok = self.tok
-        if tok.kind == "NAME":
+        if tok not in _PUNCT:
+            at = self.pos
             self.take()
-            if tok.text == "tau":
+            if tok == "tau":
                 return lambda bound: TAU
-            if tok.text in _INJECTIONS and self.at("("):
+            if tok in _INJECTIONS and self.tok == "(":
                 self.take()
                 first = self.expr()
                 self.expect(",")
                 second = self.expr()
                 self.expect(")")
-                return _node(_INJECTIONS[tok.text], first, second)
-            indices = self._indices(tok) if tok.text in SCHEME_NAMES and self.at("{") else None
-            return partial(self._ref, tok, indices)
-        if tok.text == "[":
+                return _node(_INJECTIONS[tok], first, second)
+            indices = self._indices(at) if tok in SCHEME_NAMES and self.tok == "{" else None
+            return partial(self._ref, at, indices)
+        if tok == "[":
             return self._bracket()
-        if tok.text == "(":
+        if tok == "(":
             self.take()
             e1 = self.expr()
-            e = e1 if self.at(")") else _node(Appl, e1, self.expr())
+            e = e1 if self.tok == ")" else _node(Appl, e1, self.expr())
             self.expect(")")
             return e
-        if tok.text == "<":
+        if tok == "<":
             self.take()
-            name = self.expect_name().text
+            name = self.toks[self.expect_name()]
             self.expect(":=")
             witness = self.expr()
             self.expect(",")
@@ -290,31 +316,31 @@ class _Parser:
         raise self.error("expected an expression")
 
     def _bracket(self) -> _Build:
-        self.expect("[")
+        self.take()  # '['
         toks, pos = self.toks, self.pos
-        if toks[pos].kind == "NAME" and toks[pos + 1].text == ":=":
-            name = self.take().text
+        if toks[pos] not in _PUNCT and toks[pos + 1] == ":=":
+            name = self.take()
             self.take()
             defn = self.expr()
             self.expect("]")
             return _binder(InternalSubst, name, defn, self.expr())
-        # EOF ends the tokens, so a NAME always has a token after it
+        # EOF ends the tokens, so a name always has a token after it
         i = pos
-        while toks[i].kind == "NAME" and toks[i + 1].text == ",":
+        while toks[i] not in _PUNCT and toks[i + 1] == ",":
             i += 2
-        if not (toks[i].kind == "NAME" and toks[i + 1].text in (":", "!")):
+        if toks[i] in _PUNCT or toks[i + 1] not in (":", "!"):
             return self._connective()
         groups: list[tuple[list[str], type, _Build]] = []
         while True:
-            names = [self.expect_name().text]
-            while self.at(","):
+            names = [toks[self.expect_name()]]
+            while self.tok == ",":
                 self.take()
-                names.append(self.expect_name().text)
-            if not (self.at(":") or self.at("!")):
+                names.append(toks[self.expect_name()])
+            if self.tok != ":" and self.tok != "!":
                 raise self.error("expected ':' or '!' in binder group")
-            cls = ExistAbs if self.take().text == "!" else UnivAbs
+            cls = ExistAbs if self.take() == "!" else UnivAbs
             groups.append((names, cls, self.expr()))
-            if not self.at(";"):
+            if self.tok != ";":
                 break
             self.take()
         self.expect("]")
@@ -328,13 +354,13 @@ class _Parser:
     def _connective(self) -> _Build:
         """An implication, product or sum: the separator after the first item decides."""
         items = [self.expr()]
-        kind = self.tok.text
+        kind = self.tok
         if kind not in (";", "=>", ",", "+", "]"):
             raise self.error("expected ',' or '+' in bracket")
         seps = (kind,) if kind in (",", "+") else (";", "=>")
         used: list[str] = []
-        while self.tok.text in seps:
-            used.append(self.take().text)
+        while self.tok in seps:
+            used.append(self.take())
             items.append(self.expr())
         self.expect("]")
         if kind in (",", "+"):
@@ -350,68 +376,63 @@ class _Parser:
 
     # names, resolved where their term lands
 
-    def _ref(self, tok: Token, indices: list[_Build] | None, bound: tuple[str, ...]) -> ExprS:
+    def _ref(self, at: int, indices: list[_Build] | None, bound: tuple[str, ...]) -> ExprS:
         """A binder's index, a def's expansion, or with indices an axiom instance.
 
         The binders around a def's use capture its free names.
         """
-        if tok.text in bound or tok.text in self.defs:
+        name = self.toks[at]
+        if name in bound or name in self.defs:
             if indices is not None:
-                raise ParseError(
-                    f"{tok.text} is not an axiom scheme here", tok.line, tok.col
-                )
-            if tok.text in bound:
-                return Bound(bound.index(tok.text))
-            body = self.defs[tok.text]
+                raise self.error(f"{name} is not an axiom scheme here", at)
+            if name in bound:
+                return Bound(bound.index(name))
+            body = self.defs[name]
             return _map_leaves(body, partial(_capture, bound), 0) if bound else body
-        return Var(tok.text) if indices is None else self._instance(tok, indices, bound)
+        return Var(name) if indices is None else self._instance(at, indices, bound)
 
-    def _indices(self, tok: Token) -> list[_Build]:
-        """The indices of the axiom scheme reference that tok starts."""
-        scheme = SCHEME_NAMES[tok.text]
+    def _indices(self, at: int) -> list[_Build]:
+        """The indices of the axiom scheme reference at token `at`."""
+        scheme = SCHEME_NAMES[self.toks[at]]
         if scheme not in self.allowed:
-            raise ParseError(
-                f"axiom scheme {scheme!r} is not enabled here", tok.line, tok.col
-            )
+            raise self.error(f"axiom scheme {scheme!r} is not enabled here", at)
         self.expect("{")
         indices = [self.expr()]
-        while self.at(","):
+        while self.tok == ",":
             self.take()
             indices.append(self.expr())
         self.expect("}")
         if len(indices) != SCHEME_ARITY[scheme]:
-            raise ParseError(
-                f"{scheme} takes {SCHEME_ARITY[scheme]} indices, got {len(indices)}",
-                tok.line,
-                tok.col,
+            raise self.error(
+                f"{scheme} takes {SCHEME_ARITY[scheme]} indices, got {len(indices)}", at
             )
         return indices
 
-    def _instance(self, tok: Token, indices: list[_Build], bound: tuple[str, ...]) -> Var:
-        """The axiom instance tok names; in a document, it joins the context.
+    def _instance(self, at: int, indices: list[_Build], bound: tuple[str, ...]) -> Var:
+        """The axiom instance that token `at` names; in a document, it joins the context.
 
         A bound name in an index stays a name, as the declaration reads it.
         """
         made = tuple(_map_leaves(idx(bound), partial(_release, bound), 0) for idx in indices)
         if not self.document:
-            return Var(instance_name(tok.text, made))
+            return Var(instance_name(self.toks[at], made))
         for idx in made:
             loose = free_vars(idx) - self.entries.keys()
             if loose:
-                raise ParseError(
+                raise self.error(
                     "axiom index uses names not declared in the context: "
                     + ", ".join(sorted(loose)),
-                    tok.line,
-                    tok.col,
+                    at,
                 )
-        return Var(declare(self.entries, tok.text, made))
+        return Var(declare(self.entries, self.toks[at], made))
 
     # directives
 
     def document_body(self) -> Document:
-        while self.tok.kind != "EOF":
-            tok = self.expect_name()
-            match tok.text:
+        toks = self.toks
+        while self.tok:
+            at = self.expect_name()
+            match toks[at]:
                 case "context":
                     self._context_block()
                 case "def":
@@ -419,62 +440,57 @@ class _Parser:
                     self.expect(":=")
                     body = self.term()
                     self._fresh(name)
-                    self.defs[name.text] = body
+                    self.defs[toks[name]] = body
                 case "check":
                     term = self.term()
                     self.expect(":")
                     ty = self.term()
-                    self.checks.append(CheckItem(term, ty, tok.line))
+                    self.checks.append(CheckItem(term, ty, self.scan.where(at)[0]))
                 case "axiom":
                     ref = self.expect_name()
-                    if ref.text not in SCHEME_NAMES:
-                        raise ParseError(
-                            f"unknown axiom scheme: {ref.text}", ref.line, ref.col
-                        )
+                    if toks[ref] not in SCHEME_NAMES:
+                        raise self.error(f"unknown axiom scheme: {toks[ref]}", ref)
                     self._instance(ref, self._indices(ref), ())
                 case _:
-                    raise ParseError(
-                        "expected a directive (context, def, check, axiom), got "
-                        f"{tok.text!r}",
-                        tok.line,
-                        tok.col,
+                    raise self.error(
+                        f"expected a directive (context, def, check, axiom), got {toks[at]!r}",
+                        at,
                     )
         return Document(Context(tuple(self.entries.items())), self.defs, self.checks)
 
     def _context_block(self) -> None:
         self.expect_name()
         self.expect("{")
-        while not self.at("}"):
+        while self.tok != "}":
             names = [self.expect_name()]
-            while self.at(","):
+            while self.tok == ",":
                 self.take()
                 names.append(self.expect_name())
             self.expect(":")
             ty = self.term()
-            for tok in names:
-                self._fresh(tok)
-                self.entries[tok.text] = ty
-            if not self.at(";"):
+            for at in names:
+                self._fresh(at)
+                self.entries[self.toks[at]] = ty
+            if self.tok != ";":
                 break
             self.take()
         self.expect("}")
 
-    def _fresh(self, tok: Token) -> None:
-        if tok.text in self.entries or tok.text in self.defs:
-            raise ParseError(f"duplicate name: {tok.text}", tok.line, tok.col)
+    def _fresh(self, at: int) -> None:
+        name = self.toks[at]
+        if name in self.entries or name in self.defs:
+            raise self.error(f"duplicate name: {name}", at)
 
 
 def parse_term(text: str, allowed_schemes: frozenset[str] = frozenset()) -> ExprS:
     """Parse one standalone expression."""
-    parser = _Parser(tokenize(text), allowed_schemes, document=False)
+    parser = _Parser(text, allowed_schemes, document=False)
     build = parser.expr()
-    tok = parser.tok
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected trailing input: {tok.text!r}", tok.line, tok.col)
+    if parser.tok:
+        raise parser.error(f"unexpected trailing input: {parser.tok!r}")
     return build(())
 
 
 def parse_document(text: str, allowed_schemes: frozenset[str] = frozenset()) -> Document:
     """Parse a proof file of directives into a context, definitions, and checks."""
-    parser = _Parser(tokenize(text), allowed_schemes, document=True)
-    return parser.document_body()
+    return _Parser(text, allowed_schemes, document=True).document_body()

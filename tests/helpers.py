@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import random
+import subprocess
 import sys
 from collections import Counter
 from typing import Callable, Iterator
@@ -101,6 +102,23 @@ def doubling_chain(n: int) -> str:
         + "".join(f"def d{i} := f(d{i - 1}, d{i - 1})\n" for i in range(1, n + 1))
         + f"context D {{ q : d{n} }}\ncheck d{n} : tau\ncheck q : d{n}\n"
     )
+
+
+def python_3_10(env: dict[str, str]) -> dict[str, str] | None:
+    """env for a python3.10 that starts, or None; PYENV_VERSION picks it where a
+    pyenv shim stands in. pyproject.toml promises 3.10."""
+    env = dict(env, PYENV_VERSION="3.10.13")
+    try:
+        probe = subprocess.run(
+            ["python3.10", "-c", "import sys; print(sys.version_info[:2])"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return env if probe.stdout == "(3, 10)\n" else None
 
 
 class WorkBoundExceeded(Exception):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import shared_conversion
+from helpers import python_3_10, shared_conversion
 from dcalc import cli
 from dcalc.cli import main
 from dcalc.corpus import CORPUS_AXIOMS, corpus_text
@@ -273,9 +273,10 @@ def test_negative_fuel_is_a_usage_error(monkeypatch, capsys):
     "argv",
     [
         ["nf", "(s " * 500 + "z" + ")" * 500],
-        ["type", "".join(f"[x{i}:tau]" for i in range(300)) + "x0"],
+        # past the reader (331 binders), synth and the searches alike
+        ["type", "".join(f"[x{i}:tau]" for i in range(2000)) + "x0"],
     ],
-    ids=["nf-500-deep-numeral", "type-300-nested-binders"],
+    ids=["nf-500-deep-numeral", "type-2000-nested-binders"],
 )
 def test_deep_input_is_a_depth_diagnostic(argv, capsys):
     assert main(argv) == 1
@@ -324,6 +325,31 @@ def test_a_file_that_is_not_utf8_is_an_input_diagnostic(tmp_path, corpus_file, c
     assert captured.err.startswith("IOError @ root: 'utf-8' codec can't decode")
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def test_a_file_that_starts_with_a_byte_order_mark_is_read_past_it(tmp_path, capsys):
+    """Some editors start a UTF-8 file with U+FEFF; lines and columns count after it."""
+    ok = tmp_path / "bom.dc"
+    ok.write_bytes(BOM + corpus_text("logic").encode())
+    assert main(["check", str(ok)]) == 0
+    assert capsys.readouterr().out.startswith(f"{ok}: ok (")
+    context = tmp_path / "context.dc"
+    context.write_bytes(BOM + b"context C { a : tau }\n")
+    assert main(["type", "a", "--context", str(context)]) == 0
+    assert capsys.readouterr().out == "tau\n"
+    bad = tmp_path / "bom-error.dc"
+    bad.write_bytes(BOM + b"context C { a : tau }\ncheck a : %\n")
+    assert main(["check", str(bad)]) == 1
+    assert capsys.readouterr().err == "ParseError @ 2:11: unexpected character '%'\n"
+    # only a leading mark is dropped, and a file that is not UTF-8 stays an input error
+    latin1 = tmp_path / "bom-latin1.dc"
+    latin1.write_bytes(BOM + "context C { caf\xe9 : tau }\n".encode("latin-1"))
+    assert main(["check", str(latin1)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IOError @ root: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_the_cli_loads_neither_the_corpus_nor_the_explicit_engine():
     script = (
         "import sys, dcalc.cli; "
@@ -367,19 +393,8 @@ def test_the_cli_imports_json_and_hashlib_only_when_asked():
 
 
 def test_the_corpus_checks_on_python_3_10():
-    """pyproject.toml promises 3.10; PYENV_VERSION picks it where a pyenv shim stands in."""
-    env = dict(os.environ, PYTHONPATH=str(SRC), PYENV_VERSION="3.10.13")
-    try:
-        probe = subprocess.run(
-            ["python3.10", "-c", "import sys; print(sys.version_info[:2])"],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        probe = None
-    if probe is None or probe.stdout != "(3, 10)\n":
+    env = python_3_10(dict(os.environ, PYTHONPATH=str(SRC)))
+    if env is None:
         pytest.skip("no interpreter reporting 3.10 starts")
     corpus = SRC / "dcalc" / "corpus"
     for name, gate in sorted(CORPUS_AXIOMS.items()):

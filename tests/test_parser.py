@@ -1,14 +1,22 @@
 """Concrete syntax: expression grammar, directives, and failure modes."""
 
+import gc
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import pytest
-from helpers import WorkBoundExceeded, parse_record
+from helpers import WorkBoundExceeded, calls_during, parse_record
 
 from dcalc import parser, syntax
 from dcalc.axioms import instance_name, resolve_axiom_gate
-from dcalc.parser import ParseError, _Parser, parse_document, parse_term, tokenize
+from dcalc.corpus import CORPUS_AXIOMS, corpus_text
+from dcalc.parser import ParseError, Token, _Parser, parse_document, parse_term, tokenize
 from dcalc.syntax import (
     TAU,
     Appl,
@@ -69,6 +77,62 @@ def test_tokenize_rejects_stray_characters():
     with pytest.raises(ParseError) as err:
         tokenize("a\n  %")
     assert err.value.line == 2 and err.value.col == 3
+
+
+# The tokenizer as it was before the scan made all tokens in one findall: one
+# match, and one Python iteration, per token, blank run, newline and comment.
+_SCAN = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>--.*)"
+    r"|(?P<NAME>negax[+-]|\w+)|(?P<PUNCT>:=|=>|[][(){}<>,;:!~+.])|(?P<bad>.)"
+)
+
+
+def _tokenize_before(text: str) -> list[Token]:
+    toks: list[Token] = []
+    line, col = 1, 1
+    for m in _SCAN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, col = line + 1, 1
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", line, col)
+        if kind == "NAME" or kind == "PUNCT":
+            toks.append(Token(kind, m[0], line, col))
+        if kind != "comment":
+            col += len(m[0])
+    toks.append(Token("EOF", "", line, col))
+    return toks
+
+
+def _tokens_or_error(tokenizer, text: str):
+    try:
+        return tokenizer(text)
+    except ParseError as err:
+        return (err.message, err.line, err.col)
+
+
+_PIECES = [
+    *["a", "x2", "tau", "_", "7", "é", "ǅ", "٣", "²"],  # names, any script, and digits
+    *sorted(parser._PUNCT - {""}),
+    *["negax+", "negax-", "negax", "--", "-- c", "-"],
+    *[" ", "\t", "\r", "\n"],
+    *["%", "@", "\x0b", "\ufeff"],  # characters no token takes
+]
+
+
+@hyp.given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+def test_tokenize_gives_what_the_loop_before_the_scan_gave(text):
+    assert _tokens_or_error(tokenize, text) == _tokens_or_error(_tokenize_before, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "a -- c", "negax--", "a -- c\n  %", "negax--- c\n\r\tb -- d\n"],
+    ids=["empty", "eof-after-a-comment", "negax-then-a-minus", "stray-after-a-comment", "mixed"],
+)
+def test_tokenize_edge_cases_match_the_loop_before_the_scan(text):
+    assert _tokens_or_error(tokenize, text) == _tokens_or_error(_tokenize_before, text)
 
 
 def test_simple_atoms():
@@ -413,6 +477,77 @@ def test_a_binder_chain_parses_without_walking_its_body(monkeypatch, n):
         assert e.dom == TAU
         e = e.body
     assert e == Bound(n - 1)
+
+
+def test_scanning_makes_a_constant_number_of_python_calls():
+    """One findall makes every token; the loop before made a Token per token,
+    10,005 calls for these 10^4 tokens."""
+    text = "f(a, b) " * 1667
+    assert len(tokenize(text)) == 10_003
+    gc.disable()  # a collection would count the Python gc callbacks that hypothesis adds
+    try:
+        few = calls_during(lambda: parser._Scan(text[:24]))
+        assert calls_during(lambda: parser._Scan(text), bound=10) == few <= 3
+    finally:
+        gc.enable()
+
+
+def test_the_corpus_parses_in_fewer_python_calls_per_token():
+    """5.22 calls per token over the ten corpus files; 8.41 before the scan, with
+    a Token per token and one more frame per expression."""
+    docs = [(corpus_text(n), resolve_axiom_gate(list(g))) for n, g in CORPUS_AXIOMS.items()]
+    tokens = sum(len(tokenize(text)) - 1 for text, _ in docs)
+    bound = int(5.4 * tokens)
+    assert calls_during(lambda: [parse_document(*doc) for doc in docs], bound) <= bound
+
+
+def test_a_document_of_many_checks_parses_in_linear_work(monkeypatch):
+    """Each check's line comes from offsets summed once per text (4.11 calls per
+    token here); summing them again per check made it quadratic."""
+    text = "context C { f : [tau => [tau => tau]]; a : tau }\n" + "check f(a, a) : tau\n" * 800
+    bound = int(4.3 * (len(tokenize(text)) - 1))
+    assert calls_during(lambda: parse_document(text), bound) <= bound
+    sums = 0
+    accumulate = parser.accumulate
+
+    def counted(*args, **kwargs):
+        nonlocal sums
+        sums += 1
+        return accumulate(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "accumulate", counted)
+    assert [c.line for c in parse_document(text).checks] == list(range(2, 802))
+    assert sums == 2  # the offsets and the newline counts, each summed once
+
+
+# The deepest binder chain and left-nested bracket that parse at the default
+# recursion limit. Before the scan and the merge of the postfix loop into expr
+# they were 248 and 198: one frame per level more.
+READER_DEPTH = """
+from dcalc.parser import parse_term
+
+def deepest(make):
+    lo, hi = 0, 2000
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            parse_term(make(mid))
+            lo = mid
+        except RecursionError:
+            hi = mid - 1
+    return lo
+
+print(deepest(lambda n: "".join(f"[x{i}:tau]" for i in range(n)) + "x0"))
+print(deepest(lambda n: "[" * n + "tau" + ",tau]" * n))
+"""
+
+
+def test_the_reader_depth_at_the_default_recursion_limit():
+    env = dict(os.environ, PYTHONPATH=str(Path(parser.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", READER_DEPTH], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["331", "248"]
 
 
 GOLDEN = Path(__file__).parent / "data" / "parse_golden.jsonl"
