@@ -9,10 +9,12 @@ re-instantiation is deterministic.
 
 SCHEMES holds one row per scheme: its slug, its family, its arity, the
 schemes instantiated at its first index that its template names (needs,
-in the order they are declared), and the template. Every other fact about
-a scheme is read from its row. declare adds an instance, after whichever of
-its needs are missing, to an ordered dict of declarations; the parser, the
-translation and instantiate_axioms all add instances through it.
+in the order they are declared), and the template, which writes the
+variables of its binders as de Bruijn indices, so no placeholder name is
+closed over. Every other fact about a scheme is read from its row. declare
+adds an instance, after whichever of its needs are missing, to an ordered
+dict of declarations, and builds only the instances it adds; the parser,
+the translation and instantiate_axioms all add instances through it.
 
 pts_to_dcalc translates a single-sorted pure type system into this calculus,
 inserting the cast-family instances it needs as it goes.
@@ -66,30 +68,32 @@ def imp(a: Expr, b: Expr) -> Expr:
     return UnivAbs(a, b, "z")
 
 
-def _univ(tmp: str, hint: str, dom: Expr, body: Expr) -> Expr:
-    return UnivAbs(dom, close_binder(body, tmp), hint)
-
-
 def _app(f: Expr, *args: Expr) -> Expr:
     for a in args:
         f = Appl(f, a)
     return f
 
 
-_X = Var("@1")
-
-
 def _dcast(into: bool, _cast: Expr, ci: Expr, co: Expr, a: Expr, b: Expr) -> Expr:
-    x, y, z = _X, Var("@2"), Var("@3")
-    plain = Appl(y, z)
-    routed = Appl(y, _app(co, x, _app(ci, x, z)))
-    core = imp(plain, routed) if into else imp(routed, plain)
-    return _univ("@1", "x", a, _univ("@2", "y", imp(x, b), _univ("@3", "z", x, core)))
+    """[x:a][y:[x => b]][z:x] an implication between (y z) and (y co(x, ci(x, z))),
+    the latter first unless into. plain and routed write theirs d binders
+    inside z's."""
+
+    def plain(d: int) -> Expr:
+        return Appl(Bound(d + 1), Bound(d))
+
+    def routed(d: int) -> Expr:
+        x = Bound(d + 2)
+        return Appl(Bound(d + 1), _app(co, x, _app(ci, x, Bound(d))))
+
+    core = imp(plain(0), routed(1)) if into else imp(routed(0), plain(1))
+    return UnivAbs(a, UnivAbs(imp(Bound(0), b), UnivAbs(Bound(1), core, "z"), "y"), "x")
 
 
 class Scheme(NamedTuple):
     """One axiom scheme. The template takes the names of its needs' instances,
-    as Vars in the order of needs, then the indices."""
+    as Vars in the order of needs, then the indices, which are locally closed;
+    it writes its binders' variables as de Bruijn indices."""
 
     slug: str
     family: str
@@ -106,11 +110,11 @@ SCHEMES = {
     "cast": Scheme("cast", "cast", 1, (), lambda a: imp(a, TAU)),
     "castin": Scheme(
         "castin", "cast", 1, ("cast",),
-        lambda cast, a: _univ("@1", "x", a, imp(_X, Appl(cast, _X))),
+        lambda cast, a: UnivAbs(a, imp(Bound(0), Appl(cast, Bound(1))), "x"),
     ),
     "castout": Scheme(
         "castout", "cast", 1, ("cast",),
-        lambda cast, a: _univ("@1", "x", a, imp(Appl(cast, _X), _X)),
+        lambda cast, a: UnivAbs(a, imp(Appl(cast, Bound(0)), Bound(1)), "x"),
     ),
     "dcastin": Scheme("dcastin", "cast", 2, _DCAST_NEEDS, partial(_dcast, True)),
     "dcastout": Scheme("dcastout", "cast", 2, _DCAST_NEEDS, partial(_dcast, False)),
@@ -242,12 +246,16 @@ def closure_requests(
 def declare(entries: dict[str, Expr], scheme: str, indices: tuple[Expr, ...]) -> str:
     """Add the instance, after whichever of its needs are missing, to entries
     (declaration names to types, in order); return the instance's name.
-    Each index is serialized once, for every name."""
+    Each index is serialized once, for every name, and only the instances
+    added are built."""
     texts = [canonical(i) for i in indices]
     name = instance_name(scheme, indices, texts)
     if name not in entries:  # else its needs are there too: it came after them
-        for inst in closure_requests(scheme, indices, texts):
-            entries.setdefault(inst.name, inst.ty)
+        for need in SCHEMES[normalize_scheme(scheme)].needs:
+            need_name = instance_name(need, indices[:1], texts[:1])
+            if need_name not in entries:
+                entries[need_name] = instance(need, indices[:1], texts[:1]).ty
+        entries[name] = instance(scheme, indices, texts).ty
     return name
 
 

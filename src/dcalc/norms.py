@@ -33,7 +33,6 @@ from .syntax import (
     Sum,
     UnivAbs,
     Var,
-    _loose,
 )
 
 
@@ -101,7 +100,7 @@ def _norm(ctx: Context, e: ExprS, env: tuple[Norm, ...]) -> Norm | None:
         n = _norm(ctx.prefix(e.name), ctx.lookup(e.name), ()) if e.name in ctx else None
     else:
         n = _compound_norm(ctx, e, env)
-    if n is not None and (t is Var or not _loose(e)):
+    if n is not None and not e._lb:
         e._norm = (ctx._index, ctx._len, n)
     return n
 

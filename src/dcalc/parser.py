@@ -24,18 +24,21 @@ pushback where its '(' was, so (f (a b).1) is f applied to (a b).1, and
 f (a b) alone is an error at '('. Names are resolved where each part lands,
 from the names bound there, innermost first: a binder's name scopes over its
 body only and reads as its de Bruijn index ([a,b:A] is [a:A][b:A]); a def's
-name stands for its expansion, whose free names the binders there capture;
-and a scheme reference such as negax-{a,~a} for an axiom instance, named
-over its indices with bound names kept as names, whose declarations
-(dependencies first) a document splices into the context right before the
-enclosing item.
+name stands for its expansion, whose free names the binders there capture:
+the def's own node, unless one of those binders binds a name free in it
+(each def's free names are kept as a bit mask, made from the masks of the
+defs it splices, so no def is walked to find them); and a scheme reference
+such as negax-{a,~a} for an axiom instance, named over its indices with
+bound names kept as names, whose declarations (dependencies first) a
+document splices into the context right before the enclosing item.
 
 One findall of a regular expression scans the text: each match is a gap
 (blanks, newlines and '--' line comments) and the token after it, and the
 parser reads the token texts by index. No token carries a position: a
-ParseError or a check's line finds it from the index, through the lengths
-and newline counts of the matches summed once per text. A comment takes no
-columns, so end of input after one stands where it starts.
+ParseError finds it from the index, through the lengths and newline counts
+of the matches summed once per text, and a check's line through the newline
+counts alone. A comment takes no columns, so end of input after one stands
+where it starts.
 
 Files hold directives: `context NAME { decls }`, `def NAME := expr`,
 `check expr : expr`, and `axiom scheme{indices}`.
@@ -46,7 +49,7 @@ from __future__ import annotations
 import re
 from functools import partial, reduce
 from itertools import accumulate, chain, repeat
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Callable, NamedTuple
 
 from .axioms import SCHEME_ARITY, SCHEME_NAMES, declare, imp, instance_name
@@ -108,24 +111,29 @@ class _Scan:
         self.text = text
         self.matches = _SCAN.findall(text)
         self.toks = list(map(itemgetter(1), self.matches))
+        self.lines: list[int] = []
         self.starts: list[int] = []
         if any(map(itemgetter(2), self.matches)):
             i = next(i for i, m in enumerate(self.matches) if m[2])
             raise ParseError(f"unexpected character {self.matches[i][2]!r}", *self.where(i))
 
+    def line(self, i: int) -> int:
+        """The line of token i."""
+        if not self.lines:  # the newlines up to each token, summed once per text
+            gaps = map(itemgetter(0), self.matches)
+            self.lines = list(accumulate(map(str.count, gaps, repeat("\n")), initial=1))
+        return self.lines[i + 1]
+
     def where(self, i: int) -> tuple[int, int]:
         """The line and column of token i; EOF stands where a comment before it starts."""
-        if not self.starts:
-            # summed once per text: offsets, and newlines, up to each token
-            fields = list(chain.from_iterable(self.matches))
-            self.starts = list(accumulate(map(len, fields)))[::3]
-            self.lines = list(accumulate(map(str.count, fields[::3], repeat("\n")), initial=1))
+        if not self.starts:  # the offsets up to each token, summed once per text
+            self.starts = list(accumulate(map(len, chain.from_iterable(self.matches))))[::3]
         start = self.starts[i]
         if not self.toks[i]:  # a comment on EOF's line ends it
             gap = self.matches[i][0]
             tail = gap[gap.rfind("\n") + 1 :]
             start -= len(tail) - len(tail.partition("--")[0])
-        return self.lines[i + 1], start - self.text.rfind("\n", 0, start)
+        return self.line(i), start - self.text.rfind("\n", 0, start)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -200,6 +208,11 @@ class _Parser:
         self.document = document
         self.entries: dict[str, Expr] = {}  # the context's declarations, in order
         self.defs: dict[str, Expr] = {}
+        # Sets of names as masks: a bit for each name found free, and the
+        # names free in each def and in the term last begun.
+        self.bits: dict[str, int] = {}
+        self.free: dict[str, int] = {}
+        self.free_here = 0
         self.checks: list[CheckItem] = []
         # A '(e1 e2)' group read after an operand, and the position after it;
         # until an atom takes it, the parser stands at the group's '('.
@@ -232,6 +245,7 @@ class _Parser:
 
     def term(self) -> ExprS:
         """An expression, built where no binder is in scope."""
+        self.free_here = 0
         return self.expr()(())
 
     # expressions
@@ -379,7 +393,8 @@ class _Parser:
     def _ref(self, at: int, indices: list[_Build] | None, bound: tuple[str, ...]) -> ExprS:
         """A binder's index, a def's expansion, or with indices an axiom instance.
 
-        The binders around a def's use capture its free names.
+        A def's expansion is the def's own node, unless the binders around
+        its use bind some of its free names: then they capture them.
         """
         name = self.toks[at]
         if name in bound or name in self.defs:
@@ -387,9 +402,19 @@ class _Parser:
                 raise self.error(f"{name} is not an axiom scheme here", at)
             if name in bound:
                 return Bound(bound.index(name))
-            body = self.defs[name]
-            return _map_leaves(body, partial(_capture, bound), 0) if bound else body
-        return Var(name) if indices is None else self._instance(at, indices, bound)
+            free = self.free[name]
+            captured = free & reduce(or_, map(self.bits.get, bound, repeat(0)), 0)
+            self.free_here |= free & ~captured
+            if not captured:
+                return self.defs[name]
+            return _map_leaves(self.defs[name], partial(_capture, bound), 0)
+        if indices is not None:
+            name = self._instance(at, indices, bound)
+        bit = self.bits.get(name)
+        if bit is None:
+            bit = self.bits[name] = 1 << len(self.bits)
+        self.free_here |= bit
+        return Var(name)
 
     def _indices(self, at: int) -> list[_Build]:
         """The indices of the axiom scheme reference at token `at`."""
@@ -408,14 +433,17 @@ class _Parser:
             )
         return indices
 
-    def _instance(self, at: int, indices: list[_Build], bound: tuple[str, ...]) -> Var:
-        """The axiom instance that token `at` names; in a document, it joins the context.
+    def _instance(self, at: int, indices: list[_Build], bound: tuple[str, ...]) -> str:
+        """The name of the axiom instance that token `at` names; in a document,
+        the instance joins the context.
 
         A bound name in an index stays a name, as the declaration reads it.
         """
-        made = tuple(_map_leaves(idx(bound), partial(_release, bound), 0) for idx in indices)
+        made = tuple(idx(bound) for idx in indices)
+        if any(idx._lb for idx in made):  # a bound name in an index dangles out of it
+            made = tuple(_map_leaves(idx, partial(_release, bound), 0) for idx in made)
         if not self.document:
-            return Var(instance_name(self.toks[at], made))
+            return instance_name(self.toks[at], made)
         for idx in made:
             loose = free_vars(idx) - self.entries.keys()
             if loose:
@@ -424,7 +452,7 @@ class _Parser:
                     + ", ".join(sorted(loose)),
                     at,
                 )
-        return Var(declare(self.entries, self.toks[at], made))
+        return declare(self.entries, self.toks[at], made)
 
     # directives
 
@@ -441,11 +469,12 @@ class _Parser:
                     body = self.term()
                     self._fresh(name)
                     self.defs[toks[name]] = body
+                    self.free[toks[name]] = self.free_here
                 case "check":
                     term = self.term()
                     self.expect(":")
                     ty = self.term()
-                    self.checks.append(CheckItem(term, ty, self.scan.where(at)[0]))
+                    self.checks.append(CheckItem(term, ty, self.scan.line(at)))
                 case "axiom":
                     ref = self.expect_name()
                     if toks[ref] not in SCHEME_NAMES:

@@ -208,10 +208,10 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None, attr: str) -> ExprS
     exactly the trace's. Fuel counts steps, as _drive does.
 
     What a walk finds stays on each compound node, under the attribute attr
-    (one per rule table), as syntax._loose keeps its bound: _NORMAL for a node
-    found normal, else (normal form, steps taken, whether its root contracted)
-    once its normalization finished. So a node shared by several components, or
-    met again by a later call, is walked once. The call's root always reuses
+    (one per rule table): _NORMAL for a node found normal, else (normal form,
+    steps taken, whether its root contracted) once its normalization
+    finished. So a node shared by several components, or met again by a
+    later call, is walked once. The call's root always reuses
     its entry, and a normal root is returned before the walk is built, so a
     probe of a kept normal form is one getattr. A component reuses its entry
     when its root never contracted, or when its parent does not read it

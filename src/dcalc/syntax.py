@@ -26,22 +26,24 @@ search do not recurse. The untyped lambda terms of ``semantics`` are built
 from these nodes too, with ``Lam`` as one more binder, and print through
 ``to_text`` as well.
 
-Each compound node caches its loose bound, ``_loose``: 1 plus the largest
-index that dangles out of it, or 0 when it is locally closed (the
-``looseBVarRange`` of the Lean 4 kernel). shift and open_binder map only the
+Each node sets its loose bound, ``_lb``, when it is built, from those of its
+components: 1 plus the largest index that dangles out of it, or 0 when it is
+locally closed (the ``looseBVarRange`` that the Lean 4 kernel sets at
+construction). Leaves take 0, ``Bound(k)`` takes k + 1, and a binder's
+scoped component counts one less. shift and open_binder map only the
 indices that dangle, so a subterm whose bound is within their depth comes
 back as it is, unwalked. close_binder rewrites names, so it walks the whole
 term.
 
-Nodes are plain classes with their fields in ``__slots__``; ``Node`` gives
-them the ``==``, ``hash`` and ``repr`` that frozen dataclasses did, without
-the dataclass import or its constructors, which set each field through
-object.__setattr__. Nodes are immutable by convention only, since a guard
-against assignment would slow every constructor. The caches the kernel keeps
-on a node (``_loose_bound`` here, normal forms in reduction, types in
-typecheck, norms in norms) live in the instance ``__dict__``: a getattr that
-misses a key there is cheap, where one that misses an unset slot raises and
-catches an AttributeError.
+Nodes are plain classes with their fields, and ``_lb``, in ``__slots__``;
+``Node`` gives them the ``==``, ``hash`` and ``repr`` that frozen dataclasses
+did, without the dataclass import or its constructors, which set each field
+through object.__setattr__. Nodes are immutable by convention only, since a
+guard against assignment would slow every constructor. The caches the kernel
+keeps on a node (normal forms in reduction, types in typecheck, norms in
+norms) live in the instance ``__dict__``: a getattr that misses a key there
+is cheap, where one that misses an unset slot raises and catches an
+AttributeError.
 """
 
 from __future__ import annotations
@@ -87,9 +89,10 @@ class Record:
 class Node(Record):
     """A term node: ``==`` compares the class and the components, ignoring a
     binder's hint, and ``hash`` hashes the tuple of the components. The
-    leaves Var and Bound compare their own value."""
+    leaves Var and Bound compare their own value. ``_lb`` is the loose
+    bound, which each constructor sets."""
 
-    __slots__ = ("__dict__", "__weakref__")
+    __slots__ = ("__dict__", "__weakref__", "_lb")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -106,12 +109,16 @@ class Prim(Node):
 
     __slots__ = ()
 
+    def __init__(self):
+        self._lb = 0
+
 
 class Var(Node):
     __slots__ = __match_args__ = ("name",)
 
     def __init__(self, name: str):
         self.name = name
+        self._lb = 0
 
     def __eq__(self, other: object) -> bool:
         return self.name == other.name if other.__class__ is Var else NotImplemented
@@ -125,6 +132,7 @@ class Bound(Node):
 
     def __init__(self, index: int):
         self.index = index
+        self._lb = index + 1
 
     def __eq__(self, other: object) -> bool:
         return self.index == other.index if other.__class__ is Bound else NotImplemented
@@ -140,6 +148,8 @@ class UnivAbs(Node):
 
     def __init__(self, dom: Expr, body: Expr, hint: str = "x"):
         self.dom, self.body, self.hint = dom, body, hint
+        a, b = dom._lb, body._lb - 1
+        self._lb = a if a > b else b
 
 
 class ExistAbs(Node):
@@ -149,6 +159,8 @@ class ExistAbs(Node):
 
     def __init__(self, dom: Expr, body: Expr, hint: str = "x"):
         self.dom, self.body, self.hint = dom, body, hint
+        a, b = dom._lb, body._lb - 1
+        self._lb = a if a > b else b
 
 
 class Appl(Node):
@@ -156,6 +168,8 @@ class Appl(Node):
 
     def __init__(self, fun: Expr, arg: Expr):
         self.fun, self.arg = fun, arg
+        a, b = fun._lb, arg._lb
+        self._lb = a if a > b else b
 
 
 class ProtDef(Node):
@@ -165,6 +179,10 @@ class ProtDef(Node):
 
     def __init__(self, witness: Expr, proof: Expr, tag: Expr, hint: str = "x"):
         self.witness, self.proof, self.tag, self.hint = witness, proof, tag, hint
+        a, b, c = witness._lb, proof._lb, tag._lb - 1
+        if b > a:
+            a = b
+        self._lb = a if a > c else c
 
 
 class ProjL(Node):
@@ -172,6 +190,7 @@ class ProjL(Node):
 
     def __init__(self, e: Expr):
         self.e = e
+        self._lb = e._lb
 
 
 class ProjR(Node):
@@ -179,6 +198,7 @@ class ProjR(Node):
 
     def __init__(self, e: Expr):
         self.e = e
+        self._lb = e._lb
 
 
 class Product(Node):
@@ -186,6 +206,8 @@ class Product(Node):
 
     def __init__(self, l: Expr, r: Expr):
         self.l, self.r = l, r
+        a, b = l._lb, r._lb
+        self._lb = a if a > b else b
 
 
 class Sum(Node):
@@ -193,6 +215,8 @@ class Sum(Node):
 
     def __init__(self, l: Expr, r: Expr):
         self.l, self.r = l, r
+        a, b = l._lb, r._lb
+        self._lb = a if a > b else b
 
 
 class InjL(Node):
@@ -202,6 +226,8 @@ class InjL(Node):
 
     def __init__(self, val: Expr, rtag: Expr):
         self.val, self.rtag = val, rtag
+        a, b = val._lb, rtag._lb
+        self._lb = a if a > b else b
 
 
 class InjR(Node):
@@ -211,6 +237,8 @@ class InjR(Node):
 
     def __init__(self, ltag: Expr, val: Expr):
         self.ltag, self.val = ltag, val
+        a, b = ltag._lb, val._lb
+        self._lb = a if a > b else b
 
 
 class Case(Node):
@@ -218,6 +246,8 @@ class Case(Node):
 
     def __init__(self, left: Expr, right: Expr):
         self.left, self.right = left, right
+        a, b = left._lb, right._lb
+        self._lb = a if a > b else b
 
 
 class Neg(Node):
@@ -225,6 +255,7 @@ class Neg(Node):
 
     def __init__(self, e: Expr):
         self.e = e
+        self._lb = e._lb
 
 
 class InternalSubst(Node):
@@ -238,6 +269,8 @@ class InternalSubst(Node):
 
     def __init__(self, defn: Expr, body: Expr, hint: str = "x"):
         self.defn, self.body, self.hint = defn, body, hint
+        a, b = defn._lb, body._lb - 1
+        self._lb = a if a > b else b
 
 
 class Lam(Node):
@@ -251,6 +284,7 @@ class Lam(Node):
 
     def __init__(self, body: Var | Bound | Appl | Lam, hint: str = "x"):
         self.body, self.hint = body, hint
+        self._lb = body._lb - 1 if body._lb else 0
 
 
 Expr = (
@@ -479,28 +513,6 @@ def _map_leaves(e: ExprS, leaf: Callable[[Var | Bound, int], ExprS], depth: int)
     return fold(e, rebuild, depth)
 
 
-def _loose(e: ExprS) -> int:
-    """1 plus the largest index that dangles out of e, or 0 when e is locally closed.
-
-    A compound node computes it once and keeps it, as ``_loose_bound``.
-    """
-    t = type(e)
-    if t is Bound:
-        return e.index + 1
-    if t in _LEAVES:
-        return 0
-    n = getattr(e, "_loose_bound", None)
-    if n is None:
-        n = 0
-        scoped = _SCOPED_INDEX.get(t)
-        for i, c in enumerate(_CHILDREN[t](e)):
-            k = _loose(c) - (i == scoped)
-            if k > n:
-                n = k
-        e._loose_bound = n
-    return n
-
-
 def _map_indices(
     e: ExprS, leaf: Callable[[Bound, int], ExprS], depth: int, done: dict | None = None
 ) -> ExprS:
@@ -511,11 +523,11 @@ def _map_indices(
     index dangles comes back as it is, unwalked. A subterm shared in e is
     mapped once per depth it occurs at (``done``, by (id(node), d)).
     """
+    if e._lb <= depth:
+        return e
     t = type(e)
     if t is Bound:
-        return leaf(e, depth) if e.index >= depth else e
-    if t in _LEAVES or _loose(e) <= depth:
-        return e
+        return leaf(e, depth)
     if done is None:
         done = {}
     out = done.get((id(e), depth))
@@ -531,7 +543,7 @@ def _map_indices(
 
 def shift(e: ExprS, by: int, depth: int = 0) -> ExprS:
     """Add ``by`` to every index that points past ``depth`` enclosing binders."""
-    if by == 0:
+    if by == 0 or e._lb <= depth:
         return e
     return _map_indices(e, lambda v, d: Bound(v.index + by), depth)
 
@@ -554,6 +566,8 @@ def open_binder(scoped: ExprS, repl: ExprS) -> ExprS:
     any inner binders) and indices pointing past it step down one level.
     repl is shifted once per binder depth, and the copies are shared.
     """
+    if not scoped._lb:
+        return scoped
     shifted: dict[int, ExprS] = {}
 
     def leaf(v: Bound, d: int) -> ExprS:

@@ -57,7 +57,6 @@ from .syntax import (
     UnivAbs,
     Var,
     _LEAVES,
-    _loose,
     _names_free_in,
     binder_used,
     fresh_name,
@@ -166,7 +165,7 @@ def _synth(ctx: Context, binders: list[Binder], e: Expr, path: Path, fuel: int) 
     smaller. The entry holds the index, not the declarations: their types
     would point back at their own nodes.
     """
-    closed = type(e) not in _LEAVES and _loose(e) == 0
+    closed = not e._lb and type(e) not in _LEAVES
     if closed:
         index, length, typed_at, ty = getattr(e, "_type", _UNTYPED)
         if index is ctx._index and length <= len(ctx) and typed_at <= fuel:

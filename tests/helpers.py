@@ -9,6 +9,7 @@ pairs and for the consistency sweep.
 from __future__ import annotations
 
 import functools
+import gc
 import random
 import subprocess
 import sys
@@ -56,7 +57,9 @@ def calls_during(run: Callable[[], object], bound: int | None = None) -> int:
     """The Python calls run() makes, as sys.setprofile sees them: a work count.
 
     Past a bound, if one is given, the next call raises WorkBoundExceeded, so
-    an exponential walk stops there.
+    an exponential walk stops there. gc is off while it counts, and back in
+    its previous state after: a collection would count the calls of the gc
+    callbacks (hypothesis adds one), so a count would depend on test order.
     """
     calls = 0
 
@@ -66,11 +69,15 @@ def calls_during(run: Callable[[], object], bound: int | None = None) -> int:
         if bound is not None and calls > bound:
             raise WorkBoundExceeded
 
+    was_enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(count)
     try:
         run()
     finally:
         sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
     return calls
 
 

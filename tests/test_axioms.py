@@ -30,7 +30,20 @@ from dcalc.axioms import (
     resolve_axiom_gate,
 )
 from dcalc.parser import parse_document, parse_term
-from dcalc.syntax import TAU, Appl, Bound, Context, Prim, UnivAbs, Var, fold
+from dcalc.syntax import (
+    TAU,
+    Appl,
+    Bound,
+    Context,
+    Neg,
+    Prim,
+    Sum,
+    UnivAbs,
+    Var,
+    close_binder,
+    fold,
+    to_text,
+)
 from dcalc.typecheck import check_context, synth
 
 a, b = Var("a"), Var("b")
@@ -160,6 +173,82 @@ def test_cast_axiom_templates():
     assert instance("dcastout", (a, b)).ty == parse_term(
         f"[x:a][y:[x => b]][z:x][(y {co}(x, {ci}(x, z))) => (y z)]"
     )
+
+
+# The templates as they were built before they were written with de Bruijn
+# indices: over placeholder names, each closed by close_binder.
+def _univ(tmp, hint, dom, body):
+    return UnivAbs(dom, close_binder(body, tmp), hint)
+
+
+def _imp(a, b):
+    return UnivAbs(a, b, "z")
+
+
+def _app(f, *args):
+    for arg in args:
+        f = Appl(f, arg)
+    return f
+
+
+_X = Var("@1")
+
+
+def _dcast(into, _cast, ci, co, a, b):
+    x, y, z = _X, Var("@2"), Var("@3")
+    plain = Appl(y, z)
+    routed = Appl(y, _app(co, x, _app(ci, x, z)))
+    core = _imp(plain, routed) if into else _imp(routed, plain)
+    return _univ("@1", "x", a, _univ("@2", "y", _imp(x, b), _univ("@3", "z", x, core)))
+
+
+CLOSED_OVER_NAMES = {
+    "negax+": lambda a, b: _imp(Sum(a, b), _imp(Neg(a), b)),
+    "negax-": lambda a, b: _imp(_imp(Neg(a), b), Sum(a, b)),
+    "cast": lambda a: _imp(a, TAU),
+    "castin": lambda cast, a: _univ("@1", "x", a, _imp(_X, Appl(cast, _X))),
+    "castout": lambda cast, a: _univ("@1", "x", a, _imp(Appl(cast, _X), _X)),
+    "dcastin": lambda *args: _dcast(True, *args),
+    "dcastout": lambda *args: _dcast(False, *args),
+}
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_each_template_is_the_one_closed_over_placeholder_names(scheme):
+    row = SCHEMES[scheme]
+    needs = [Var(f"{need}_0") for need in row.needs]
+    for indices in [
+        (a, b),
+        (Var("x"), Var("z")),
+        (parse_term("[x:tau][y:x]y"), parse_term("[z:tau](f [y:z]y)")),
+    ]:
+        args = (*needs, *indices[: row.arity])
+        made, before = row.template(*args), CLOSED_OVER_NAMES[scheme](*args)
+        assert made == before
+        assert to_text(made) == to_text(before)
+
+
+def test_declare_builds_only_the_instances_it_adds(monkeypatch):
+    built = []
+    for scheme, row in SCHEMES.items():
+
+        def counted(*args, scheme=scheme, template=row.template):
+            built.append(scheme)
+            return template(*args)
+
+        monkeypatch.setitem(SCHEMES, scheme, row._replace(template=counted))
+    entries = {}
+    for scheme in ("cast", "castin", "castout"):
+        declare(entries, scheme, (a,))
+    assert built == ["cast", "castin", "castout"]
+    built.clear()
+    declare(entries, "dcastin", (a, b))
+    assert built == ["dcastin"]
+    declare(entries, "dcastin", (a, b))
+    assert built == ["dcastin"]
+    assert list(entries) == [
+        instance_name(s, (a, b)[: SCHEME_ARITY[s]]) for s in ("cast", "castin", "castout", "dcastin")
+    ]
 
 
 def test_closure_requests_order_dependencies_first():

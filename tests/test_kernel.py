@@ -284,8 +284,8 @@ def _counting(monkeypatch, calls, module, name):
 
 
 # Every walker that shift, open_binder and close_binder use: the full map,
-# the map that skips locally closed subterms, and the loose bound it reads.
-WALKERS = ("_map_leaves", "_map_indices", "_loose")
+# and the map that skips locally closed subterms.
+WALKERS = ("_map_leaves", "_map_indices")
 
 
 def _counting_walkers(monkeypatch, calls):

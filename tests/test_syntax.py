@@ -15,11 +15,13 @@ import hypothesis.strategies as st
 from helpers import calls_during, doubling_chain, gen_typed_term, sample_contexts
 
 from dcalc import syntax
+from dcalc.axioms import resolve_axiom_gate
+from dcalc.corpus import CORPUS_AXIOMS, corpus_text
 from dcalc.norms import LEAF, Pair, norm
 from dcalc.parser import parse_document, parse_term
 from dcalc.reduction import neg_weight
+from dcalc.semantics import encode, strip
 from dcalc.syntax import (
-    _loose,
     _map_leaves,
     _names_free_in,
     TAU,
@@ -54,6 +56,7 @@ from dcalc.syntax import (
     to_text,
     walk,
 )
+from dcalc.typecheck import synth
 
 _names = st.sampled_from(["a", "b", "c"])
 _leaves = st.sampled_from([TAU, Var("a"), Var("b"), Var("c")])
@@ -197,20 +200,54 @@ def _open_by_full_walk(scoped, repl):
 REPLACEMENTS = (TAU, Var("a"), Bound(0), Appl(Bound(2), UnivAbs(TAU, Bound(1))))
 
 
+def _assert_bounds_set(e):
+    """Every node of e carries the loose bound that a walk finds."""
+    for node, _ in walk(e):
+        assert node._lb == _loose_by_walk(node), to_text(node)
+
+
+def _assert_skipping_walks_match(e):
+    """shift and open_binder, on every subterm of e, give what full walks give,
+    and build nodes that carry their loose bound."""
+    for node, _ in walk(e):  # every subterm: the scoped ones have dangling indices
+        assert node._lb == _loose_by_walk(node)
+        for by, d in ((1, 0), (2, 1), (-1, 1)):
+            assert shift(node, by, d) == _shift_by_full_walk(node, by, d)
+        for repl in REPLACEMENTS:
+            assert open_binder(node, repl) == _open_by_full_walk(node, repl)
+        _assert_bounds_set(shift(node, 1))
+        _assert_bounds_set(open_binder(node, REPLACEMENTS[-1]))
+
+
 @pytest.mark.parametrize("depth", range(8))
 def test_the_loose_bound_and_the_walks_that_skip_by_it_match_full_walks(depth):
-    """shift and open_binder leave a subterm with no dangling index unwalked."""
+    """shift and open_binder leave a subterm with no dangling index unwalked; the
+    parser, synth, strip and encode build nodes that carry their loose bound."""
     rng = random.Random(depth)
     for _ in range(30):
-        e = gen_typed_term(rng, rng.choice(sample_contexts()), depth)
-        for node, _ in walk(e):  # every subterm: the scoped ones have dangling indices
-            assert _loose(node) == _loose_by_walk(node)
-            for by, d in ((1, 0), (2, 1), (-1, 1)):
-                assert shift(node, by, d) == _shift_by_full_walk(node, by, d)
-            for repl in REPLACEMENTS:
-                assert open_binder(node, repl) == _open_by_full_walk(node, repl)
-        assert _loose(e) == 0
+        ctx = rng.choice(sample_contexts())
+        e = gen_typed_term(rng, ctx, depth)
+        _assert_skipping_walks_match(e)
+        assert e._lb == 0
         assert shift(e, 1) is e
+        for built in (parse_term(to_text(e)), synth(ctx, e), strip(e), encode(e)):
+            _assert_bounds_set(built)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_AXIOMS))
+def test_the_corpus_parses_into_nodes_that_carry_their_loose_bound(name):
+    """Splices of defs, captured or not, and axiom indices with bound names."""
+    doc = parse_document(corpus_text(name), resolve_axiom_gate(list(CORPUS_AXIOMS[name])))
+    for e in (*(ty for _, ty in doc.context.entries), *doc.defs.values()):
+        _assert_bounds_set(e)
+    for item in doc.checks:
+        _assert_bounds_set(item.term)
+        _assert_bounds_set(item.ty)
+
+
+@hyp.given(terms)
+def test_every_node_carries_the_loose_bound_a_walk_finds(e):
+    _assert_skipping_walks_match(e)
 
 
 def test_free_vars():
