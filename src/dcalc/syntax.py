@@ -33,7 +33,10 @@ construction). Leaves take 0, ``Bound(k)`` takes k + 1, and a binder's
 scoped component counts one less. shift and open_binder map only the
 indices that dangle, so a subterm whose bound is within their depth comes
 back as it is, unwalked. close_binder rewrites names, so it walks the whole
-term.
+term. ``binder_used`` asks whether index 0 dangles out of a binder's scope:
+a loose bound of 0 or 1 answers at once, and past that a node keeps a mask
+of the indices that dangle out of it, made from its components' masks, so
+asking again about a node rebuilt over them costs the new node only.
 
 Nodes are plain classes with their fields, and ``_lb``, in ``__slots__``;
 ``Node`` gives them the ``==``, ``hash`` and ``repr`` that frozen dataclasses
@@ -41,9 +44,9 @@ did, without the dataclass import or its constructors, which set each field
 through object.__setattr__. Nodes are immutable by convention only, since a
 guard against assignment would slow every constructor. The caches the kernel
 keeps on a node (normal forms in reduction, types in typecheck, norms in
-norms) live in the instance ``__dict__``: a getattr that misses a key there
-is cheap, where one that misses an unset slot raises and catches an
-AttributeError.
+norms, loose-index masks here) live in the instance ``__dict__``: a getattr
+that misses a key there is cheap, where one that misses an unset slot raises
+and catches an AttributeError.
 """
 
 from __future__ import annotations
@@ -589,9 +592,46 @@ def close_binder(scoped: ExprS, x: str) -> ExprS:
     return _map_leaves(scoped, leaf, 0)
 
 
+def _loose_bits(e: ExprS) -> int:
+    """The indices that dangle out of e, as a mask: bit k for Bound(k).
+
+    A node with a loose bound of 0 or 1 has its bound as its mask. Any other
+    compound node keeps its mask once found, under ``_bits``. A mask is made
+    from the components' masks, on a stack of its own that stops at nodes
+    which keep one.
+    """
+    lb = e._lb
+    if lb < 2:
+        return lb
+    if type(e) is Bound:
+        return 1 << e.index
+    todo = [e]
+    while todo:
+        node = todo[-1]
+        if getattr(node, "_bits", None) is not None:  # shared, and made already
+            todo.pop()
+            continue
+        t = type(node)
+        kids = _CHILDREN[t](node)
+        for k in kids:
+            if k._lb > 1 and type(k) is not Bound and getattr(k, "_bits", None) is None:
+                todo.append(k)
+        if todo[-1] is node:  # every component's mask is at hand
+            todo.pop()
+            scoped = _SCOPED_INDEX.get(t)
+            bits = 0
+            for i, k in enumerate(kids):
+                lb = k._lb
+                b = lb if lb < 2 else 1 << k.index if type(k) is Bound else k._bits
+                bits |= b >> 1 if i == scoped else b
+            node._bits = bits
+    return e._bits
+
+
 def binder_used(scoped: ExprS) -> bool:
-    """True when a binder's scoped component actually references the binder."""
-    return any(type(node) is Bound and node.index == depth for node, depth in walk(scoped))
+    """True when a binder's scoped component actually references the binder,
+    that is, when index 0 dangles out of it."""
+    return bool(_loose_bits(scoped) & 1)
 
 
 def size(e: ExprS) -> int:

@@ -1,11 +1,13 @@
 """Environments, pending substitutions, and the internalized reducer."""
 
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
 
-from helpers import gen_typed_term, sample_contexts
-from dcalc import reduction
+from helpers import calls_during, doubling_chain, gen_typed_term, sample_contexts
+from dcalc import explicit, reduction
 from dcalc.explicit import (
     Env,
     def_eval_nf,
@@ -18,9 +20,9 @@ from dcalc.explicit import (
     mu_step,
     mu_trace,
 )
-from dcalc.parser import parse_term
+from dcalc.parser import parse_document, parse_term
 from dcalc.reduction import FuelExhausted, reduce_nf
-from dcalc.syntax import TAU, Bound, Context, InternalSubst, Product, UnivAbs, Var, pending_path
+from dcalc.syntax import TAU, Bound, Context, InternalSubst, Neg, Product, UnivAbs, Var, pending_path
 
 a, b = Var("a"), Var("b")
 
@@ -99,25 +101,41 @@ def _negations_beside_redexes(pairings: int):
 
 def test_the_negation_probe_does_not_rescan_a_normal_term(monkeypatch):
     """Each of R's steps probes the root for a negation step. L keeps its
-    negation normal form on its nodes, so a probe does not walk L again."""
-    positions = reduction._neg_positions
-    calls = 0
-
-    def counting(e):
-        nonlocal calls
-        calls += 1
-        return positions(e)
-
+    negation normal form on its nodes, so a probe does not walk L again. R's
+    steps leave L, to their left, as it is, so mu_nf tests L's nodes for a
+    rule once, where a search from the root per step tests them once per step."""
     counts = {}
     for pairings in (6, 8):  # L has 191 and 767 nodes
         e = _negations_beside_redexes(pairings)
         expected = reduce_nf(e)
-        monkeypatch.setattr(reduction, "_neg_positions", counting)
-        calls = 0
+        calls = Counter()
+        for module, name in ((reduction, "_neg_positions"), (explicit, "_mu_rule")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, partial(_counted, calls, name, fn))
         assert mu_nf(Env(), e) == expected
         counts[pairings] = calls
         monkeypatch.undo()
-    assert counts[8] - counts[6] <= 2 * (767 - 191)
+    for name in ("_neg_positions", "_mu_rule"):
+        assert counts[8][name] - counts[6][name] <= 2 * (767 - 191), name
+
+
+def _counted(calls, name, fn, *args):
+    calls[name] += 1
+    return fn(*args)
+
+
+@pytest.mark.parametrize("run", [mu_nf, def_eval_nf], ids=["mu_nf", "def_eval_nf"])
+def test_a_doubling_chain_normalizes_in_linear_work(run):
+    """d(n) of helpers.doubling_chain is n + 1 shared nodes, normal, that spell
+    out 2^n uses of f: the walk finishes each closed node once, not once per
+    path to it."""
+    n = 40
+    bound = 25 * (n + 1)  # some 10 to 13 calls per level
+    d = parse_document(doubling_chain(n)).defs[f"d{n}"]
+    out = []
+    calls = calls_during(lambda: out.append(run(Env(), d)), bound)
+    assert out[0] is d
+    assert calls <= bound
 
 
 def test_mu_step_prefers_root_axioms_then_negation_then_children():
@@ -143,6 +161,17 @@ def test_mu_nf_agrees_with_the_plain_reducer():
 def test_mu_nf_leaves_indices_dangling_past_the_root_alone():
     e = UnivAbs(TAU, Product(Bound(1), parse_term("([y:tau]y tau)")))
     assert mu_nf(Env(), e) == reduce_nf(e) == UnivAbs(TAU, Product(Bound(1), TAU))
+
+
+def test_a_node_shared_under_different_binders_is_walked_under_each():
+    """c's index is the universal binder's at its first occurrence and the
+    pending substitution's at its second, where it unfolds: the walk skips
+    only closed nodes that it finished as normal."""
+    c = Neg(Bound(0))
+    e = InternalSubst(a, Product(UnivAbs(TAU, c), c))
+    expected = Product(UnivAbs(TAU, c), Neg(a))
+    assert mu_trace(Env(), e)[-1][1] == mu_nf(Env(), e) == expected
+    assert def_eval_trace(Env(), e)[-1] == def_eval_nf(Env(), e) == expected
 
 
 def test_mu_nf_agrees_on_generated_terms():

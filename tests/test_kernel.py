@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import gen_neg_heavy, gen_typed_term, sample_contexts
+from helpers import enumerate_subst_terms, gen_neg_heavy, gen_typed_term, sample_contexts
 from dcalc import explicit, norms, parser, reduction, semantics, syntax
 from dcalc.explicit import (
     Env,
+    def_eval_nf,
     def_eval_step,
     mu_axiom_steps,
     mu_nf,
@@ -162,10 +163,13 @@ def test_counted_functions_stay_module_level(module, name):
     assert fn.__module__ == module.__name__
 
 
-# reduce_nf, neg_nf and beta_nf walk the term once, and mu_nf is mu_trace
-# without the trace; the traces search every step from the root and specify
-# the strategy. The negation pair has no public fuel, so its fuelled forms are
-# the kernel's own; beta_step's trace is the driver's.
+# reduce_nf, neg_nf, beta_nf, mu_nf and def_eval_nf walk the term once; the
+# traces search every step from the root and specify the strategy. The
+# negation and definition pairs have no public fuel, so their fuelled forms
+# are the kernel's own; beta_step's and def_eval_step's traces are the
+# driver's. The explicit engines run under the empty environment and under
+# DEFINED, on the generated terms and on every term of up to five nodes with
+# pending substitutions.
 def _neg_nf_fuel(e, fuel):
     return reduction._normalize(e, NEG_RULES, reduction._neg_positions, fuel, "_neg_nf")
 
@@ -182,53 +186,74 @@ def _beta_trace(e, fuel):
     return [("beta", t) for t in trace]
 
 
-def _mu_trace(e, fuel):
-    return mu_trace(Env(), e, fuel)
+def _mu(env):
+    """(public, nf, trace) of the mu engine under env."""
+
+    def nf(e, fuel=DEFAULT_FUEL):
+        return mu_nf(env, e, fuel)
+
+    return nf, nf, lambda e, fuel: mu_trace(env, e, fuel)
 
 
-def _mu_nf(e, fuel=DEFAULT_FUEL):
-    return mu_nf(Env(), e, fuel)
+def _def_eval(env):
+    """(public, nf, trace) of definition evaluation under env."""
+
+    def trace(e, fuel):
+        terms = []
+        reduction._drive(lambda cur: def_eval_step(env, cur), e, fuel, terms)
+        return [("def", t) for t in terms]
+
+    def nf(e, fuel):
+        return explicit._resume(env, e, explicit._def_rule, fuel)
+
+    return lambda e: def_eval_nf(env, e), nf, trace
 
 
-def _itself(e):
-    return [e]
+def _generated():
+    rng = random.Random(47)
+    ctxs = sample_contexts()
+    for _ in range(200):
+        yield gen_typed_term(rng, rng.choice(ctxs), rng.randint(0, 5))
+        yield gen_neg_heavy(rng, rng.randint(0, 7))
 
 
-def _images(e):
-    return [strip(e), encode(e)]
+def _images():
+    for e in _generated():
+        yield from (strip(e), encode(e))
+
+
+def _with_pending():
+    yield from _generated()
+    yield from enumerate_subst_terms(5)
 
 
 @pytest.mark.parametrize(
     "public, nf, trace, inputs",
     [
-        (reduce_nf, reduce_nf, reduce_trace, _itself),
-        (neg_nf, _neg_nf_fuel, _neg_trace_fuel, _itself),
+        (reduce_nf, reduce_nf, reduce_trace, _generated),
+        (neg_nf, _neg_nf_fuel, _neg_trace_fuel, _generated),
         (beta_nf, beta_nf, _beta_trace, _images),
         (reduce_nf, reduce_nf, reduce_trace, _images),
-        (_mu_nf, _mu_nf, _mu_trace, _itself),
+        (*_mu(Env()), _with_pending),
+        (*_mu(DEFINED), _with_pending),
+        (*_def_eval(Env()), _with_pending),
+        (*_def_eval(DEFINED), _with_pending),
     ],
-    ids=["reduce", "neg", "beta", "beta-in-rules", "mu"],
+    ids=["reduce", "neg", "beta", "beta-in-rules", "mu", "mu-defined", "def_eval", "def_eval-defined"],
 )
 def test_normal_form_takes_the_steps_of_the_trace(public, nf, trace, inputs):
-    rng = random.Random(47)
-    ctxs = sample_contexts()
-    for _ in range(200):
-        for term in (
-            gen_typed_term(rng, rng.choice(ctxs), rng.randint(0, 5)),
-            gen_neg_heavy(rng, rng.randint(0, 7)),
-        ):
-            for e in inputs(term):
-                steps = trace(e, None)
-                if inputs is _images:  # the one table's beta row takes beta_step's steps
-                    assert [s[-2:] for s in steps] == _beta_trace(e, None)
-                last = steps[-1][-1] if steps else e
-                if steps:  # first, while e keeps no normal form of its own
-                    with pytest.raises(FuelExhausted) as spec:
-                        trace(e, len(steps) - 1)
-                    with pytest.raises(FuelExhausted, match=f"^{re.escape(str(spec.value))}$"):
-                        nf(e, len(steps) - 1)
-                assert public(e) == last
-                assert nf(e, len(steps)) == last
+    for e in inputs():
+        steps = trace(e, None)
+        if inputs is _images:  # the one table's beta row takes beta_step's steps
+            assert [s[-2:] for s in steps] == _beta_trace(e, None)
+        last = steps[-1][-1] if steps else e
+        if steps:  # first, while e keeps no normal form of its own
+            with pytest.raises(FuelExhausted) as spec:
+                trace(e, len(steps) - 1)
+            with pytest.raises(FuelExhausted, match=f"^{re.escape(str(spec.value))}$"):
+                nf(e, len(steps) - 1)
+        assert public(e) == last
+        assert nf(e, len(steps)) == last
 
 
 def _common_size(a, b):
@@ -407,9 +432,11 @@ def test_nested_applications_normalize_to_the_old_depth():
 # right-nested applications, at depths a few levels below the deepest that
 # the engines which re-walked the term took at the default recursion limit
 # (strip 991/993/993, encode 331/993/993, beta_nf 995/995/995, mu_nf
-# 988/991/991). Lambda terms stand in for beta_nf.
+# 988/991/991). mu_nf and def_eval_nf walk on a stack of their own: only
+# mu_nf's negation probe of a binder chain recurses (991 binders), and the
+# nested applications take 10^4. Lambda terms stand in for beta_nf.
 ORACLE_DEPTHS = """
-from dcalc.explicit import Env, mu_nf
+from dcalc.explicit import Env, def_eval_nf, mu_nf
 from dcalc.semantics import LApp, LBound, LVar, Lam, beta_nf, encode, strip
 from dcalc.syntax import TAU, Appl, Bound, UnivAbs, Var
 
@@ -440,12 +467,14 @@ RUNS = {
     "encode": lambda shape, n: encode(term(shape, n)),
     "beta_nf": lambda shape, n: beta_nf(lam(shape, n)),
     "mu_nf": lambda shape, n: mu_nf(Env(), term(shape, n)),
+    "def_eval_nf": lambda shape, n: def_eval_nf(Env(), term(shape, n)),
 }
 FLOORS = {
     "strip": (986, 988, 988),
     "encode": (326, 988, 988),
     "beta_nf": (990, 990, 990),
-    "mu_nf": (983, 986, 986),
+    "mu_nf": (987, 10_000, 10_000),
+    "def_eval_nf": (10_000, 10_000, 10_000),
 }
 for name, run in RUNS.items():
     for shape, n in zip(("chain", "left", "right"), FLOORS[name]):
@@ -459,7 +488,7 @@ for name, run in RUNS.items():
 
 def test_oracle_engines_take_the_old_depths():
     lines = _fresh_interpreter(ORACLE_DEPTHS).splitlines()
-    assert len(lines) == 12
+    assert len(lines) == 15
     assert [line for line in lines if not line.endswith(" ok")] == []
 
 
@@ -481,8 +510,8 @@ def test_synth_types_binders_to_the_old_depth():
     assert _fresh_interpreter(SYNTH_DEPTH).split() == ["UnivAbs"]
 
 
-# A spent substitution [x:=tau] over a body 900 binders deep: deciding that
-# the body does not use x walks all of it, and rem then drops the binder.
+# A spent substitution [x:=tau] over a body 900 binders deep: the body's
+# loose bound shows that it does not use x, and rem then drops the binder.
 SPENT_SUBST_DEPTH = """
 from dcalc.explicit import Env, def_eval_nf, mu_nf
 from dcalc.syntax import TAU, Bound, InternalSubst, UnivAbs, to_text

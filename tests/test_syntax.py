@@ -181,6 +181,13 @@ def _loose_by_walk(e):
     return max([node.index - depth + 1 for node, depth in walk(e) if type(node) is Bound] + [0])
 
 
+def _loose_bits_by_walk(e):
+    """The mask of the indices that dangle out of e, from every Bound and the
+    binders above it."""
+    dangling = {node.index - depth for node, depth in walk(e) if type(node) is Bound}
+    return sum(1 << k for k in dangling if k >= 0)
+
+
 def _shift_by_full_walk(e, by, depth):
     def leaf(v, d):
         return Bound(v.index + by) if type(v) is Bound and v.index >= d else v
@@ -207,10 +214,12 @@ def _assert_bounds_set(e):
 
 
 def _assert_skipping_walks_match(e):
-    """shift and open_binder, on every subterm of e, give what full walks give,
-    and build nodes that carry their loose bound."""
+    """shift, open_binder and the mask behind binder_used, on every subterm of
+    e, give what full walks give, and shift and open_binder build nodes that
+    carry their loose bound."""
     for node, _ in walk(e):  # every subterm: the scoped ones have dangling indices
         assert node._lb == _loose_by_walk(node)
+        assert syntax._loose_bits(node) == _loose_bits_by_walk(node)
         for by, d in ((1, 0), (2, 1), (-1, 1)):
             assert shift(node, by, d) == _shift_by_full_walk(node, by, d)
         for repl in REPLACEMENTS:
