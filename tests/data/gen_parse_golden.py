@@ -7,7 +7,8 @@ Usage, from the repository root:
 
 Each output line is one JSON object: the parse mode ("term" or "document"),
 the axiom gate ("" or "all"), the input text, and either "ok" with the
-printed result or "error" with the exception's class name. The inputs cover
+printed result or "error": a ParseError's text, ``line:col: message``, or
+another exception's class name. The inputs cover
 the corpus files (whole, and cut after eight seeded lines), the corpus terms
 reprinted, hand-picked call/application forms, nested brackets and numerals,
 generated terms in several spellings, and seeded token fuzz. The file pins

@@ -20,7 +20,7 @@ from dcalc import reduction, syntax
 from dcalc.axioms import resolve_axiom_gate
 from dcalc.corpus import corpus_names, load_corpus
 from dcalc.explicit import Env, mu_trace
-from dcalc.parser import parse_document, parse_term
+from dcalc.parser import ParseError, parse_document, parse_term
 from dcalc.reduction import DEFAULT_FUEL, FuelExhausted, NormalClass, classify_nf
 from dcalc.semantics import beta_nf, encode, strip
 from dcalc.syntax import (
@@ -437,7 +437,8 @@ def parse_record(mode: str, gate: str, text: str) -> dict:
     """One line of tests/data/parse_golden.jsonl: the input and what parsing gives.
 
     mode is "term" or "document". The record holds "ok" with the printed
-    result, or "error" with the class name of the exception raised.
+    result, or "error": for a ParseError its text, ``line:col: message``,
+    and for any other exception its class name.
     """
     out: dict = {"mode": mode, "gate": gate, "input": text}
     try:
@@ -450,6 +451,8 @@ def parse_record(mode: str, gate: str, text: str) -> dict:
                 "defs": [[n, to_text(d)] for n, d in doc.defs.items()],
                 "checks": [[to_text(c.term), to_text(c.ty), c.line] for c in doc.checks],
             }
+    except ParseError as err:
+        out["error"] = str(err)
     except Exception as err:  # noqa: BLE001 - the class name is the record
         out["error"] = type(err).__name__
     return out
