@@ -423,6 +423,53 @@ def test_a_call_group_is_read_in_the_scope_of_its_operand():
         parse_term("[cast:=a]f (cast{a})", ALL)
 
 
+@pytest.mark.parametrize(
+    "mode, text, message",
+    [
+        # a syntax error anywhere in the expression comes before a resolution error
+        ("term", "[cast:a]cast{a} )", "1:17: unexpected trailing input: ')'"),
+        ("term", "[cast:a]cast{a}", "1:9: cast is not an axiom scheme here"),
+        # a check's term is resolved before its type is read
+        (
+            "document",
+            "context C { a : tau }\ncheck cast{b} : [tau,",
+            "2:7: axiom index uses names not declared in the context: b",
+        ),
+    ],
+    ids=["trailing-input-first", "bound-scheme-name", "term-before-type"],
+)
+def test_resolution_errors_come_after_their_expression_is_read(mode, text, message):
+    parse = parse_term if mode == "term" else parse_document
+    with pytest.raises(ParseError) as err:
+        parse(text, ALL)
+    assert str(err.value) == message
+
+
+def _pushed_groups(depth: int) -> str:
+    """([x(n-1):tau]f(n-1) ... ([x0:tau]f0 (a b))...): each group is read
+    under the binders around it and lands outside all of them."""
+    text = "(a b)"
+    for i in range(depth):
+        text = f"([x{i}:tau]f{i} {text})"
+    return text
+
+
+def test_nested_pushed_groups_parse_in_linear_work():
+    """302, 582, 1,142 and 2,262 calls at depths 10, 20, 40 and 80 before the
+    reader built nodes as it read: doubling the depth at most doubles them."""
+    counts = []
+    for depth in (10, 20, 40, 80):
+        text = _pushed_groups(depth)
+        bound = 2 * counts[-1] if counts else None
+        counts.append(calls_during(lambda: parse_term(text), bound))
+    assert all(b <= 2 * a for a, b in zip(counts, counts[1:]))
+    e = parse_term(_pushed_groups(80))
+    for i in reversed(range(80)):
+        assert e.fun == UnivAbs(TAU, Var(f"f{i}"))
+        e = e.arg
+    assert e == Appl(Var("a"), Var("b"))
+
+
 def _expr_calls(monkeypatch, text: str) -> int:
     calls = 0
     expr = _Parser.expr
