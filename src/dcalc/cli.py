@@ -25,8 +25,9 @@ from .typecheck import TypingError, check_document, synth
 
 
 # The failures a command reports as a diagnostic; anything else is a bug.
-# RecursionError is input nested deeper than the recursive kernel can follow;
-# UnicodeDecodeError is an input file that is not text.
+# RecursionError is input nested deeper than the recursive kernel layers can
+# follow (the parser takes any depth); UnicodeDecodeError is an input file
+# that is not text.
 FAILURES = (ParseError, TypingError, FuelExhausted, RecursionError, OSError, UnicodeDecodeError)
 
 

@@ -1,7 +1,6 @@
 """Concrete syntax for terms and proof files.
 
-Grammar sketch (predictive recursive descent: every choice is made from the
-next tokens, and no token is read twice):
+Grammar sketch (predictive: every choice is made from the next tokens):
 
     expr     := '~' expr | atom ('.' ('1'|'2') | '(' expr (',' expr)* ')')*
     atom     := 'tau' | name | scheme '{' expr (',' expr)* '}' | bracket
@@ -15,30 +14,25 @@ next tokens, and no token is read twice):
     group    := name (',' name)* (':'|'!') expr
 
 A bracket that opens with `name :=` or `name (',' name)* (':'|'!')` binds;
-otherwise its first expression is parsed once and the separator after it
-picks the form. Connectives nest to the right: [a;b=>c] is [a=>[b=>c]]. The
-call form f(a,b) is sugar for ((f a) b). A '(' group after an operand is
-parsed once: '(e)' and '(e, ...)' are calls, but '(e1 e2)' starts the next
-operand, which only an enclosing '(e1 e2)' accepts. It waits in a one-slot
-pushback where its '(' was, so (f (a b).1) is f applied to (a b).1, and
-f (a b) alone is an error at '('. Names are resolved where each part lands,
-from the names bound there, innermost first: a binder's name scopes over its
-body only and reads as its de Bruijn index ([a,b:A] is [a:A][b:A]); a def's
-name stands for its expansion, whose free names the binders there capture:
-the def's own node, unless one of those binders binds a name free in it
-(each def's free names are kept as a bit mask, made from the masks of the
-defs it splices, so no def is walked to find them); and a scheme reference
-such as negax-{a,~a} for an axiom instance, named over its indices with
-bound names kept as names, whose declarations (dependencies first) a
-document splices into the context right before the enclosing item.
+otherwise the separator after its first expression picks the form, and
+connectives nest to the right: [a;b=>c] is [a=>[b=>c]]. f(a,b) is ((f a) b).
+After an operand, '(e)' and '(e, ...)' are calls, but '(e1 e2)' starts the
+next operand, which only an enclosing '(e1 e2)' takes: (f (a b).1) is f
+applied to (a b).1, and f (a b) alone is an error at '('.
 
-One findall of a regular expression scans the text: each match is a gap
-(blanks, newlines and '--' line comments) and the token after it, and the
-parser reads the token texts by index. No token carries a position: a
-ParseError finds it from the index, through the lengths and newline counts
-of the matches summed once per text, and a check's line through the newline
-counts alone. A comment takes no columns, so end of input after one stands
-where it starts.
+One loop over a stack of the open constructions builds each node once its
+parts are read, so no nesting takes a Python frame (precedence climbing on an
+explicit stack, after Pratt, "Top down operator precedence", 1973). A name is
+resolved where it is read: a binder's to its de Bruijn index ([a,b:A] is
+[a:A][b:A]); a def's to the def's own node, or a copy when binders there bind
+some of its free names; a scheme reference such as negax-{a,~a} to an axiom
+instance named over its indices, bound names kept as names, which a document
+declares (needs first) before the enclosing item. Resolution errors wait for
+the end of the expression, so its syntax errors come first. A '(e1 e2)' whose
+e2 ended binders it was read in reads e1 again without them.
+
+One findall scans the text into gaps (blanks, newlines and '--' comments)
+and tokens; a ParseError finds its line and column from the token's index.
 
 Files hold directives: `context NAME { decls }`, `def NAME := expr`,
 `check expr : expr`, and `axiom scheme{indices}`.
@@ -47,10 +41,10 @@ Files hold directives: `context NAME { decls }`, `def NAME := expr`,
 from __future__ import annotations
 
 import re
-from functools import partial, reduce
+from functools import partial
 from itertools import accumulate, chain, repeat
-from operator import itemgetter, or_
-from typing import Callable, NamedTuple
+from operator import itemgetter
+from typing import NamedTuple
 
 from .axioms import SCHEME_ARITY, SCHEME_NAMES, declare, imp, instance_name
 from .syntax import (
@@ -113,8 +107,8 @@ class _Scan:
         self.toks = list(map(itemgetter(1), self.matches))
         self.lines: list[int] = []
         self.starts: list[int] = []
-        if any(map(itemgetter(2), self.matches)):
-            i = next(i for i, m in enumerate(self.matches) if m[2])
+        i = self.toks.index("")  # EOF's, unless a character no token takes comes first
+        if self.matches[i][2]:
             raise ParseError(f"unexpected character {self.matches[i][2]!r}", *self.where(i))
 
     def line(self, i: int) -> int:
@@ -156,88 +150,80 @@ class Document(NamedTuple):
     checks: list[CheckItem]
 
 
-# Parsing yields builders: functions from the names bound where a term lands,
-# innermost first, to the term. What a name means (a binder's index, a def or
-# an axiom instance) depends on that scope, and a '(e1 e2)' group learns it
-# only after it is read.
-_Build = Callable[[tuple[str, ...]], ExprS]
-
 _INJECTIONS = {"inl": InjL, "inr": InjR, "case": Case}
 
-
-def _node(make: Callable[..., ExprS], *parts: _Build) -> _Build:
-    """make over the parts, built in the order written; it binds nothing."""
-    return lambda bound: make(*[part(bound) for part in parts])
-
-
-def _binder(make: Callable[..., ExprS], name: str, *parts: _Build) -> _Build:
-    """make(*heads, body, name); name scopes over body only."""
-    *heads, body = parts
-    return lambda bound: make(*[head(bound) for head in heads], body((name, *bound)), name)
-
-
-def _suffixed(steps: tuple[Callable[..., ExprS], ...], head: ExprS, *args: ExprS) -> ExprS:
-    """head with the '.1', '.2' and call steps applied in order; calls take the args."""
-    rest = iter(args)
-    for step in steps:
-        head = step(head, next(rest)) if step is Appl else step(head)
-    return head
+# The reader's stack holds the open constructions, each a list: its kind, the
+# number of binders in scope where it opened, then what it has read so far:
+#   _BIND   (class, domain, name)s, names (None: the body is next), next
+#           name's index, class, first token of the domain
+#   _SEQ    parts, the token after each (None: the expression's end), make,
+#           hint, the part after which the hint binds: ~a [x:=a]b inl(a,b) <x:=a,b:c>
+#   _CONN   items, separators, separators used, closing token, and for a scheme
+#           reference's indices at and bad: name bound or a def (None: an axiom's)
+#   _PAREN  e1, its first token, len(pending) and len(free_here) there
+#   _CALL   head, '(' position, phase (0: the first argument, 1: the rest, 2: a
+#           group's e2), its e1, len(pending), ('(', height) of the groups it ends
+_BIND, _CONN, _CALL, _PAREN, _SEQ = range(5)
 
 
-def _capture(bound: tuple[str, ...], v: Var | Bound, depth: int) -> ExprS:
+def _capture(levels: dict[str, int], height: int, v: Var | Bound, depth: int) -> ExprS:
     """v, with a free name bound in scope made that binder's index."""
-    return Bound(bound.index(v.name) + depth) if type(v) is Var and v.name in bound else v
+    return Bound(height - 1 - levels[v.name] + depth) if type(v) is Var and v.name in levels else v
 
 
-def _release(bound: tuple[str, ...], v: Var | Bound, depth: int) -> ExprS:
+def _release(binds: list[tuple[str, int | None]], v: Var | Bound, depth: int) -> ExprS:
     """v, with an index of a binder in scope made that binder's name."""
-    return Var(bound[v.index - depth]) if type(v) is Bound and v.index >= depth else v
-
-
-def _fold_right(make: Callable[[ExprS, ExprS], ExprS], *items: ExprS) -> ExprS:
-    return reduce(lambda out, item: make(item, out), reversed(items))
+    return Var(binds[depth - v.index - 1][0]) if type(v) is Bound and v.index >= depth else v
 
 
 class _Parser:
     def __init__(self, text: str, allowed: frozenset[str], document: bool):
         self.scan = _Scan(text)
         self.toks = self.scan.toks
-        self.pos = 0
-        self.tok = self.toks[0]
-        self.allowed = allowed
-        self.document = document
+        self.pos, self.tok = 0, self.toks[0]
+        self.allowed, self.document = allowed, document
         self.entries: dict[str, Expr] = {}  # the context's declarations, in order
         self.defs: dict[str, Expr] = {}
-        # Sets of names as masks: a bit for each name found free, and the
-        # names free in each def and in the term last begun.
-        self.bits: dict[str, int] = {}
-        self.free: dict[str, int] = {}
-        self.free_here = 0
         self.checks: list[CheckItem] = []
-        # A '(e1 e2)' group read after an operand, and the position after it;
-        # until an atom takes it, the parser stands at the group's '('.
-        self.pushed: tuple[_Build, int] | None = None
+        self.free: dict[str, frozenset[str]] = {}  # the names free in each def
+        self.free_here: list[str] = []  # the names found free in the term last begun
+        # The binders in scope, outermost first, as (name, the level the name
+        # had before); and each bound name's level.
+        self.binds: list[tuple[str, int | None]] = []
+        self.levels: dict[str, int] = {}
+        # For the term's end, in order: (at, message) errors, (at, indices) instances.
+        self.pending: list[tuple[int, str | tuple[Expr, ...]]] = []
+        # A '(e1 e2)' read after an operand, the position after it, the groups it
+        # ends (as _CALL keeps them), len(pending) before it; the parser stands at its '('.
+        self.pushed: tuple[ExprS, int, list[tuple[int, int]], int] | None = None
+        # The '(' of each group that ends binders it is read in, and how many.
+        self.groups: dict[int, int] = {}
 
     def take(self) -> str:
         """The token here; the parser moves past it. No caller takes EOF."""
-        tok = self.tok
-        self.pos += 1
+        tok, self.pos = self.tok, self.pos + 1
         self.tok = self.toks[self.pos]
         return tok
 
     def expect(self, text: str) -> None:
         if self.tok != text:
             raise self.error(f"expected {text!r}, got {self.tok or 'end of input'!r}")
-        self.pos += 1
-        self.tok = self.toks[self.pos]
+        self.take()
 
     def expect_name(self) -> int:
         """The position of the name here; the parser moves past it."""
         if self.tok in _PUNCT:
             raise self.error(f"expected a name, got {self.tok or 'end of input'!r}")
-        self.pos += 1
-        self.tok = self.toks[self.pos]
+        self.take()
         return self.pos - 1
+
+    def names(self) -> list[int]:
+        """The positions of names separated by ','; the parser moves past them."""
+        names = [self.expect_name()]
+        while self.tok == ",":
+            self.take()
+            names.append(self.expect_name())
+        return names
 
     def error(self, message: str, at: int | None = None) -> ParseError:
         """A ParseError at token `at`, by default the one here."""
@@ -245,216 +231,236 @@ class _Parser:
 
     def term(self) -> ExprS:
         """An expression, built where no binder is in scope."""
-        self.free_here = 0
-        return self.expr()(())
+        self.free_here = []
+        e = self.expr()
+        if self.pushed is not None:  # nothing takes it, so none of it is resolved
+            del self.pending[self.pushed[3] :]
+        self._resolve()
+        return e
 
-    # expressions
-
-    def expr(self) -> _Build:
-        if self.tok == "~":
-            self.take()
-            inner = self.expr()  # called directly: one frame for each '~'
-            return lambda bound: Neg(inner(bound))
-        head = self.atom()
-        if self.tok != "." and self.tok != "(" or self.pushed is not None:
-            return head
-        steps: list[Callable[..., ExprS]] = []
-        args: list[_Build] = []
-        while self.pushed is None:
-            if self.tok == ".":
-                self.take()
-                at = self.expect_name()
-                if self.toks[at] not in ("1", "2"):
-                    raise self.error("expected 1 or 2 after '.'", at)
-                steps.append(ProjL if self.toks[at] == "1" else ProjR)
-            elif self.tok == "(":
-                # '(e)' and '(e, ...)' are calls; '(e1 e2)' starts the next operand
-                paren = self.pos
-                self.take()
-                call_args = [self.expr()]
-                if self.tok != ")" and self.tok != ",":
-                    second = self.expr()
-                    self.expect(")")
-                    self.pushed = (_node(Appl, call_args[0], second), self.pos)
-                    self.pos, self.tok = paren, "("
-                    break
-                while self.tok == ",":
-                    self.take()
-                    call_args.append(self.expr())
-                self.expect(")")
-                steps += [Appl] * len(call_args)
-                args += call_args
-            else:
-                break
-        return _node(partial(_suffixed, tuple(steps)), head, *args) if steps else head
-
-    def atom(self) -> _Build:
-        if self.pushed is not None:
-            e, self.pos = self.pushed
-            self.pushed, self.tok = None, self.toks[self.pos]
-            return e
-        tok = self.tok
-        if tok not in _PUNCT:
-            at = self.pos
-            self.take()
-            if tok == "tau":
-                return lambda bound: TAU
-            if tok in _INJECTIONS and self.tok == "(":
-                self.take()
-                first = self.expr()
-                self.expect(",")
-                second = self.expr()
-                self.expect(")")
-                return _node(_INJECTIONS[tok], first, second)
-            indices = self._indices(at) if tok in SCHEME_NAMES and self.tok == "{" else None
-            return partial(self._ref, at, indices)
-        if tok == "[":
-            return self._bracket()
-        if tok == "(":
-            self.take()
-            e1 = self.expr()
-            e = e1 if self.tok == ")" else _node(Appl, e1, self.expr())
-            self.expect(")")
-            return e
-        if tok == "<":
-            self.take()
-            name = self.toks[self.expect_name()]
-            self.expect(":=")
-            witness = self.expr()
-            self.expect(",")
-            proof = self.expr()
-            self.expect(":")
-            tag = self.expr()
-            self.expect(">")
-            return _binder(ProtDef, name, witness, proof, tag)
-        raise self.error("expected an expression")
-
-    def _bracket(self) -> _Build:
-        self.take()  # '['
-        toks, pos = self.toks, self.pos
-        if toks[pos] not in _PUNCT and toks[pos + 1] == ":=":
-            name = self.take()
-            self.take()
-            defn = self.expr()
-            self.expect("]")
-            return _binder(InternalSubst, name, defn, self.expr())
-        # EOF ends the tokens, so a name always has a token after it
-        i = pos
-        while toks[i] not in _PUNCT and toks[i + 1] == ",":
-            i += 2
-        if toks[i] in _PUNCT or toks[i + 1] not in (":", "!"):
-            return self._connective()
-        groups: list[tuple[list[str], type, _Build]] = []
+    def expr(self, stack: list | None = None) -> ExprS:
+        """An expression, each node built once its parts are read; stack may hold some open."""
+        toks, binds, levels, stack = self.toks, self.binds, self.levels, stack or []
+        pending, free_here = self.pending, self.free_here
         while True:
-            names = [toks[self.expect_name()]]
-            while self.tok == ",":
-                self.take()
-                names.append(toks[self.expect_name()])
-            if self.tok != ":" and self.tok != "!":
-                raise self.error("expected ':' or '!' in binder group")
-            cls = ExistAbs if self.take() == "!" else UnivAbs
-            groups.append((names, cls, self.expr()))
-            if self.tok != ";":
-                break
-            self.take()
-        self.expect("]")
-        # [a,b:A]e is [a:A][b:A]e: A is read again in a's scope
-        body = self.expr()
-        for names, cls, dom in reversed(groups):
-            for name in reversed(names):
-                body = _binder(cls, name, dom, body)
-        return body
+            # an expression starts: open constructions up to an atom
+            tok, at = self.tok, self.pos
+            if self.pushed is not None:  # a '(e1 e2)' takes it as its e2
+                v, self.pos, ends, _ = self.pushed
+                self.pushed, self.tok, f = None, toks[self.pos], stack[-1]
+                if f[0] == _CALL:
+                    f[7] = ends
+                elif ends[0][1] > f[1]:
+                    # it ends binders it was read in: read e1 again without them
+                    at = f[1]
+                    for paren, height in reversed(ends):
+                        self.groups[paren], at = height - at, height
+                    del pending[f[4] :], free_here[f[5] :]
+                    self.pos, self.tok, f[2] = f[3], toks[f[3]], None
+                    continue
+            elif tok not in _PUNCT:
+                self.pos, self.tok = at + 1, toks[at + 1]
+                if tok == "tau":
+                    v = TAU
+                elif self.tok == "(" and tok in _INJECTIONS:
+                    self.take()
+                    stack.append([_SEQ, len(binds), [], (",", ")"), _INJECTIONS[tok], (), 0])
+                    continue
+                elif self.tok == "{" and tok in SCHEME_NAMES:
+                    self._scheme(stack, at, tok in levels or tok in self.defs)
+                    continue
+                elif tok in levels:
+                    v = Bound(len(binds) - 1 - levels[tok])
+                elif tok in self.defs:
+                    v = self._def(tok)
+                else:
+                    free_here.append(tok)
+                    v = Var(tok)
+            elif tok not in ("[", "(", "~", "<"):
+                raise self.error("expected an expression")
+            else:
+                self.pos, self.tok = at + 1, toks[at + 1]
+                if tok == "(":
+                    stack.append([_PAREN, len(binds), None, at + 1, len(pending), len(free_here)])
+                elif tok == "~":
+                    stack.append([_SEQ, len(binds), [], (None,), Neg, (), 0])
+                elif tok == "<":
+                    name = toks[self.expect_name()]
+                    self.expect(":=")
+                    stack.append([_SEQ, len(binds), [], (",", ":", ">"), ProtDef, (name,), 2])
+                elif self.tok not in _PUNCT and toks[at + 2] == ":=":  # '[x:=': a substitution
+                    stack.append([_SEQ, len(binds), [], ("]", None), InternalSubst, (self.tok,), 1])
+                    self.pos, self.tok = at + 3, toks[at + 3]
+                else:  # EOF ends the tokens, so a name always has a token after it
+                    i = at = at + 1
+                    while toks[i] not in _PUNCT and toks[i + 1] == ",":
+                        i += 2
+                    if toks[i] in _PUNCT or toks[i + 1] not in (":", "!"):
+                        stack.append([_CONN, len(binds), [], None, [], "]"])
+                    else:
+                        cls = ExistAbs if toks[i + 1] == "!" else UnivAbs
+                        stack.append([_BIND, len(binds), [], toks[at : i + 1 : 2], 0, cls, i + 2])
+                        self.pos, self.tok = i + 2, toks[i + 2]
+                continue
+            # v is an atom: its suffixes, then the constructions it completes
+            atom = True
+            while True:
+                if atom and self.pushed is None:
+                    while self.tok == ".":
+                        self.take()
+                        at = self.expect_name()
+                        if toks[at] != "1" and toks[at] != "2":
+                            raise self.error("expected 1 or 2 after '.'", at)
+                        v = ProjL(v) if toks[at] == "1" else ProjR(v)
+                    if self.tok == "(":
+                        if self.pos in self.groups:  # read without the binders it ends
+                            self._unbind(len(binds) - self.groups[self.pos])
+                        stack.append([_CALL, len(binds), v, self.pos, 0, None, len(pending), []])
+                        self.take()
+                        break
+                if not stack:
+                    return v
+                f = stack[-1]
+                atom = True
+                if f[0] == _BIND:
+                    if f[3] is not None:  # [a,b:A]e is [a:A][b:A]e: A is read again in a's scope
+                        f[2].append((f[5], v, f[3][f[4]]))
+                        self._bind(f[3][f[4]])
+                        f[4] += 1
+                        if f[4] < len(f[3]):
+                            self.pos, self.tok, self.pushed = f[6], toks[f[6]], None
+                        elif self.tok == ";":
+                            self.take()
+                            f[3:] = [toks[at] for at in self.names()], 0
+                            if self.tok != ":" and self.tok != "!":
+                                raise self.error("expected ':' or '!' in binder group")
+                            f[5:] = ExistAbs if self.take() == "!" else UnivAbs, self.pos
+                        else:
+                            self.expect("]")
+                            f[3] = None
+                        break
+                    for cls, dom, name in reversed(f[2]):
+                        v = cls(dom, v, name)
+                    atom = False
+                elif f[0] == _CONN:
+                    items, seps, used, close = f[2:6]
+                    items.append(v)
+                    if seps is None:
+                        if self.tok not in (";", "=>", ",", "+", "]"):
+                            raise self.error("expected ',' or '+' in bracket")
+                        f[3] = seps = (self.tok,) if self.tok in (",", "+") else (";", "=>")
+                    if self.tok in seps:
+                        used.append(self.take())
+                        if seps[0] == ";":  # item i lands under the i implications before it
+                            self._bind("")
+                        break
+                    self.expect(close)
+                    if close == "}":  # a scheme reference's indices
+                        v = self._instance(f[6], items, f[7])
+                        if f[7] is None:
+                            return v
+                    elif seps[0] == ";" and "=>" not in used:
+                        raise self.error("expected '=>' in implication")
+                    elif seps[0] == ";" and ";" in used[used.index("=>") :]:
+                        raise self.error("';' may not follow '=>' in an implication")
+                    else:
+                        make = imp if seps[0] == ";" else Product if seps[0] == "," else Sum
+                        for item in reversed(items[:-1]):
+                            v = make(item, v)
+                elif f[0] == _CALL:
+                    if f[4] == 1 or f[4] == 0 and (self.tok == ")" or self.tok == ","):
+                        f[2] = Appl(f[2], v)
+                        if self.tok == ",":
+                            self.take()
+                            f[4] = 1
+                            break
+                        self.expect(")")
+                        v = f[2]
+                    elif f[4] == 0:  # '(e1 e2)' starts the next operand
+                        f[4], f[5] = 2, v
+                        break
+                    else:
+                        self.expect(")")
+                        self.pushed = (Appl(f[5], v), self.pos, [*f[7], (f[3], f[1])], f[6])
+                        self.pos, self.tok, v = f[3], "(", f[2]
+                elif f[0] == _PAREN:
+                    if f[2] is None and self.tok != ")":
+                        f[2] = v
+                        break
+                    self.expect(")")
+                    v = v if f[2] is None else Appl(f[2], v)
+                else:  # _SEQ
+                    f[2].append(v)
+                    sep = f[3][len(f[2]) - 1]
+                    if sep is not None:
+                        self.expect(sep)
+                    if len(f[2]) < len(f[3]):
+                        if len(f[2]) == f[6]:
+                            self._bind(f[5][0])
+                        break
+                    v = f[4](*f[2], *f[5])
+                    atom = sep is not None
+                self._unbind(f[1])
+                stack.pop()
 
-    def _connective(self) -> _Build:
-        """An implication, product or sum: the separator after the first item decides."""
-        items = [self.expr()]
-        kind = self.tok
-        if kind not in (";", "=>", ",", "+", "]"):
-            raise self.error("expected ',' or '+' in bracket")
-        seps = (kind,) if kind in (",", "+") else (";", "=>")
-        used: list[str] = []
-        while self.tok in seps:
-            used.append(self.take())
-            items.append(self.expr())
-        self.expect("]")
-        if kind in (",", "+"):
-            return _node(partial(_fold_right, Product if kind == "," else Sum), *items)
-        if "=>" not in used:
-            raise self.error("expected '=>' in implication")
-        if ";" in used[used.index("=>") :]:
-            raise self.error("';' may not follow '=>' in an implication")
-        # item i lands under the i implications before it
-        return lambda bound: _fold_right(
-            imp, *(item(("",) * i + bound) for i, item in enumerate(items))
-        )
+    def _bind(self, name: str) -> None:
+        self.binds.append((name, self.levels.get(name)))
+        self.levels[name] = len(self.binds) - 1
 
-    # names, resolved where their term lands
+    def _unbind(self, height: int) -> None:
+        """Take the binders past the first height out of scope."""
+        while len(self.binds) > height:
+            name, prev = self.binds.pop()
+            if prev is None:
+                del self.levels[name]
+            else:
+                self.levels[name] = prev
 
-    def _ref(self, at: int, indices: list[_Build] | None, bound: tuple[str, ...]) -> ExprS:
-        """A binder's index, a def's expansion, or with indices an axiom instance.
+    def _def(self, name: str) -> ExprS:
+        """A def's expansion: its own node, or binders in scope capture its free names."""
+        free = self.free[name]
+        self.free_here += free.difference(self.levels)
+        if free.isdisjoint(self.levels):
+            return self.defs[name]
+        return _map_leaves(self.defs[name], partial(_capture, self.levels, len(self.binds)), 0)
 
-        A def's expansion is the def's own node, unless the binders around
-        its use bind some of its free names: then they capture them.
-        """
-        name = self.toks[at]
-        if name in bound or name in self.defs:
-            if indices is not None:
-                raise self.error(f"{name} is not an axiom scheme here", at)
-            if name in bound:
-                return Bound(bound.index(name))
-            free = self.free[name]
-            captured = free & reduce(or_, map(self.bits.get, bound, repeat(0)), 0)
-            self.free_here |= free & ~captured
-            if not captured:
-                return self.defs[name]
-            return _map_leaves(self.defs[name], partial(_capture, bound), 0)
-        if indices is not None:
-            name = self._instance(at, indices, bound)
-        bit = self.bits.get(name)
-        if bit is None:
-            bit = self.bits[name] = 1 << len(self.bits)
-        self.free_here |= bit
-        return Var(name)
-
-    def _indices(self, at: int) -> list[_Build]:
-        """The indices of the axiom scheme reference at token `at`."""
+    def _scheme(self, stack: list, at: int, bad: bool | None) -> list:
+        """stack, with the scheme reference at token `at` opened on it."""
         scheme = SCHEME_NAMES[self.toks[at]]
         if scheme not in self.allowed:
             raise self.error(f"axiom scheme {scheme!r} is not enabled here", at)
         self.expect("{")
-        indices = [self.expr()]
-        while self.tok == ",":
-            self.take()
-            indices.append(self.expr())
-        self.expect("}")
-        if len(indices) != SCHEME_ARITY[scheme]:
-            raise self.error(
-                f"{scheme} takes {SCHEME_ARITY[scheme]} indices, got {len(indices)}", at
-            )
-        return indices
+        if bad:
+            self.pending.append((at, f"{self.toks[at]} is not an axiom scheme here"))
+        stack.append([_CONN, len(self.binds), [], (",",), [], "}", at, bad])
+        return stack
 
-    def _instance(self, at: int, indices: list[_Build], bound: tuple[str, ...]) -> str:
-        """The name of the axiom instance that token `at` names; in a document,
-        the instance joins the context.
-
-        A bound name in an index stays a name, as the declaration reads it.
-        """
-        made = tuple(idx(bound) for idx in indices)
+    def _instance(self, at: int, indices: list[ExprS], bad: bool | None) -> Var:
+        """The axiom instance token `at` names over indices; a document declares it later."""
+        scheme = SCHEME_NAMES[self.toks[at]]
+        if len(indices) != (arity := SCHEME_ARITY[scheme]):
+            raise self.error(f"{scheme} takes {arity} indices, got {len(indices)}", at)
+        if bad:  # its error is pending
+            return Var(self.toks[at])
+        made = tuple(indices)
         if any(idx._lb for idx in made):  # a bound name in an index dangles out of it
-            made = tuple(_map_leaves(idx, partial(_release, bound), 0) for idx in made)
-        if not self.document:
-            return instance_name(self.toks[at], made)
-        for idx in made:
-            loose = free_vars(idx) - self.entries.keys()
-            if loose:
-                raise self.error(
-                    "axiom index uses names not declared in the context: "
-                    + ", ".join(sorted(loose)),
-                    at,
-                )
-        return declare(self.entries, self.toks[at], made)
+            made = tuple(_map_leaves(idx, partial(_release, self.binds), 0) for idx in made)
+        if self.document:
+            self.pending.append((at, made))
+        self.free_here.append(instance_name(self.toks[at], made))
+        return Var(self.free_here[-1])
 
-    # directives
+    def _resolve(self) -> None:
+        """Raise the first error the term leaves, else declare its instances."""
+        pending, self.pending = self.pending, []
+        for at, made in pending:
+            if type(made) is str:
+                raise self.error(made, at)
+            for idx in made:
+                if loose := ", ".join(sorted(free_vars(idx) - self.entries.keys())):
+                    message = "axiom index uses names not declared in the context: "
+                    raise self.error(message + loose, at)
+            declare(self.entries, self.toks[at], made)
 
     def document_body(self) -> Document:
         toks = self.toks
@@ -462,14 +468,26 @@ class _Parser:
             at = self.expect_name()
             match toks[at]:
                 case "context":
-                    self._context_block()
+                    self.expect_name()
+                    self.expect("{")
+                    while self.tok != "}":
+                        names = self.names()
+                        self.expect(":")
+                        ty = self.term()
+                        for at in names:
+                            self._fresh(at)
+                            self.entries[toks[at]] = ty
+                        if self.tok != ";":
+                            break
+                        self.take()
+                    self.expect("}")
                 case "def":
                     name = self.expect_name()
                     self.expect(":=")
                     body = self.term()
                     self._fresh(name)
                     self.defs[toks[name]] = body
-                    self.free[toks[name]] = self.free_here
+                    self.free[toks[name]] = frozenset(self.free_here)
                 case "check":
                     term = self.term()
                     self.expect(":")
@@ -479,31 +497,12 @@ class _Parser:
                     ref = self.expect_name()
                     if toks[ref] not in SCHEME_NAMES:
                         raise self.error(f"unknown axiom scheme: {toks[ref]}", ref)
-                    self._instance(ref, self._indices(ref), ())
+                    self.expr(self._scheme([], ref, None))
+                    self._resolve()
                 case _:
-                    raise self.error(
-                        f"expected a directive (context, def, check, axiom), got {toks[at]!r}",
-                        at,
-                    )
+                    message = f"expected a directive (context, def, check, axiom), got {toks[at]!r}"
+                    raise self.error(message, at)
         return Document(Context(tuple(self.entries.items())), self.defs, self.checks)
-
-    def _context_block(self) -> None:
-        self.expect_name()
-        self.expect("{")
-        while self.tok != "}":
-            names = [self.expect_name()]
-            while self.tok == ",":
-                self.take()
-                names.append(self.expect_name())
-            self.expect(":")
-            ty = self.term()
-            for at in names:
-                self._fresh(at)
-                self.entries[self.toks[at]] = ty
-            if self.tok != ";":
-                break
-            self.take()
-        self.expect("}")
 
     def _fresh(self, at: int) -> None:
         name = self.toks[at]
@@ -514,10 +513,11 @@ class _Parser:
 def parse_term(text: str, allowed_schemes: frozenset[str] = frozenset()) -> ExprS:
     """Parse one standalone expression."""
     parser = _Parser(text, allowed_schemes, document=False)
-    build = parser.expr()
+    e = parser.expr()
     if parser.tok:
         raise parser.error(f"unexpected trailing input: {parser.tok!r}")
-    return build(())
+    parser._resolve()
+    return e
 
 
 def parse_document(text: str, allowed_schemes: frozenset[str] = frozenset()) -> Document:

@@ -28,6 +28,7 @@ from dcalc.explicit import Env, mu_nf, mu_redexes
 from dcalc.norms import norm
 from dcalc.parser import parse_term
 from dcalc.reduction import (
+    _RULES_FIRE,
     FuelExhausted,
     axiom_steps,
     conv,
@@ -55,6 +56,7 @@ from dcalc.syntax import (
     Context,
     Expr,
     Product,
+    _search,
     children,
     plug,
     subtree_at,
@@ -101,10 +103,17 @@ def corpus_items() -> list[Expr]:
 
 
 def redex_positions(e: Expr) -> list[tuple[tuple[int, ...], str]]:
+    """(path, axiom) at each redex of e in pre-order, found by asking
+    axiom_steps at every node: the reference that redex_options must match."""
     out = [((), name) for name, _ in axiom_steps(e)]
     for i, child in enumerate(children(e)):
         out.extend(((i, *path), name) for path, name in redex_positions(child))
     return out
+
+
+def redex_options(e: Expr) -> list[tuple[tuple[int, ...], tuple[str, Expr]]]:
+    """(path, (axiom, contractum)) at each redex of e, by the kernel's one search."""
+    return list(_search(e, _RULES_FIRE))
 
 
 def random_maximal(e: Expr, seed: int, cap: int = 100000) -> Expr:
@@ -112,12 +121,29 @@ def random_maximal(e: Expr, seed: int, cap: int = 100000) -> Expr:
     rng = random.Random(seed)
     cur = e
     for _ in range(cap):
-        options = redex_positions(cur)
+        options = redex_options(cur)
         if not options:
             return cur
-        path, name = rng.choice(options)
-        cur = plug(cur, path, dict(axiom_steps(subtree_at(cur, path)))[name])
+        path, (_name, after) = rng.choice(options)
+        cur = plug(cur, path, after)
     raise AssertionError("no normal form within the step cap")
+
+
+def test_the_redex_search_lists_the_options_of_the_recursive_helper():
+    """random_maximal draws from redex_options, so it contracts what it did when
+    it drew from redex_positions: the corpus terms and types, a seeded sample of
+    the pool, and every term along one seeded maximal run from each."""
+    rng = random.Random(20261022)
+    terms = corpus_items() + [e for _ctx, e in rng.sample(term_pool(), 100)]
+    for e in terms:
+        for _ in range(200):
+            options = redex_options(e)
+            assert [(path, name) for path, (name, _) in options] == redex_positions(e)
+            if not options:
+                break
+            path, (name, after) = rng.choice(options)
+            assert (name, after) == axiom_steps(subtree_at(e, path))[0]
+            e = plug(e, path, after)
 
 
 def test_every_corpus_file_type_checks_through_the_cli(capsys):

@@ -272,17 +272,17 @@ def test_negative_fuel_is_a_usage_error(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["nf", "(s " * 500 + "z" + ")" * 500],
-        # past the reader (331 binders), synth and the searches alike
+        # the reader takes any depth; the kernel layers after it do not
+        ["nf", "(s " * 5000 + "z" + ")" * 5000],
         ["type", "".join(f"[x{i}:tau]" for i in range(2000)) + "x0"],
     ],
-    ids=["nf-500-deep-numeral", "type-2000-nested-binders"],
+    ids=["nf-5000-deep-numeral", "type-2000-nested-binders"],
 )
 def test_deep_input_is_a_depth_diagnostic(argv, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    # one line, without the term: the parser may give up before there is one
+    # one line, without the term, whichever layer gives up
     assert captured.err.startswith("DepthExceeded @ root: input nested too deeply")
     assert captured.err.count("\n") == 1
     assert main([*argv, "--json"]) == 1
@@ -291,14 +291,15 @@ def test_deep_input_is_a_depth_diagnostic(argv, capsys):
 
 def test_check_goes_on_after_a_file_nested_too_deeply(tmp_path, corpus_file, capsys):
     deep = tmp_path / "deep.dc"
-    numeral = "(s " * 600 + "z" + ")" * 600
+    numeral = "(s " * 5000 + "z" + ")" * 5000
     deep.write_text(f"context N {{ z : tau; s : [tau => tau] }}\ncheck {numeral} : tau\n")
     ok = corpus_file("logic")
     assert main(["check", str(deep), ok]) == 1
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     assert len(lines) == 2
-    assert lines[0].startswith(f"{deep}: 1 error(s) (0 declarations, 0 deductions, ")
+    # the file parses; checking its deduction goes past the kernel's depth
+    assert lines[0].startswith(f"{deep}: 1 error(s) (2 declarations, 1 deductions, ")
     assert lines[1].startswith(f"{ok}: ok (")
     assert captured.err.startswith("DepthExceeded @ root: input nested too deeply")
     assert captured.err.count("\n") == 1
