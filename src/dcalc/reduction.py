@@ -22,6 +22,14 @@ which is reused where the node comes back, in the same call or a later one:
 always at a call's root, and inside the walk where the node's root never
 contracted or its parent does not read it. A reused normal form is
 charged its steps, so fuel still counts the trace's steps.
+
+The walk takes a beta spine ``(((h a1) a2) ... ak)``, whose head h is k
+nested binders or more, as one contraction charged k steps (a strong
+Krivine machine's move: Crégut, HOSC 2007). That is exact: the trace
+contracts the spine k times in a row, each contractum again a binder
+applied to the next argument, and the walk keeps no entry on the terms
+between. So one ``open_binder`` of the k arguments gives the term the k
+steps reach, in one walk of h's k-th body where they would walk it k times.
 ``semantics.beta_nf`` is ``reduce_nf`` on a lambda term.
 Whether a term is normal is decided by the same redex search: ``classify_nf``
 calls a term with no redex a dead end when it is stuck on a variable.
@@ -184,6 +192,38 @@ def _plugged(find: Callable[[ExprS], Step | None]) -> Callable[[ExprS], Step | N
 _NORMAL = object()
 
 
+# The binders a beta rule opens.
+_BETA_BINDERS = (UnivAbs, ExistAbs, Lam)
+
+
+def _spare(e: Appl) -> int:
+    """The nested beta binders of e's spine head less e's arguments, capped at 0.
+
+    e is ``(((h a1) a2) ... ak)`` with h no application: at 0, h is at least
+    k nested binders and k beta steps contract e at its root.
+    """
+    k, head = 1, e.fun
+    while type(head) is Appl:
+        k, head = k + 1, head.fun
+    for spare in range(-k, 0):
+        if type(head) not in _BETA_BINDERS:
+            return spare
+        head = head.body
+    return 0
+
+
+def _contract_spine(e: Appl) -> tuple[int, ExprS]:
+    """(k, the contractum of e's k beta steps), when _spare(e) is 0: the k-th
+    body of e's head, with the k arguments put in by one open_binder."""
+    args = []
+    while type(e) is Appl:
+        args.append(e.arg)
+        e = e.fun
+    for _ in args:
+        e = e.body
+    return len(args), open_binder(e, *reversed(args))
+
+
 def _reads(e: ExprS, i: int) -> bool:
     """Does whether a rule fires at e hang on the root of e's component i?
 
@@ -207,6 +247,16 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None, attr: str) -> ExprS
     before it in leftmost-outermost order is already normal, so the steps are
     exactly the trace's. Fuel counts steps, as _drive does.
 
+    Under RULES, an application whose spine head is as many nested beta
+    binders as the spine has arguments, or more (_spare), contracts them all
+    in one open_binder, charged one step per argument. That is exact: one
+    at a time, the innermost application contracts to a binder, which its
+    parent reads and contracts at once, so the k steps come in a row and
+    none of the terms between keeps an entry. An application with fewer
+    head binders than arguments is no redex at its root: it descends as any
+    node does, and hands its operator the count it found, so a spine is
+    scanned once. Case heads take one step at a time.
+
     What a walk finds stays on each compound node, under the attribute attr
     (one per rule table): _NORMAL for a node found normal, else (normal form,
     steps taken, whether its root contracted) once its normalization
@@ -222,6 +272,7 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None, attr: str) -> ExprS
     """
     if getattr(e, attr, None) is _NORMAL:
         return e
+    spines = rules is RULES
     taken = 0
 
     def charge(steps: int) -> None:
@@ -230,10 +281,11 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None, attr: str) -> ExprS
             raise FuelExhausted(e, fuel)
         taken += steps
 
-    def walk(sub: ExprS, read: bool) -> tuple[ExprS, bool]:
+    def walk(sub: ExprS, read: bool, spare: int | None = None) -> tuple[ExprS, bool]:
         """(normal form of sub, True), or (contractum, False) after a root step.
 
-        read is whether sub's parent reads it (_reads).
+        read is whether sub's parent reads it (_reads). spare, when given, is
+        _spare(sub), which the parent knows from its own.
         """
         kids = children(sub)
         if not kids:
@@ -249,11 +301,20 @@ def _normalize(e: ExprS, rules, positions, fuel: int | None, attr: str) -> ExprS
         if found is not None:
             charge(1)
             return found[1], False
+        below = None  # the operator's _spare
+        if spines and type(sub) is Appl and type(sub.fun) is Appl:
+            if spare is None:
+                spare = _spare(sub)
+            if spare == 0:
+                steps, out = _contract_spine(sub)
+                charge(steps)
+                return out, False
+            below = spare + 1
         node, start = sub, taken
         for i in range(len(kids)) if positions is None else positions(sub):
             reads = _reads(sub, i)
             mark = taken
-            kid, done = walk(kids[i], reads)
+            kid, done = walk(kids[i], reads, below if i == 0 else None)
             if not done:
                 while not done:
                     sub = replace_child(sub, i, kid)

@@ -16,15 +16,18 @@ One table states each node type's components, and children, replace_child,
 the read-only pre-order traversal and ``fold`` the one post-order pass:
 ``_map_leaves``, ``size`` and the sets of free names are folds. Both meet a
 shared node once per depth, by ``(id(node), depth)``, so a definition
-spliced into many uses costs its size, not its unfolding. ``_map_indices``,
-behind shift and open_binder, stays recursive and apart: it returns,
-unwalked, a subterm from which no index dangles, where a fold would visit
-each of its nodes. ``_search``, the one redex search, goes in pre-order with
-the path and the binders above each node. walk, fold and the search keep
-stacks of their own, so the read-only walks, the printer and every engine's
-search do not recurse. The untyped lambda terms of ``semantics`` are built
-from these nodes too, with ``Lam`` as one more binder, and print through
-``to_text`` as well.
+spliced into many uses costs its size, not its unfolding. ``_map_indices``
+is the one substitution walker, behind both shift and open_binder. It stays
+recursive and apart: it returns, unwalked, a subterm from which no index
+dangles, where a fold would visit each of its nodes. It maps the indices
+that dangle itself, with no function per leaf, and open_binder puts in the
+arguments of k binders at once, so the k beta steps of an application
+spine cost one walk of the body. ``_search``, the one redex search, goes in
+pre-order with the path and the binders above each node. walk, fold and the
+search keep stacks of their own, so the read-only walks, the printer and
+every engine's search do not recurse. The untyped lambda terms of
+``semantics`` are built from these nodes too, with ``Lam`` as one more
+binder, and print through ``to_text`` as well.
 
 Each node sets its loose bound, ``_lb``, when it is built, from those of its
 components: 1 plus the largest index that dangles out of it, or 0 when it is
@@ -516,31 +519,36 @@ def _map_leaves(e: ExprS, leaf: Callable[[Var | Bound, int], ExprS], depth: int)
     return fold(e, rebuild, depth)
 
 
-def _map_indices(
-    e: ExprS, leaf: Callable[[Bound, int], ExprS], depth: int, done: dict | None = None
-) -> ExprS:
-    """Rebuild e with every Bound that dangles out of it replaced by ``leaf(node, d)``.
+def _map_indices(e: ExprS, depth: int, args: tuple, by: int, done: dict) -> ExprS:
+    """e with every index that dangles out of it put in, or moved by ``by``.
 
-    A Bound dangles when its index is at least ``d``, which is ``depth`` plus
-    the number of binders between e and the node. A subterm from which no
-    index dangles comes back as it is, unwalked. A subterm shared in e is
-    mapped once per depth it occurs at (``done``, by (id(node), d)).
+    An index dangles when it is at least ``d``, which is ``depth`` plus the
+    number of binders between e and the node. ``Bound(d + i)`` becomes
+    ``args[-1 - i]`` shifted by d when i < len(args), else ``Bound(d + i + by)``.
+    Some index dangles out of e itself (its loose bound passes depth); a
+    component from which none dangles is kept as it is, unwalked. A
+    subterm shared in e is mapped once per depth it occurs at, and an
+    argument shifted once per depth: ``done`` keeps both, by (id(node), d)
+    and by (-1 - i, d), which no id takes.
     """
-    if e._lb <= depth:
-        return e
     t = type(e)
     if t is Bound:
-        return leaf(e, depth)
-    if done is None:
-        done = {}
+        i = e.index - depth
+        if i >= len(args):
+            return Bound(e.index + by)
+        out = done.get((-1 - i, depth))
+        if out is None:
+            out = done[-1 - i, depth] = shift(args[-1 - i], depth)
+        return out
     out = done.get((id(e), depth))
     if out is None:
         scoped = _SCOPED_INDEX.get(t)
-        kids = _CHILDREN[t](e)
-        parts = list(kids)
-        for i, c in enumerate(kids):
-            parts[i] = _map_indices(c, leaf, depth + 1 if i == scoped else depth, done)
-        out = done[id(e), depth] = _rebuild(e, parts)
+        parts = list(_CHILDREN[t](e))
+        for j, c in enumerate(parts):
+            d = depth + 1 if j == scoped else depth
+            if c._lb > d:
+                parts[j] = _map_indices(c, d, args, by, done)
+        out = done[id(e), depth] = t(*parts) if scoped is None else t(*parts, e.hint)
     return out
 
 
@@ -548,7 +556,7 @@ def shift(e: ExprS, by: int, depth: int = 0) -> ExprS:
     """Add ``by`` to every index that points past ``depth`` enclosing binders."""
     if by == 0 or e._lb <= depth:
         return e
-    return _map_indices(e, lambda v, d: Bound(v.index + by), depth)
+    return _map_indices(e, depth, (), by, {})
 
 
 def subst(a: ExprS, x: str, b: ExprS) -> ExprS:
@@ -561,26 +569,21 @@ def subst(a: ExprS, x: str, b: ExprS) -> ExprS:
     return open_binder(close_binder(a, x), b)
 
 
-def open_binder(scoped: ExprS, repl: ExprS) -> ExprS:
-    """Instantiate a binder's scoped component with repl.
+def open_binder(scoped: ExprS, *args: ExprS) -> ExprS:
+    """Instantiate k nested binders at once, with k arguments, in one walk.
 
-    ``scoped`` is the one component a binder scopes over, taken out of its
-    binder; indices pointing at the removed binder become repl (shifted under
-    any inner binders) and indices pointing past it step down one level.
-    repl is shifted once per binder depth, and the copies are shared.
+    ``scoped`` is the component the innermost of the binders scopes over,
+    taken out of all k, and ``args`` fill them outermost first, as the
+    arguments of an application spine do. Indices pointing at a removed
+    binder become its argument (shifted under any inner binders), and indices
+    pointing past them step down k levels. So the result is that of k single
+    opens, innermost binder first, each argument shifted past the binders
+    still to be opened. Each argument is shifted once per binder depth, and
+    the copies are shared.
     """
     if not scoped._lb:
         return scoped
-    shifted: dict[int, ExprS] = {}
-
-    def leaf(v: Bound, d: int) -> ExprS:
-        if v.index > d:
-            return Bound(v.index - 1)
-        if d not in shifted:
-            shifted[d] = shift(repl, d)
-        return shifted[d]
-
-    return _map_indices(scoped, leaf, 0)
+    return _map_indices(scoped, 0, args, -len(args), {})
 
 
 def close_binder(scoped: ExprS, x: str) -> ExprS:

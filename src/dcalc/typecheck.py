@@ -14,8 +14,9 @@ stands, so no binder is opened with a fresh name and no type is closed
 again; open_binder runs only where a rule substitutes, in an application's
 result and in the right projection of an existential. Names are picked only
 when a diagnostic is raised: the error's terms still point into the binders
-it was raised under, and synth opens them with the names a checker that
-opened every binder with a fresh variable would pick.
+it was raised under, and synth opens them, in one open_binder per term,
+with the names a checker that opened every binder with a fresh variable
+would pick.
 
 A definition is spliced into each use as one shared node, so a document
 can hold a term far larger than its text. A term has one type, so each
@@ -143,10 +144,7 @@ def _named(ctx: Context, binders: list[Binder], err: Exception) -> Exception:
         names.append(x)
 
     def opened(t: Expr | None) -> Expr | None:
-        if t is not None:
-            for x in reversed(names):
-                t = open_binder(t, Var(x))
-        return t
+        return None if t is None else open_binder(t, *map(Var, names))
 
     if isinstance(err, FuelExhausted):
         return FuelExhausted(opened(err.expr), err.fuel)

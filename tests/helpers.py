@@ -133,8 +133,11 @@ class WorkBoundExceeded(Exception):
 
 
 def count_fire(monkeypatch) -> Counter:
-    """Counts of reduction._fire's calls ("visits") and of its hits ("contractions")."""
-    fire = reduction._fire
+    """Counts of the nodes reduction tests for a redex ("visits") and of the
+    steps it contracts ("contractions"): reduction._fire's calls and hits, and
+    reduction._contract_spine's calls, each a visit of as many steps as the
+    spine has arguments."""
+    fire, contract_spine = reduction._fire, reduction._contract_spine
     counts: Counter = Counter()
 
     def counted(*args):
@@ -143,7 +146,14 @@ def count_fire(monkeypatch) -> Counter:
         counts["contractions"] += found is not None
         return found
 
+    def counted_spine(e):
+        steps, out = contract_spine(e)
+        counts["visits"] += 1
+        counts["contractions"] += steps
+        return steps, out
+
     monkeypatch.setattr(reduction, "_fire", counted)
+    monkeypatch.setattr(reduction, "_contract_spine", counted_spine)
     return counts
 
 

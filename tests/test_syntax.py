@@ -207,6 +207,14 @@ def _open_by_full_walk(scoped, repl):
 REPLACEMENTS = (TAU, Var("a"), Bound(0), Appl(Bound(2), UnivAbs(TAU, Bound(1))))
 
 
+def _open_one_at_a_time(scoped, args):
+    """open_binder of args by single opens, innermost binder first: each
+    argument is shifted past the binders still to be opened."""
+    for i, arg in enumerate(reversed(args)):
+        scoped = open_binder(scoped, shift(arg, len(args) - 1 - i))
+    return scoped
+
+
 def _assert_bounds_set(e):
     """Every node of e carries the loose bound that a walk finds."""
     for node, _ in walk(e):
@@ -215,8 +223,9 @@ def _assert_bounds_set(e):
 
 def _assert_skipping_walks_match(e):
     """shift, open_binder and the mask behind binder_used, on every subterm of
-    e, give what full walks give, and shift and open_binder build nodes that
-    carry their loose bound."""
+    e, give what full walks give; open_binder of 2 or 3 arguments gives what
+    single opens give; and shift and open_binder build nodes that carry their
+    loose bound."""
     for node, _ in walk(e):  # every subterm: the scoped ones have dangling indices
         assert node._lb == _loose_by_walk(node)
         assert syntax._loose_bits(node) == _loose_bits_by_walk(node)
@@ -224,6 +233,10 @@ def _assert_skipping_walks_match(e):
             assert shift(node, by, d) == _shift_by_full_walk(node, by, d)
         for repl in REPLACEMENTS:
             assert open_binder(node, repl) == _open_by_full_walk(node, repl)
+        for args in (REPLACEMENTS[-2:], REPLACEMENTS[-3:]):
+            opened = open_binder(node, *args)
+            assert opened == _open_one_at_a_time(node, args)
+            _assert_bounds_set(opened)
         _assert_bounds_set(shift(node, 1))
         _assert_bounds_set(open_binder(node, REPLACEMENTS[-1]))
 
@@ -487,6 +500,31 @@ _DOUBLING_PASSES = {
     ),
     "norm": (lambda doc, d: norm(doc.context, Var("q")), lambda out, n: out == LEAF),
 }
+
+
+def _doubling_scope(d):
+    """d(n) of helpers.doubling_chain with f made Bound(2), as one node that
+    is both a binder's domain and its body: there f points at the outermost
+    of three removed binders, here, one binder deeper, at the middle one."""
+    chain = shift(close_binder(d, "f"), 2)
+    return UnivAbs(chain, chain)
+
+
+def test_opening_a_doubling_chain_maps_it_once_per_depth():
+    """open_binder of three arguments, like a single open, maps a shared node
+    once per depth it occurs at and puts in one copy of an argument per depth."""
+    _assert_skipping_walks_match(_doubling_scope(parse_document(doubling_chain(3)).defs["d3"]))
+    n = 40
+    scope = _doubling_scope(parse_document(doubling_chain(n)).defs[f"d{n}"])
+    bound = 25 * (n + 1)
+    out = []
+    calls = calls_during(lambda: out.append(open_binder(scope, *REPLACEMENTS[-3:])), bound)
+    assert calls <= bound
+    for level, f in ((out[0].dom, Var("a")), (out[0].body, Bound(1))):
+        for _ in range(n):  # d(i) = ((f d(i-1)) d(i-1)), with both d(i-1) one node
+            assert level.fun.fun == f and level.fun.arg is level.arg
+            level = level.arg
+        assert level == TAU
 
 
 @pytest.mark.parametrize("name", list(_DOUBLING_PASSES))
